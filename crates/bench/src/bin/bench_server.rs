@@ -89,7 +89,7 @@ use sirius_dcsim::{
 use sirius_obs::metrics::{bucket_bounds, bucket_index};
 use sirius_obs::{HistogramSnapshot, Snapshot};
 use sirius_server::{
-    BatchPolicy, CachePolicy, ClusterConfig, NetClient, NetConfig, NetServer, RoutePolicy,
+    BatchPolicy, CachePolicy, ClusterConfig, NetClient, NetConfig, NetServer, Request, RoutePolicy,
     ServerConfig, SiriusCluster, SiriusServer, StreamPolicy, TenantClass, STAGES,
 };
 use sirius_speech::asr::AcousticModelKind;
@@ -341,11 +341,11 @@ fn policy_run(
         next += Duration::from_secs_f64(gap);
         wait_until(next);
         let at = i % inputs.len();
-        let submitted = match admission_deadline {
-            Some(deadline) => server.submit_with_deadline(inputs[at].clone(), deadline),
-            None => server.submit(inputs[at].clone()),
-        };
-        match submitted {
+        match server.submit(Request {
+            input: inputs[at].clone(),
+            class: None,
+            deadline: admission_deadline,
+        }) {
             Ok(ticket) => tickets.push((at, ticket)),
             Err(SiriusError::Overloaded { .. }) => shed_full += 1,
             Err(SiriusError::DeadlineUnmeetable { .. }) => shed_deadline += 1,
@@ -1020,7 +1020,7 @@ fn cache_run(
         let (gap, c, q) = gen.next();
         next += gap;
         wait_until(next);
-        match server.submit_classed(inputs[q].clone(), TENANT_SPEC[c].0) {
+        match server.submit(Request::from(inputs[q].clone()).with_class(TENANT_SPEC[c].0)) {
             Ok(ticket) => {
                 classes[c].admitted += 1;
                 tickets.push((c, q, ticket));

@@ -220,9 +220,13 @@ impl Sirius {
     /// [`ShardDirectory`] holding every shard, so any replica can serve any
     /// query: retrieval and descriptor search scatter across the directory
     /// and merge under the shared deterministic orders, making every
-    /// replica's response to a given query identical — and identical to
-    /// this unsharded instance's, which the cluster equivalence gate
-    /// asserts over the full 42-query input set.
+    /// replica's response to a given query identical. It is also identical
+    /// to this unsharded instance's **on the 42-query input set**, which
+    /// is what the cluster equivalence gate asserts — not on every
+    /// possible image: replicas search descriptors exactly
+    /// (`KdTree::nearest2_deterministic`), this instance under a budget
+    /// (`KdTree::nearest2`), and on a view whose true nearest descriptor
+    /// lies outside that budget the two can match different venues.
     ///
     /// # Errors
     ///

@@ -33,7 +33,7 @@
 //! **Liveness.** The collector is a dedicated thread that never calls back
 //! into the worker pool, and workers block only on their own reply slot.
 //! The collector exits when every [`BatchHandle`] (held by the ASR workers
-//! via their stage) is dropped — it drains the queue, answering every
+//! via their stage handler) is dropped — it drains the queue, answering every
 //! outstanding request, before exiting, so no worker is left waiting. A
 //! send that races collector teardown falls back to scoring locally, which
 //! is bit-identical anyway.
@@ -46,11 +46,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use sirius::error::SiriusError;
 use sirius::pipeline::Sirius;
-use sirius::stage::{AsrRequest, AsrResponse, Stage};
 use sirius_par::queue::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use sirius_speech::asr::AcousticModelKind;
 use sirius_speech::WindowScorer;
 
 use crate::metrics::BatchObs;
@@ -286,45 +283,6 @@ impl SiriusWindowScorer {
 impl WindowScorer for SiriusWindowScorer {
     fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32> {
         self.0.asr().dnn_scorer().score_windows(x, rows)
-    }
-}
-
-/// ASR stage whose DNN block GEMMs are routed through the batch collector.
-/// GMM queries (no GEMM to batch) take the ordinary stage path unchanged.
-pub struct BatchedAsrStage {
-    sirius: Arc<Sirius>,
-    handle: BatchHandle,
-}
-
-impl BatchedAsrStage {
-    /// An ASR stage scoring DNN queries through `handle`.
-    pub fn new(sirius: Arc<Sirius>, handle: BatchHandle) -> Self {
-        Self { sirius, handle }
-    }
-}
-
-impl Stage for BatchedAsrStage {
-    type Req = AsrRequest;
-    type Resp = AsrResponse;
-
-    fn name(&self) -> &'static str {
-        "asr"
-    }
-
-    fn handle(&self, req: AsrRequest) -> Result<AsrResponse, SiriusError> {
-        match req.acoustic {
-            AcousticModelKind::Dnn => {
-                let out = self
-                    .sirius
-                    .asr()
-                    .recognize_with_window_scorer(&req.audio, &self.handle);
-                Ok(AsrResponse {
-                    recognized: out.text,
-                    timing: out.timing,
-                })
-            }
-            AcousticModelKind::Gmm => self.sirius.stage_asr(req),
-        }
     }
 }
 

@@ -4,8 +4,11 @@
 //! ([`Sirius::shard_replicas`]) — each holding one QA-corpus shard and one
 //! IMM-database shard, scattering retrieval across the full shard
 //! directory — and runs every replica as its own [`SiriusServer`] with its
-//! own stage pools and queues. A query entering the cluster is routed to
-//! exactly one replica by the configured [`RoutePolicy`]:
+//! own stage pools and queues. A [`Request`] entering the cluster through
+//! [`SiriusCluster::submit`] — the one door, as on a single server — is
+//! routed to exactly one replica by the configured [`RoutePolicy`] and
+//! admitted there under the replica's own rule
+//! ([`SiriusServer::submit`]):
 //!
 //! - [`RoutePolicy::RoundRobin`] — a lock-free rotating cursor; perfectly
 //!   fair in arrival count, blind to the per-class (VC/VQ/VIQ) service-time
@@ -42,7 +45,7 @@ use sirius::pipeline::{Sirius, SiriusInput, SiriusResponse};
 use sirius_obs::{HistogramSnapshot, NoopRecorder, Recorder, Registry, Snapshot};
 
 use crate::metrics::ServerMetrics;
-use crate::runtime::{ServerConfig, SiriusServer, Ticket};
+use crate::runtime::{Request, ServerConfig, SiriusServer, Ticket};
 
 /// Virtual nodes per replica on the consistent-hash ring. Enough that the
 /// key space splits near-evenly at small replica counts; the ring stays a
@@ -241,7 +244,7 @@ impl SiriusCluster {
             .enumerate()
             .map(|(i, shard)| {
                 let metrics = ServerMetrics::in_registry(registry.clone(), &format!("replica{i}."));
-                SiriusServer::start_with_metrics(
+                SiriusServer::start_with(
                     Arc::new(shard),
                     config.server.clone(),
                     Arc::clone(&recorder),
@@ -323,66 +326,39 @@ impl SiriusCluster {
         }
     }
 
-    /// Routes and admits a query; sheds when the chosen replica does.
+    /// Routes a request, then applies the chosen replica's admission rule
+    /// ([`SiriusServer::submit`]): the router picks the replica —
+    /// consistent hashing keeps repeated inputs on one replica,
+    /// concentrating result-cache hits there — and the replica's live
+    /// sojourn estimate against the request's class budget and deadline
+    /// decides admission.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Replica`] wrapping the replica's admission error
-    /// ([`Overloaded`](sirius::error::SiriusError::Overloaded), [`ShuttingDown`](sirius::error::SiriusError::ShuttingDown)).
-    pub fn submit(&self, input: SiriusInput) -> Result<ClusterTicket, ClusterError> {
-        let replica = self.route(&input);
+    /// [`ClusterError::Replica`] wrapping the replica's admission error:
+    /// [`UnknownTenantClass`](sirius::error::SiriusError::UnknownTenantClass),
+    /// [`DeadlineUnmeetable`](sirius::error::SiriusError::DeadlineUnmeetable)
+    /// (with the replica's retry hint),
+    /// [`Overloaded`](sirius::error::SiriusError::Overloaded) or
+    /// [`ShuttingDown`](sirius::error::SiriusError::ShuttingDown).
+    pub fn submit(&self, request: impl Into<Request>) -> Result<ClusterTicket, ClusterError> {
+        let request = request.into();
+        let replica = self.route(&request.input);
         self.replicas[replica]
-            .submit(input)
+            .submit(request)
             .map(|ticket| ClusterTicket { replica, ticket })
             .map_err(|source| ClusterError::Replica { replica, source })
     }
 
-    /// Routes a query, then applies the chosen replica's deadline-aware
-    /// admission ([`SiriusServer::submit_with_deadline`]): the router picks
-    /// the replica, the replica's live sojourn estimate decides whether the
-    /// deadline is meetable there.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Replica`] wrapping
-    /// [`DeadlineUnmeetable`](sirius::error::SiriusError::DeadlineUnmeetable) (with the replica's retry hint)
-    /// or any admission error.
+    /// `submit(Request::from(input).with_deadline(deadline))`. A shim kept
+    /// only because the frozen `benchmark/` sources call it; the next
+    /// benchmark PR moves them to [`SiriusCluster::submit`] and deletes it.
     pub fn submit_with_deadline(
         &self,
         input: SiriusInput,
         deadline: Duration,
     ) -> Result<ClusterTicket, ClusterError> {
-        let replica = self.route(&input);
-        self.replicas[replica]
-            .submit_with_deadline(input, deadline)
-            .map(|ticket| ClusterTicket { replica, ticket })
-            .map_err(|source| ClusterError::Replica { replica, source })
-    }
-
-    /// Routes a query, then applies the chosen replica's **classed**
-    /// weighted-fair admission
-    /// ([`SiriusServer::submit_classed`](crate::SiriusServer::submit_classed)):
-    /// the router picks the replica — consistent hashing keeps repeated
-    /// inputs on one replica, concentrating result-cache hits there — and
-    /// the replica's live sojourn estimate against the class's weighted
-    /// budget decides admission.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Replica`] wrapping
-    /// [`UnknownTenantClass`](sirius::error::SiriusError::UnknownTenantClass),
-    /// [`DeadlineUnmeetable`](sirius::error::SiriusError::DeadlineUnmeetable)
-    /// (with the per-class retry hint) or any admission error.
-    pub fn submit_classed(
-        &self,
-        input: SiriusInput,
-        class: &str,
-    ) -> Result<ClusterTicket, ClusterError> {
-        let replica = self.route(&input);
-        self.replicas[replica]
-            .submit_classed(input, class)
-            .map(|ticket| ClusterTicket { replica, ticket })
-            .map_err(|source| ClusterError::Replica { replica, source })
+        self.submit(Request::from(input).with_deadline(deadline))
     }
 
     /// Submits and waits: the one-call synchronous client of the cluster.
@@ -390,8 +366,11 @@ impl SiriusCluster {
     /// # Errors
     ///
     /// Any [`ClusterError`] from admission or the serving replica.
-    pub fn process_sync(&self, input: SiriusInput) -> Result<SiriusResponse, ClusterError> {
-        self.submit(input)?.wait()
+    pub fn process_sync(
+        &self,
+        request: impl Into<Request>,
+    ) -> Result<SiriusResponse, ClusterError> {
+        self.submit(request)?.wait()
     }
 
     /// Invalidates every replica's result caches (no-op when caching is

@@ -2,8 +2,8 @@
 //!
 //! The staged service runtime for the Sirius pipeline: the monolithic
 //! [`Sirius::process`] walk decomposed into per-service worker pools
-//! connected by bounded MPMC queues, with shed-on-full admission control
-//! and graceful shutdown.
+//! connected by bounded MPMC queues, with one admission door
+//! ([`SiriusServer::submit`] over a [`Request`]) and graceful shutdown.
 //!
 //! The paper's datacenter analysis (Figures 16/17, Tables 8/9) models each
 //! Sirius service as a queueing server; this crate is that serving system
@@ -44,7 +44,7 @@ pub mod runtime;
 pub mod stream;
 pub mod wire;
 
-pub use batch::{spawn_batch_collector, BatchHandle, BatchPolicy, BatchedAsrStage};
+pub use batch::{spawn_batch_collector, BatchHandle, BatchPolicy};
 pub use cluster::{ClusterConfig, ClusterTicket, RoutePolicy, SiriusCluster};
 pub use metrics::{BatchObs, ServerMetrics, StageObs, StreamObs, STAGES};
 pub use net::{http_get, NetClient, NetClientError, NetConfig, NetMetrics, NetServer};
@@ -52,7 +52,7 @@ pub use pool::{spawn_stage_pool, Job};
 pub use qos::{
     CacheKey, CachePolicy, CachedAnswer, ImageSignature, ResultCaches, TenantClass, TenantObs,
 };
-pub use runtime::{ServerConfig, SiriusServer, StageConfig, Ticket};
+pub use runtime::{Request, ServerConfig, SiriusServer, StageConfig, Ticket};
 pub use stream::StreamPolicy;
 pub use wire::{
     read_frame, Frame, FrameRead, SubmitFrame, WireFault, MAX_FRAME_BODY, PROTOCOL_VERSION,

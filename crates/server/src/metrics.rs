@@ -72,6 +72,9 @@ pub const STAGES: [&str; 4] = ["asr", "classify", "imm", "qa"];
 /// Per-stage observability handles shared by every worker in one pool.
 #[derive(Debug, Clone)]
 pub struct StageObs {
+    /// The stage's stable name (one of [`STAGES`] in the runtime): labels
+    /// the pool's threads, its recorder spans and its panic errors.
+    pub name: &'static str,
     /// Time each job spent queued before a worker picked it up.
     pub queue_wait: Histogram,
     /// Time the stage handler spent on each job.
@@ -90,9 +93,11 @@ pub struct StageObs {
 }
 
 impl StageObs {
-    /// Registers the stage's metrics under `{stage}.…` names.
-    pub fn register(registry: &Registry, stage: &str) -> Arc<Self> {
+    /// Registers the stage's metrics under `{prefix}{name}.…` names.
+    pub fn register(registry: &Registry, prefix: &str, name: &'static str) -> Arc<Self> {
+        let stage = format!("{prefix}{name}");
         Arc::new(Self {
+            name,
             queue_wait: registry.histogram(&format!("{stage}.queue_wait_ns")),
             service: registry.histogram(&format!("{stage}.service_ns")),
             service_meter: registry.meter(&format!("{stage}.service_ewma_ns")),
@@ -239,10 +244,10 @@ impl ServerMetrics {
             failed: registry.counter(&scoped("failed")),
             sojourn: registry.histogram(&scoped("sojourn_ns")),
             sojourn_failed: registry.histogram(&scoped("sojourn_failed_ns")),
-            asr: StageObs::register(&registry, &scoped("asr")),
-            classify: StageObs::register(&registry, &scoped("classify")),
-            imm: StageObs::register(&registry, &scoped("imm")),
-            qa: StageObs::register(&registry, &scoped("qa")),
+            asr: StageObs::register(&registry, prefix, "asr"),
+            classify: StageObs::register(&registry, prefix, "classify"),
+            imm: StageObs::register(&registry, prefix, "imm"),
+            qa: StageObs::register(&registry, prefix, "qa"),
             batch: BatchObs::register(&registry, &scoped("asr")),
             stream: StreamObs::register(&registry, prefix),
             prefix: prefix.to_owned(),

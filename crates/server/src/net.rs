@@ -1,13 +1,13 @@
 //! The network serving front-end: a dependency-free, threaded TCP server
-//! that puts the cluster's classed admission path behind a real wire
+//! that puts the cluster's one admission door behind a real wire
 //! protocol, plus a minimal HTTP shim so Prometheus can scrape the same
 //! socket.
 //!
 //! ```text
 //!            ┌──────────────────────── NetServer ────────────────────────┐
 //! phone ──TCP┤ acceptor thread ── handler thread per connection          │
-//!            │   "SIRF…" frames → SiriusCluster::submit{,_classed,       │
-//!            │                    _with_deadline} → Answer/Error frame   │
+//!            │   "SIRF…" frames → Request → SiriusCluster::submit        │
+//!            │                    → Answer/Error frame                   │
 //!            │   "GET /metrics"  → Prometheus text of the shared registry│
 //!            └───────────────────────────────────────────────────────────┘
 //! ```
@@ -17,9 +17,10 @@
 //! Until this module, the cluster, its QoS classes and its result caches
 //! were exercised only by in-process function calls; [`NetServer`] is the
 //! missing protocol boundary. Queries arrive as [`Frame::Submit`] over the
-//! versioned, length-prefixed codec of [`crate::wire`], are routed through
-//! exactly the same [`SiriusCluster`] entry points the in-process callers
-//! use — so remote answers are **bit-identical** to in-process ones — and
+//! versioned, length-prefixed codec of [`crate::wire`], become the same
+//! [`Request`] an in-process caller would build and enter through the same
+//! [`SiriusCluster::submit`] — so remote answers (and remote sheds) are
+//! **bit-identical** to in-process ones — and
 //! complete as [`Frame::Answer`] or a typed [`Frame::Error`] that carries
 //! every [`SiriusError`](sirius::error::SiriusError)/
 //! [`ClusterError`](sirius::error::ClusterError) variant losslessly
@@ -55,6 +56,7 @@ use sirius::pipeline::{SiriusInput, SiriusResponse};
 use sirius_obs::{Counter, Gauge, Registry};
 
 use crate::cluster::SiriusCluster;
+use crate::runtime::Request;
 use crate::wire::{read_frame, Frame, FrameRead, SubmitFrame, WireFault};
 
 /// Tuning of the network front-end.
@@ -394,24 +396,29 @@ fn write_frame(metrics: &NetMetrics, mut stream: &TcpStream, frame: &Frame) -> i
     Ok(())
 }
 
-/// Routes one submission through the cluster exactly as an in-process
-/// caller would: classed admission when a tenant class is named,
-/// deadline-aware admission when a deadline is set, plain shed-on-full
-/// otherwise. Always produces a frame — an answer or a typed error.
-fn serve_submit(shared: &Shared, submit: SubmitFrame) -> Frame {
-    let input = SiriusInput {
-        audio: submit.audio,
-        image: submit.image,
-    };
-    let cluster = &shared.cluster;
-    let served: Result<SiriusResponse, _> = if !submit.tenant_class.is_empty() {
-        cluster.submit_classed(input, &submit.tenant_class)
-    } else if submit.deadline_ns > 0 {
-        cluster.submit_with_deadline(input, Duration::from_nanos(submit.deadline_ns))
-    } else {
-        cluster.submit(input)
+/// The wire's encoding of "absent" — an empty class name, a zero deadline —
+/// decoded once, here, into the request an in-process caller would build.
+impl From<SubmitFrame> for Request {
+    fn from(submit: SubmitFrame) -> Self {
+        Self {
+            input: SiriusInput {
+                audio: submit.audio,
+                image: submit.image,
+            },
+            class: Some(submit.tenant_class).filter(|class| !class.is_empty()),
+            deadline: Some(Duration::from_nanos(submit.deadline_ns)).filter(|d| !d.is_zero()),
+        }
     }
-    .and_then(|ticket| ticket.wait_timeout(shared.config.answer_timeout));
+}
+
+/// Serves one submission through the cluster's one door, exactly as an
+/// in-process caller would. Always produces a frame — an answer or a typed
+/// error.
+fn serve_submit(shared: &Shared, submit: SubmitFrame) -> Frame {
+    let served = shared
+        .cluster
+        .submit(submit)
+        .and_then(|ticket| ticket.wait_timeout(shared.config.answer_timeout));
     match served {
         Ok(response) => Frame::Answer(Box::new(response)),
         Err(e) => Frame::Error(WireFault::Cluster(e)),
@@ -526,8 +533,9 @@ impl NetClient {
     }
 
     /// Submits one query and blocks for its answer. An empty
-    /// `tenant_class` uses the class-less path; `deadline` (when set and
-    /// class-less) requests deadline-aware admission.
+    /// `tenant_class` is a class-less request and `None` a deadline-free
+    /// one; the server applies [`SiriusServer::submit`](crate::SiriusServer::submit)'s
+    /// rule to whatever combination arrives.
     ///
     /// # Errors
     ///

@@ -1,14 +1,16 @@
-//! Generic worker pool over a typed [`Stage`].
+//! Generic worker pool: the one loop in the crate that dequeues a [`Job`].
 //!
-//! [`spawn_stage_pool`] turns any `Stage` implementation into a pool of
-//! named OS threads draining one bounded queue. Each queued [`Job`] carries
-//! an opaque per-query context `C` alongside the stage request plus its
-//! enqueue timestamp; the `route` callback receives the context and the
-//! stage result and decides what happens next (forward to the next stage's
-//! queue, or complete the query's ticket). Handlers run under
-//! `catch_unwind`, so a panicking request is converted into
-//! [`SiriusError::StagePanicked`] and the worker survives to serve the next
-//! job.
+//! [`spawn_stage_pool`] turns a stage handler into a pool of named OS
+//! threads draining one bounded queue. Each queued [`Job`] carries an opaque
+//! per-query context `C` alongside the stage request plus its enqueue
+//! timestamp. The `handle` callback sees the context by reference (the
+//! streaming ASR stage reads the query's admission instant and image from
+//! it) and produces the stage result; the `route` callback then receives
+//! the context by value with that result and decides what happens next
+//! (forward to the next stage's queue, or complete the query's ticket).
+//! Handlers run under `catch_unwind`, so a panicking request is converted
+//! into [`SiriusError::StagePanicked`] and the worker survives to serve the
+//! next job.
 //!
 //! A job may additionally carry a **deadline**. A worker checks it at
 //! dequeue, *before* invoking the handler: a job whose deadline has already
@@ -28,7 +30,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sirius::error::SiriusError;
-use sirius::stage::Stage;
 use sirius_obs::{Recorder, SpanKind};
 use sirius_par::queue::Receiver;
 
@@ -68,37 +69,40 @@ impl<C, Req> Job<C, Req> {
     }
 }
 
-/// Spawns `workers` named threads (clamped to at least 1) that drain `rx`
-/// through `stage` and hand each result to `route`, recording queue-wait
-/// and service time into `obs` (and into `recorder` when it is enabled).
-/// Jobs whose deadline already passed at dequeue are dropped unserved and
-/// handed to `on_expired` instead. The threads exit when the queue is
-/// closed (every sender dropped) and drained.
-pub fn spawn_stage_pool<S, C, R, E>(
-    stage: Arc<S>,
+/// Spawns `workers` threads (clamped to at least 1), named after
+/// `obs.name`, that drain `rx` through `handle` and hand each result to
+/// `route`, recording queue-wait and service time into `obs` (and into
+/// `recorder` when it is enabled). Jobs whose deadline already passed at
+/// dequeue are dropped unserved and handed to `on_expired` instead. The
+/// threads exit when the queue is closed (every sender dropped) and
+/// drained, dropping their clones of the three callbacks with them.
+pub fn spawn_stage_pool<C, Req, Resp, H, R, E>(
     workers: usize,
-    rx: Receiver<Job<C, S::Req>>,
+    rx: Receiver<Job<C, Req>>,
     obs: Arc<StageObs>,
     recorder: Arc<dyn Recorder>,
+    handle: H,
     route: R,
     on_expired: E,
 ) -> Vec<JoinHandle<()>>
 where
-    S: Stage + 'static,
     C: Send + 'static,
-    R: Fn(C, Result<S::Resp, SiriusError>) + Send + Sync + Clone + 'static,
+    Req: Send + 'static,
+    H: Fn(&C, Req) -> Result<Resp, SiriusError> + Send + Sync + Clone + 'static,
+    R: Fn(C, Result<Resp, SiriusError>) + Send + Sync + Clone + 'static,
     E: Fn(C) + Send + Sync + Clone + 'static,
 {
+    let stage = obs.name;
     (0..workers.max(1))
         .map(|i| {
-            let stage = Arc::clone(&stage);
             let rx = rx.clone();
             let obs = Arc::clone(&obs);
             let recorder = Arc::clone(&recorder);
+            let handle = handle.clone();
             let route = route.clone();
             let on_expired = on_expired.clone();
             std::thread::Builder::new()
-                .name(format!("sirius-{}-{i}", stage.name()))
+                .name(format!("sirius-{stage}-{i}"))
                 .spawn(move || {
                     while let Some(Job {
                         ctx,
@@ -110,7 +114,7 @@ where
                         let wait = enqueued.elapsed();
                         obs.queue_wait.record_duration(wait);
                         if recorder.enabled() {
-                            recorder.record(stage.name(), SpanKind::QueueWait, wait);
+                            recorder.record(stage, SpanKind::QueueWait, wait);
                         }
                         if deadline.is_some_and(|d| Instant::now() >= d) {
                             obs.expired.inc();
@@ -119,19 +123,17 @@ where
                         }
                         obs.in_flight.inc();
                         let begun = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| stage.handle(req)));
+                        let result = catch_unwind(AssertUnwindSafe(|| handle(&ctx, req)));
                         let service = begun.elapsed();
                         obs.in_flight.dec();
                         obs.service.record_duration(service);
                         obs.service_meter.record_duration(service);
                         if recorder.enabled() {
-                            recorder.record(stage.name(), SpanKind::Service, service);
+                            recorder.record(stage, SpanKind::Service, service);
                         }
                         let result = result.unwrap_or_else(|_| {
                             obs.panics.inc();
-                            Err(SiriusError::StagePanicked {
-                                stage: stage.name(),
-                            })
+                            Err(SiriusError::StagePanicked { stage })
                         });
                         route(ctx, result);
                     }
@@ -149,39 +151,30 @@ mod tests {
     use sirius_obs::{CollectingRecorder, Registry};
     use sirius_par::queue::bounded;
 
-    /// A stage that doubles, errors on odd input, and panics on 13.
-    struct Doubler;
-
-    impl Stage for Doubler {
-        type Req = u64;
-        type Resp = u64;
-
-        fn name(&self) -> &'static str {
-            "doubler"
+    /// A handler that doubles, errors on odd input, and panics on 13. The
+    /// context is the job's id, which the handler must see unchanged.
+    fn double(id: &usize, req: u64) -> Result<u64, SiriusError> {
+        assert!(*id < 5, "the handler sees the job's own context");
+        assert!(req != 13, "unlucky request");
+        if req % 2 == 1 {
+            return Err(SiriusError::ShuttingDown);
         }
-
-        fn handle(&self, req: u64) -> Result<u64, SiriusError> {
-            assert!(req != 13, "unlucky request");
-            if req % 2 == 1 {
-                return Err(SiriusError::ShuttingDown);
-            }
-            Ok(req * 2)
-        }
+        Ok(req * 2)
     }
 
     #[test]
     fn pool_processes_routes_observes_and_survives_panics() {
         let registry = Registry::new();
-        let obs = StageObs::register(&registry, "doubler");
+        let obs = StageObs::register(&registry, "", "doubler");
         let recorder = Arc::new(CollectingRecorder::new());
         let (tx, rx) = bounded(16);
         let (out_tx, out_rx) = mpsc::channel();
         let workers = spawn_stage_pool(
-            Arc::new(Doubler),
             3,
             rx,
             Arc::clone(&obs),
             Arc::<CollectingRecorder>::clone(&recorder),
+            double,
             move |id: usize, result| {
                 out_tx.send((id, result)).unwrap();
             },
@@ -233,16 +226,16 @@ mod tests {
     #[test]
     fn expired_jobs_skip_the_handler_entirely() {
         let registry = Registry::new();
-        let obs = StageObs::register(&registry, "doubler");
+        let obs = StageObs::register(&registry, "", "doubler");
         let (tx, rx) = bounded(16);
         let (out_tx, out_rx) = mpsc::channel();
         let expired_tx = out_tx.clone();
         let workers = spawn_stage_pool(
-            Arc::new(Doubler),
             1,
             rx,
             Arc::clone(&obs),
             Arc::new(sirius_obs::NoopRecorder),
+            double,
             move |id: usize, result| out_tx.send((id, Some(result))).unwrap(),
             move |id: usize| expired_tx.send((id, None)).unwrap(),
         );

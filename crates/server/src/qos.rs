@@ -29,9 +29,10 @@
 //! # Tenant classes and weighted-fair admission
 //!
 //! A [`TenantClass`] names a traffic tier: a priority, an SLO, and an
-//! admission weight. [`SiriusServer::submit_classed`] reuses the live
-//! [`expected_sojourn`] estimator but admits class `c` only while the
-//! estimate stays within the class's **effective budget**
+//! admission weight. A request naming class `c` enters through the same
+//! [`SiriusServer::submit`] and the same live [`expected_sojourn`]
+//! estimator as any other, but is admitted only while the estimate stays
+//! within the class's **effective budget**
 //!
 //! ```text
 //! budget(c) = slo(c) × weight(c) / max_weight
@@ -44,13 +45,15 @@
 //! budget(c)`), not the raw SLO: a best-effort client is told how long the
 //! backlog must drain before *its class* admits again, which is strictly
 //! longer than the global hint and keeps its retries from undershooting
-//! under premium bursts.
+//! under premium bursts. A request that also carries its own deadline is
+//! held to the tighter of the two, in both the budget and the SLO it is
+//! stamped with.
 //!
 //! Per-class telemetry registers under `tenant.{class}.*` in the shared
 //! registry (the class name passes through the registry's hardened
 //! renderers, so hostile names cannot corrupt the export).
 //!
-//! [`SiriusServer::submit_classed`]: crate::SiriusServer::submit_classed
+//! [`SiriusServer::submit`]: crate::SiriusServer::submit
 //! [`expected_sojourn`]: crate::SiriusServer::expected_sojourn
 
 use std::sync::Arc;
@@ -67,7 +70,7 @@ use crate::metrics::ServerMetrics;
 /// backlog grows. See the module docs for the admission rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantClass {
-    /// Class name; addresses the class in `submit_classed` and labels its
+    /// Class name; what a request's `class` names, and the label of its
     /// `tenant.{name}.*` metrics.
     pub name: String,
     /// Scheduling priority (higher = more important). Carried for

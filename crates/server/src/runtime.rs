@@ -11,20 +11,22 @@
 //!        ─send─▶ [qa queue] ─▶ QA pool ─▶ ticket completed
 //! ```
 //!
-//! **Admission control**: [`SiriusServer::submit`] uses a non-blocking
-//! `try_send` into the ASR queue and sheds with
-//! [`SiriusError::Overloaded`] when it is full — overload surfaces as a
-//! typed rejection the client can retry, instead of unbounded queueing.
-//! [`SiriusServer::submit_with_deadline`] is the deadline-aware policy on
-//! top: it estimates the query's end-to-end sojourn from live queue depths,
-//! in-flight counts and per-stage EWMA service times
-//! ([`SiriusServer::expected_sojourn`]) and sheds with
-//! [`SiriusError::DeadlineUnmeetable`] — carrying a drain-rate-derived
-//! retry hint — the moment the deadline cannot be met, instead of only when
-//! the ASR queue is physically full. Admitted deadlines ride along with the
-//! job; a worker dequeuing an already-expired job drops it unserved
-//! (`{stage}.expired`), so no stage service time is spent on an answer the
-//! client has abandoned.
+//! **Admission control**: [`SiriusServer::submit`] is the one door. A
+//! [`Request`] is an input plus an optional tenant class and an optional
+//! deadline, and one rule governs all of them: the job carries
+//! `slo = min(class.slo, deadline)`, admission is gated on
+//! `budget = min(class.slo × weight / max_weight, deadline)`, and the query
+//! is shed with [`SiriusError::DeadlineUnmeetable`] — carrying a
+//! drain-rate-derived retry hint — the moment the live end-to-end estimate
+//! ([`SiriusServer::expected_sojourn`]: queue depths, in-flight counts and
+//! per-stage EWMA service times) exceeds the budget. With neither class
+//! nor deadline both are infinite, the estimate can never exceed them, and
+//! what remains is the non-blocking `try_send` into the ASR queue, shedding
+//! with [`SiriusError::Overloaded`] when it is full — overload surfaces as
+//! a typed rejection the client can retry, instead of unbounded queueing.
+//! Admitted deadlines ride along with the job; a worker dequeuing an
+//! already-expired job drops it unserved (`{stage}.expired`), so no stage
+//! service time is spent on an answer the client has abandoned.
 //!
 //! **Back-pressure**: interior hand-offs use blocking `send`, so a slow
 //! downstream stage stalls its upstream pool rather than growing a queue
@@ -40,8 +42,14 @@
 //! service-time histograms, panic counters and (at snapshot time)
 //! queue-depth gauges into one [`ServerMetrics`] registry — all lock-free
 //! on the hot path. [`SiriusServer::metrics_snapshot`] exports the lot;
-//! [`SiriusServer::start_with_recorder`] additionally attributes every
-//! span of every query to a caller-supplied [`Recorder`].
+//! [`SiriusServer::start_with`] additionally attributes every span of
+//! every query to a caller-supplied [`Recorder`].
+//!
+//! **One loop, one completion**: every stage — including whichever ASR
+//! variant the config selects (`stream::AsrStage`) — runs in the
+//! generic [`spawn_stage_pool`] loop, and every query ends in
+//! `Completion::finish`, the only place a response is assembled, a result
+//! cache filled and a ticket completed.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -50,23 +58,20 @@ use std::time::{Duration, Instant};
 use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusInput, SiriusOutcome, SiriusResponse, StageTiming};
 use sirius::stage::{
-    AsrRequest, AsrResponse, AsrStage, ClassifyRequest, ClassifyStage, ImmRequest, ImmStage,
-    QaRequest, QaStage,
+    AsrRequest, ClassifyRequest, ClassifyResponse, ImmRequest, ImmResponse, QaRequest, QaResponse,
 };
 use sirius_obs::{Gauge, NoopRecorder, Recorder, Snapshot, SpanKind};
-use sirius_par::queue::{bounded, Sender, TrySendError};
+use sirius_par::queue::{bounded, SendError, Sender, TrySendError};
 use sirius_speech::asr::{AcousticModelKind, AsrTiming};
-use sirius_speech::WindowScorer;
-use sirius_vision::db::ImmTiming;
 use sirius_vision::image::GrayImage;
 
-use crate::batch::{spawn_batch_collector, BatchPolicy, BatchedAsrStage, SiriusWindowScorer};
+use crate::batch::BatchPolicy;
 use crate::metrics::{ServerMetrics, STAGES};
 use crate::pool::{spawn_stage_pool, Job};
 use crate::qos::{
     CacheKey, CachePolicy, CachedAnswer, ResultCaches, TenantClass, TenantObs, TenantTable,
 };
-use crate::stream::{spawn_streaming_stages, StreamPolicy};
+use crate::stream::{AsrServed, AsrStage, Downstream, StreamPolicy};
 
 /// Sizing of one stage's pool and queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +113,8 @@ pub struct ServerConfig {
     /// default (`chunk == 0`) serves whole utterances; see
     /// [`crate::stream`].
     pub stream: StreamPolicy,
-    /// Tenant traffic classes served by [`SiriusServer::submit_classed`].
-    /// Empty (the default) leaves only the class-less submit paths.
+    /// Tenant traffic classes a [`Request`] may name. Empty (the default)
+    /// admits only class-less requests.
     pub tenants: Vec<TenantClass>,
     /// The post-ASR result caches. Disabled (the default), the serving
     /// path is exactly the uncached runtime; see [`crate::qos`].
@@ -157,8 +162,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the tenant traffic classes [`SiriusServer::submit_classed`]
-    /// serves.
+    /// Sets the tenant traffic classes requests may name.
     pub fn with_tenant_classes(mut self, tenants: Vec<TenantClass>) -> Self {
         self.tenants = tenants;
         self
@@ -192,6 +196,43 @@ impl ServerConfig {
             + self.imm.workers.max(1)
             + self.qa.workers.max(1)
             + spec
+    }
+}
+
+/// One query as it enters the runtime: the input plus the two optional
+/// terms of the admission rule (see [`SiriusServer::submit`]). A bare
+/// [`SiriusInput`] converts into a class-less, deadline-free request.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// The audio (and optional image) to serve.
+    pub input: SiriusInput,
+    /// The tenant class to admit under, from [`ServerConfig::tenants`].
+    pub class: Option<String>,
+    /// The caller's own completion deadline, measured from admission.
+    pub deadline: Option<Duration>,
+}
+
+impl From<SiriusInput> for Request {
+    fn from(input: SiriusInput) -> Self {
+        Self {
+            input,
+            class: None,
+            deadline: None,
+        }
+    }
+}
+
+impl Request {
+    /// Admits the request under tenant class `class`.
+    pub fn with_class(mut self, class: &str) -> Self {
+        self.class = Some(class.to_owned());
+        self
+    }
+
+    /// Requires completion within `deadline` of admission.
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.deadline = Some(deadline);
+        self
     }
 }
 
@@ -276,97 +317,120 @@ fn complete(state: &Arc<TicketState>, result: Result<SiriusResponse, SiriusError
     state.done.notify_all();
 }
 
-/// Completes a ticket and accounts for the outcome: successful queries
-/// record their sojourn, failed ones bump the failure counter and record
-/// theirs into the `sojourn_failed_ns` histogram, so every admitted
-/// query's time is accounted and `accepted = completed + failed + in
-/// flight` always balances.
-///
-/// *Every* terminating query — successful, errored, or expired — records
-/// exactly one terminal `total` span when the recorder is enabled. The
-/// span used to be recorded only on success, which made recorder-side
-/// ledgers (spans-per-query censuses, trace reconstructions) silently
-/// undercount whenever a query failed.
-pub(crate) fn finish(
-    metrics: &ServerMetrics,
-    recorder: &dyn Recorder,
-    started: Instant,
-    tenant: Option<&TenantObs>,
-    ticket: &Arc<TicketState>,
-    result: Result<SiriusResponse, SiriusError>,
-) {
-    let sojourn = started.elapsed();
-    match &result {
-        Ok(_) => {
-            metrics.completed.inc();
-            metrics.sojourn.record_duration(sojourn);
-            if let Some(tenant) = tenant {
-                tenant.completed.inc();
-                tenant.sojourn.record_duration(sojourn);
-            }
-        }
-        Err(_) => {
-            metrics.failed.inc();
-            metrics.sojourn_failed.record_duration(sojourn);
-            if let Some(tenant) = tenant {
-                tenant.failed.inc();
-            }
-        }
-    }
-    if let Some(tenant) = tenant {
-        tenant.in_flight.dec();
-    }
-    if recorder.enabled() {
-        recorder.record("total", SpanKind::Total, sojourn);
-    }
-    complete(ticket, result);
-}
-
-/// Completes the ticket of a job that expired in a queue: it already missed
-/// its deadline, so the typed deadline error reports the time it actually
-/// spent (all of it queue wait — no stage served it) and a zero-backlog
-/// retry hint (the client's own abandoned job is gone; the next attempt
-/// faces admission control afresh).
-fn expire(metrics: &ServerMetrics, recorder: &dyn Recorder, ctx: Ctx) {
-    let expected = ctx.started.elapsed();
-    let deadline = ctx
-        .deadline
-        .map_or(Duration::ZERO, |d| d.duration_since(ctx.started));
-    finish(
-        metrics,
-        recorder,
-        ctx.started,
-        ctx.tenant.as_deref(),
-        &ctx.ticket,
-        Err(SiriusError::DeadlineUnmeetable {
-            expected,
-            deadline,
-            retry_after: expected.saturating_sub(deadline),
-        }),
-    );
-}
-
 /// Per-query state carried alongside stage requests as they move through
 /// the queues. Grows monotonically: each stage adds what the final response
 /// assembly needs.
 pub(crate) struct Ctx {
-    pub(crate) ticket: Arc<TicketState>,
+    ticket: Arc<TicketState>,
     pub(crate) started: Instant,
-    /// Absolute completion deadline (admission instant + the caller's SLO),
-    /// `None` for deadline-free submits or unrepresentably far deadlines.
-    pub(crate) deadline: Option<Instant>,
+    /// Absolute completion deadline (admission instant + the request's
+    /// SLO), `None` for an unrepresentably far (infinite) one.
+    deadline: Option<Instant>,
     pub(crate) image: Option<GrayImage>,
-    pub(crate) recognized: String,
-    pub(crate) asr_timing: AsrTiming,
-    pub(crate) classify: Duration,
-    pub(crate) imm_timing: Option<ImmTiming>,
-    pub(crate) matched_venue: Option<String>,
-    /// The tenant class's telemetry when the query entered through
-    /// [`SiriusServer::submit_classed`].
-    pub(crate) tenant: Option<Arc<TenantObs>>,
-    /// The result-cache key this query missed on (set at the ASR-commit
-    /// consult); completion fills the cache under it.
-    pub(crate) cache_key: Option<CacheKey>,
+    recognized: String,
+    asr_timing: AsrTiming,
+    /// What Classify/IMM/QA (or a cache hit, or a confirmed speculation)
+    /// contributed; a stage the query never visits leaves its default.
+    down: Downstream,
+    /// The tenant class's telemetry when the request named one.
+    tenant: Option<Arc<TenantObs>>,
+    /// The result-cache key completion fills: stamped on a miss at the
+    /// ASR-commit consult, and on a confirmed speculation (which bypasses
+    /// the consult and the queues).
+    cache_key: Option<CacheKey>,
+}
+
+/// The shared tail of every query: what any worker needs to end one.
+struct Completion {
+    metrics: Arc<ServerMetrics>,
+    recorder: Arc<dyn Recorder>,
+    caches: Option<Arc<ResultCaches>>,
+}
+
+impl Completion {
+    /// The one place a query ends. Assembles the response from what the
+    /// stages left on `ctx` (no QA/IMM timing for an action, zero classify
+    /// time for a cache hit), fills the result cache when `ctx.cache_key`
+    /// is set, and accounts for the outcome: successful queries record
+    /// their sojourn, failed ones bump the failure counter and record
+    /// theirs into `sojourn_failed_ns`, so `accepted = completed + failed +
+    /// in flight` always balances — fleet-wide and per tenant.
+    ///
+    /// *Every* terminating query — successful, errored, or expired —
+    /// records exactly one terminal `total` span when the recorder is
+    /// enabled, so recorder-side ledgers never undercount failures.
+    fn finish(&self, ctx: Ctx, result: Result<SiriusOutcome, SiriusError>) {
+        let sojourn = ctx.started.elapsed();
+        let result = result.map(|outcome| SiriusResponse {
+            recognized: ctx.recognized,
+            outcome,
+            matched_venue: ctx.down.matched_venue,
+            timing: StageTiming {
+                asr: ctx.asr_timing,
+                classify: ctx.down.classify,
+                qa: ctx.down.qa_timing,
+                imm: ctx.down.imm_timing,
+                total: sojourn,
+            },
+        });
+        if let (Some(caches), Some(key), Ok(response)) = (&self.caches, ctx.cache_key, &result) {
+            caches.fill(key, CachedAnswer::of(response));
+        }
+        let tenant = ctx.tenant.as_deref();
+        match &result {
+            Ok(_) => {
+                self.metrics.completed.inc();
+                self.metrics.sojourn.record_duration(sojourn);
+                if let Some(tenant) = tenant {
+                    tenant.completed.inc();
+                    tenant.sojourn.record_duration(sojourn);
+                }
+            }
+            Err(_) => {
+                self.metrics.failed.inc();
+                self.metrics.sojourn_failed.record_duration(sojourn);
+                if let Some(tenant) = tenant {
+                    tenant.failed.inc();
+                }
+            }
+        }
+        if let Some(tenant) = tenant {
+            tenant.in_flight.dec();
+        }
+        if self.recorder.enabled() {
+            self.recorder.record("total", SpanKind::Total, sojourn);
+        }
+        complete(&ctx.ticket, result);
+    }
+
+    /// Ends a query that expired in a queue: it already missed its
+    /// deadline, so the typed deadline error reports the time it actually
+    /// spent (all of it queue wait — no stage served it) and a zero-backlog
+    /// retry hint (the client's own abandoned job is gone; the next attempt
+    /// faces admission control afresh).
+    fn expire(&self, ctx: Ctx) {
+        let expected = ctx.started.elapsed();
+        let deadline = ctx
+            .deadline
+            .map_or(Duration::ZERO, |d| d.duration_since(ctx.started));
+        self.finish(
+            ctx,
+            Err(SiriusError::DeadlineUnmeetable {
+                expected,
+                deadline,
+                retry_after: expected.saturating_sub(deadline),
+            }),
+        );
+    }
+
+    /// Hands a query to the next stage's queue (blocking send =
+    /// back-pressure), or ends it with `ShuttingDown` if that queue is gone.
+    fn forward<Req>(&self, tx: &Sender<Job<Ctx, Req>>, ctx: Ctx, req: Req) {
+        let deadline = ctx.deadline;
+        if let Err(SendError(job)) = tx.send(Job::with_deadline(ctx, req, deadline)) {
+            self.finish(job.ctx, Err(SiriusError::ShuttingDown));
+        }
+    }
 }
 
 /// A retained handle onto one stage's queue that refreshes its depth and
@@ -425,27 +489,18 @@ pub struct SiriusServer {
 impl SiriusServer {
     /// Starts worker pools for every stage over a shared trained assistant,
     /// with per-query span tracing disabled (metrics are always on — their
-    /// hot path is a handful of relaxed atomics).
+    /// hot path is a handful of relaxed atomics) and a registry of its own.
     pub fn start(sirius: Arc<Sirius>, config: ServerConfig) -> Self {
-        Self::start_with_recorder(sirius, config, Arc::new(NoopRecorder))
+        Self::start_with(sirius, config, Arc::new(NoopRecorder), ServerMetrics::new())
     }
 
-    /// Starts the runtime with a [`Recorder`] that receives every query's
-    /// queue-wait/service spans per stage plus a `total` span on success.
-    pub fn start_with_recorder(
-        sirius: Arc<Sirius>,
-        config: ServerConfig,
-        recorder: Arc<dyn Recorder>,
-    ) -> Self {
-        Self::start_with_metrics(sirius, config, recorder, ServerMetrics::new())
-    }
-
-    /// Starts the runtime recording into caller-supplied metrics — the
-    /// cluster front-end's hook for wiring every replica into one shared
-    /// registry under per-replica prefixes
-    /// ([`ServerMetrics::in_registry`]). The queue gauges inherit the
+    /// The fully specified constructor. `recorder` receives every query's
+    /// queue-wait/service spans per stage plus one terminal `total` span;
+    /// `metrics` may live in a shared registry under a per-instance prefix
+    /// ([`ServerMetrics::in_registry`]) — the cluster front-end's hook for
+    /// exporting every replica side by side. The queue gauges inherit the
     /// metrics' prefix, so nothing aliases between replicas.
-    pub fn start_with_metrics(
+    pub fn start_with(
         sirius: Arc<Sirius>,
         config: ServerConfig,
         recorder: Arc<dyn Recorder>,
@@ -469,326 +524,154 @@ impl SiriusServer {
             QueueProbe::new(&metrics, "qa", &qa_tx),
         ];
 
+        let done = Arc::new(Completion {
+            metrics: Arc::clone(&metrics),
+            recorder: Arc::clone(&recorder),
+            caches: caches.clone(),
+        });
+        let expire = {
+            let done = Arc::clone(&done);
+            move |ctx: Ctx| done.expire(ctx)
+        };
         let mut workers = Vec::with_capacity(config.total_workers());
 
         // QA pool: the chain's tail; completes tickets and never blocks.
         workers.extend(spawn_stage_pool(
-            Arc::new(QaStage(Arc::clone(&sirius))),
             config.qa.workers,
             qa_rx,
             Arc::clone(&metrics.qa),
             Arc::clone(&recorder),
             {
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                let caches = caches.clone();
-                move |mut ctx: Ctx, result| {
-                    let cache_key = ctx.cache_key.take();
-                    let response = result.map(|qa| SiriusResponse {
-                        recognized: ctx.recognized,
-                        outcome: SiriusOutcome::Answer(qa.answer),
-                        matched_venue: ctx.matched_venue,
-                        timing: StageTiming {
-                            asr: ctx.asr_timing,
-                            classify: ctx.classify,
-                            qa: Some(qa.breakdown),
-                            imm: ctx.imm_timing,
-                            total: ctx.started.elapsed(),
-                        },
-                    });
-                    if let (Some(caches), Some(key), Ok(response)) =
-                        (caches.as_deref(), cache_key, &response)
-                    {
-                        caches.fill(key, CachedAnswer::of(response));
-                    }
-                    finish(
-                        &metrics,
-                        recorder.as_ref(),
-                        ctx.started,
-                        ctx.tenant.as_deref(),
-                        &ctx.ticket,
-                        response,
-                    );
-                }
+                let sirius = Arc::clone(&sirius);
+                move |_: &Ctx, req| sirius.stage_qa(req)
             },
             {
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                move |ctx: Ctx| expire(&metrics, recorder.as_ref(), ctx)
+                let done = Arc::clone(&done);
+                move |mut ctx: Ctx, result: Result<QaResponse, SiriusError>| {
+                    let outcome = result.map(|qa| {
+                        ctx.down.qa_timing = Some(qa.breakdown);
+                        SiriusOutcome::Answer(qa.answer)
+                    });
+                    done.finish(ctx, outcome);
+                }
             },
+            expire.clone(),
         ));
 
-        // IMM pool: match + rewrite, then forward to QA (blocking send =
-        // back-pressure).
+        // IMM pool: match + rewrite, then forward to QA.
         workers.extend(spawn_stage_pool(
-            Arc::new(ImmStage(Arc::clone(&sirius))),
             config.imm.workers,
             imm_rx,
             Arc::clone(&metrics.imm),
             Arc::clone(&recorder),
             {
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                move |mut ctx: Ctx, result| match result {
-                    Ok(imm) => {
-                        ctx.imm_timing = imm.timing;
-                        ctx.matched_venue = imm.matched_venue;
-                        let deadline = ctx.deadline;
-                        let job = Job::with_deadline(
-                            ctx,
-                            QaRequest {
-                                question: imm.question,
-                            },
-                            deadline,
-                        );
-                        if let Err(sirius_par::queue::SendError(job)) = qa_tx.send(job) {
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                job.ctx.started,
-                                job.ctx.tenant.as_deref(),
-                                &job.ctx.ticket,
-                                Err(SiriusError::ShuttingDown),
-                            );
-                        }
-                    }
-                    Err(err) => finish(
-                        &metrics,
-                        recorder.as_ref(),
-                        ctx.started,
-                        ctx.tenant.as_deref(),
-                        &ctx.ticket,
-                        Err(err),
-                    ),
-                }
+                let sirius = Arc::clone(&sirius);
+                move |_: &Ctx, req| sirius.stage_imm(req)
             },
             {
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                move |ctx: Ctx| expire(&metrics, recorder.as_ref(), ctx)
+                let done = Arc::clone(&done);
+                move |mut ctx: Ctx, result: Result<ImmResponse, SiriusError>| match result {
+                    Ok(imm) => {
+                        ctx.down.imm_timing = imm.timing;
+                        ctx.down.matched_venue = imm.matched_venue;
+                        let req = QaRequest {
+                            question: imm.question,
+                        };
+                        done.forward(&qa_tx, ctx, req);
+                    }
+                    Err(err) => done.finish(ctx, Err(err)),
+                }
             },
+            expire.clone(),
         ));
 
         // Classify pool: actions complete immediately; questions continue to
         // IMM (which passes through when there is no image).
         workers.extend(spawn_stage_pool(
-            Arc::new(ClassifyStage(Arc::clone(&sirius))),
             config.classify.workers,
             cls_rx,
             Arc::clone(&metrics.classify),
             Arc::clone(&recorder),
             {
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                let caches = caches.clone();
-                move |mut ctx: Ctx, result| match result {
-                    Ok(cls) => {
-                        ctx.classify = cls.elapsed;
-                        if let Some(action) = cls.action {
-                            let cache_key = ctx.cache_key.take();
-                            let response = SiriusResponse {
-                                recognized: ctx.recognized,
-                                outcome: SiriusOutcome::Action(action),
-                                matched_venue: None,
-                                timing: StageTiming {
-                                    asr: ctx.asr_timing,
-                                    classify: ctx.classify,
-                                    qa: None,
-                                    imm: None,
-                                    total: ctx.started.elapsed(),
-                                },
-                            };
-                            if let (Some(caches), Some(key)) = (caches.as_deref(), cache_key) {
-                                caches.fill(key, CachedAnswer::of(&response));
-                            }
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                ctx.started,
-                                ctx.tenant.as_deref(),
-                                &ctx.ticket,
-                                Ok(response),
-                            );
-                            return;
-                        }
-                        let question = ctx.recognized.clone();
-                        let image = ctx.image.take();
-                        let deadline = ctx.deadline;
-                        let job = Job::with_deadline(ctx, ImmRequest { question, image }, deadline);
-                        if let Err(sirius_par::queue::SendError(job)) = imm_tx.send(job) {
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                job.ctx.started,
-                                job.ctx.tenant.as_deref(),
-                                &job.ctx.ticket,
-                                Err(SiriusError::ShuttingDown),
-                            );
-                        }
-                    }
-                    Err(err) => finish(
-                        &metrics,
-                        recorder.as_ref(),
-                        ctx.started,
-                        ctx.tenant.as_deref(),
-                        &ctx.ticket,
-                        Err(err),
-                    ),
-                }
+                let sirius = Arc::clone(&sirius);
+                move |_: &Ctx, req| sirius.stage_classify(req)
             },
             {
-                let metrics = Arc::clone(&metrics);
-                let recorder = Arc::clone(&recorder);
-                move |ctx: Ctx| expire(&metrics, recorder.as_ref(), ctx)
+                let done = Arc::clone(&done);
+                move |mut ctx: Ctx, result: Result<ClassifyResponse, SiriusError>| match result {
+                    Ok(cls) => {
+                        ctx.down.classify = cls.elapsed;
+                        if let Some(action) = cls.action {
+                            return done.finish(ctx, Ok(SiriusOutcome::Action(action)));
+                        }
+                        let req = ImmRequest {
+                            question: ctx.recognized.clone(),
+                            image: ctx.image.take(),
+                        };
+                        done.forward(&imm_tx, ctx, req);
+                    }
+                    Err(err) => done.finish(ctx, Err(err)),
+                }
             },
+            expire.clone(),
         ));
 
-        // ASR pool: the chain's head, fed by `submit`. Routing and expiry
-        // are identical whether or not the pool scores through the batch
-        // collector, so both closures are built once and moved into
-        // whichever stage variant the batch policy selects.
-        let asr_route = {
-            let metrics = Arc::clone(&metrics);
-            let recorder = Arc::clone(&recorder);
-            let caches = caches.clone();
-            move |mut ctx: Ctx, result: Result<AsrResponse, SiriusError>| match result {
-                Ok(asr) => {
-                    ctx.recognized = asr.recognized.clone();
-                    ctx.asr_timing = asr.timing;
-                    // The post-ASR-commit cache consult: a verified hit
-                    // serves the cached outcome with this query's own fresh
-                    // ASR text/timing and never touches Classify/IMM/QA. A
-                    // miss stamps the key on the context so completion
-                    // fills the cache.
-                    if let Some(caches) = caches.as_deref() {
-                        let key = CacheKey::of(&asr.recognized, ctx.image.as_ref());
-                        if let Some(cached) = caches.lookup(&key, &asr.recognized) {
-                            if let Some(tenant) = &ctx.tenant {
-                                tenant.cache_hit.inc();
-                            }
-                            let response = SiriusResponse {
-                                recognized: asr.recognized,
-                                outcome: cached.outcome,
-                                matched_venue: cached.matched_venue,
-                                timing: StageTiming {
-                                    asr: asr.timing,
-                                    classify: Duration::ZERO,
-                                    qa: None,
-                                    imm: None,
-                                    total: ctx.started.elapsed(),
-                                },
-                            };
-                            finish(
-                                &metrics,
-                                recorder.as_ref(),
-                                ctx.started,
-                                ctx.tenant.as_deref(),
-                                &ctx.ticket,
-                                Ok(response),
-                            );
-                            return;
-                        }
-                        ctx.cache_key = Some(key);
-                    }
-                    let deadline = ctx.deadline;
-                    let job = Job::with_deadline(
-                        ctx,
-                        ClassifyRequest {
-                            recognized: asr.recognized,
-                        },
-                        deadline,
-                    );
-                    if let Err(sirius_par::queue::SendError(job)) = cls_tx.send(job) {
-                        finish(
-                            &metrics,
-                            recorder.as_ref(),
-                            job.ctx.started,
-                            job.ctx.tenant.as_deref(),
-                            &job.ctx.ticket,
-                            Err(SiriusError::ShuttingDown),
-                        );
-                    }
+        // ASR pool: the chain's head, fed by `submit`. Whatever variant the
+        // config selects, the stage is one value behind one handler, and its
+        // helper threads (batch collector, speculation pool) are joined
+        // with the workers.
+        let (asr, helpers) = AsrStage::start(&sirius, &config, &metrics);
+        workers.extend(helpers);
+        workers.extend(spawn_stage_pool(
+            config.asr.workers,
+            asr_rx,
+            Arc::clone(&metrics.asr),
+            recorder,
+            {
+                let asr = Arc::new(asr);
+                move |ctx: &Ctx, req| asr.serve(ctx, req)
+            },
+            move |mut ctx: Ctx, result: Result<AsrServed, SiriusError>| {
+                let AsrServed { asr, confirmed } = match result {
+                    Ok(served) => served,
+                    Err(err) => return done.finish(ctx, Err(err)),
+                };
+                ctx.recognized = asr.recognized;
+                ctx.asr_timing = asr.timing;
+                let key = done
+                    .caches
+                    .as_ref()
+                    .map(|_| CacheKey::of(&ctx.recognized, ctx.image.as_ref()));
+                // A confirmed speculation already holds everything past ASR:
+                // complete here, filling the cache so the next identical
+                // query hits at ASR commit.
+                if let Some((down, outcome)) = confirmed {
+                    ctx.down = down;
+                    ctx.cache_key = key;
+                    return done.finish(ctx, Ok(outcome));
                 }
-                Err(err) => finish(
-                    &metrics,
-                    recorder.as_ref(),
-                    ctx.started,
-                    ctx.tenant.as_deref(),
-                    &ctx.ticket,
-                    Err(err),
-                ),
-            }
-        };
-        let asr_expire = {
-            let metrics = Arc::clone(&metrics);
-            let recorder = Arc::clone(&recorder);
-            move |ctx: Ctx| expire(&metrics, recorder.as_ref(), ctx)
-        };
-        if config.stream.is_streaming() {
-            // Streaming ASR workers decode paced chunks in place; when the
-            // batch policy also calls for a collector, DNN block GEMMs are
-            // still coalesced across queries — the streaming recognizer
-            // scores through the same collector handle.
-            let remote = if config.batch.is_batching() {
-                let scorer: Arc<dyn WindowScorer> =
-                    Arc::new(SiriusWindowScorer::new(Arc::clone(&sirius)));
-                let (handle, collector) = spawn_batch_collector(
-                    scorer,
-                    config.batch,
-                    Arc::clone(&metrics.batch),
-                    config.asr.workers.max(1),
-                );
-                workers.push(collector);
-                Some(handle)
-            } else {
-                None
-            };
-            workers.extend(spawn_streaming_stages(
-                Arc::clone(&sirius),
-                &config,
-                asr_rx,
-                Arc::clone(&metrics),
-                Arc::clone(&recorder),
-                remote,
-                caches.clone(),
-                asr_route,
-                asr_expire,
-            ));
-        } else if config.batch.is_batching() {
-            // Workers hold the collector's handle through their stage, so
-            // the pool exiting is what lets the collector drain and stop;
-            // its join below can never deadlock. Expired jobs are dropped
-            // by the pool at dequeue, before the stage handler runs, so an
-            // abandoned query never occupies a slot in a batch.
-            let scorer: Arc<dyn WindowScorer> =
-                Arc::new(SiriusWindowScorer::new(Arc::clone(&sirius)));
-            let (handle, collector) = spawn_batch_collector(
-                scorer,
-                config.batch,
-                Arc::clone(&metrics.batch),
-                config.asr.workers.max(1),
-            );
-            workers.extend(spawn_stage_pool(
-                Arc::new(BatchedAsrStage::new(Arc::clone(&sirius), handle)),
-                config.asr.workers,
-                asr_rx,
-                Arc::clone(&metrics.asr),
-                Arc::clone(&recorder),
-                asr_route,
-                asr_expire,
-            ));
-            workers.push(collector);
-        } else {
-            workers.extend(spawn_stage_pool(
-                Arc::new(AsrStage(Arc::clone(&sirius))),
-                config.asr.workers,
-                asr_rx,
-                Arc::clone(&metrics.asr),
-                Arc::clone(&recorder),
-                asr_route,
-                asr_expire,
-            ));
-        }
+                // The post-ASR-commit cache consult: a verified hit serves
+                // the cached outcome with this query's own fresh ASR
+                // text/timing and never touches Classify/IMM/QA. A miss
+                // stamps the key on the context so completion fills the
+                // cache.
+                if let (Some(caches), Some(key)) = (&done.caches, key) {
+                    if let Some(cached) = caches.lookup(&key, &ctx.recognized) {
+                        if let Some(tenant) = &ctx.tenant {
+                            tenant.cache_hit.inc();
+                        }
+                        ctx.down.matched_venue = cached.matched_venue;
+                        return done.finish(ctx, Ok(cached.outcome));
+                    }
+                    ctx.cache_key = Some(key);
+                }
+                let req = ClassifyRequest {
+                    recognized: ctx.recognized.clone(),
+                };
+                done.forward(&cls_tx, ctx, req);
+            },
+            expire,
+        ));
 
         Self {
             sirius,
@@ -867,124 +750,81 @@ impl SiriusServer {
         Duration::from_nanos(total_ns as u64)
     }
 
-    /// Admits a query, or sheds it if the admission queue is full.
+    /// Admits a query — the runtime's only entry. One rule covers every
+    /// kind of [`Request`]:
+    ///
+    /// ```text
+    /// slo    = min(class.slo, deadline)                      stamped on the job
+    /// budget = min(class.slo × weight / max_weight, deadline)    gates admission
+    /// shed when expected_sojourn() > budget
+    /// ```
+    ///
+    /// A missing term is infinite. So a bare input is never shed by the
+    /// estimate and carries no deadline — plain shed-on-full; a deadline
+    /// alone is gated on and carries exactly that deadline (an effectively
+    /// infinite one such as `Duration::MAX` degrades to shed-on-full too);
+    /// a class alone is weighted-fair admission, where low-weight classes
+    /// shed first as the estimate grows and high-weight classes keep
+    /// admitting up to their full SLO (see [`crate::qos`]); and with both
+    /// the tighter of the two wins. Admitted jobs that expire in a queue
+    /// anyway are dropped unserved, completing the ticket with the same
+    /// typed error.
     ///
     /// # Errors
     ///
+    /// [`SiriusError::UnknownTenantClass`] when the class is not in
+    /// [`ServerConfig::tenants`];
+    /// [`SiriusError::DeadlineUnmeetable`] when the expected sojourn exceeds
+    /// the budget — `deadline` reports `slo`, and `retry_after` is
+    /// `expected − budget`: how long the backlog must drain at the current
+    /// service rate before *this* request's budget admits again (for a
+    /// class below max weight, longer than the raw-SLO hint);
     /// [`SiriusError::Overloaded`] when the ASR queue is at capacity;
     /// [`SiriusError::ShuttingDown`] after shutdown began.
-    pub fn submit(&self, input: SiriusInput) -> Result<Ticket, SiriusError> {
-        self.submit_inner(input, None, None)
-    }
-
-    /// Admits a query under a tenant traffic class: weighted-fair,
-    /// deadline-aware admission. The class's SLO becomes the query's
-    /// deadline, but admission is gated on the class's **effective budget**
-    /// `slo × weight / max_weight` — so as the expected sojourn grows,
-    /// low-weight classes shed first and high-weight classes keep
-    /// admitting until the estimate exceeds their full SLO. See
-    /// [`crate::qos`] for the rule and the per-class `retry_after`
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// [`SiriusError::UnknownTenantClass`] when `class` is not in
-    /// [`ServerConfig::tenants`];
-    /// [`SiriusError::DeadlineUnmeetable`] when the expected sojourn
-    /// exceeds the class budget — `retry_after` is `expected − budget`,
-    /// the drain the *class* needs before it admits again (longer than the
-    /// raw-SLO hint for every class below max weight);
-    /// [`SiriusError::Overloaded`] / [`SiriusError::ShuttingDown`] as for
-    /// [`SiriusServer::submit`].
-    pub fn submit_classed(&self, input: SiriusInput, class: &str) -> Result<Ticket, SiriusError> {
-        let (class, obs) =
-            self.tenants
-                .lookup(class)
-                .ok_or_else(|| SiriusError::UnknownTenantClass {
-                    class: class.to_owned(),
-                })?;
+    pub fn submit(&self, request: impl Into<Request>) -> Result<Ticket, SiriusError> {
+        let Request {
+            input,
+            class,
+            deadline,
+        } = request.into();
+        let tenant = match class {
+            Some(name) => Some(
+                self.tenants
+                    .lookup(&name)
+                    .ok_or(SiriusError::UnknownTenantClass { class: name })?,
+            ),
+            None => None,
+        };
+        let deadline = deadline.unwrap_or(Duration::MAX);
+        let (slo, budget) = tenant.map_or((deadline, deadline), |(class, _)| {
+            (
+                class.slo.min(deadline),
+                self.tenants.budget(class).min(deadline),
+            )
+        });
         let expected = self.expected_sojourn();
-        let budget = self.tenants.budget(class);
         if expected > budget {
             self.metrics.shed_deadline.inc();
-            obs.shed_deadline.inc();
+            if let Some((_, obs)) = tenant {
+                obs.shed_deadline.inc();
+            }
             return Err(SiriusError::DeadlineUnmeetable {
                 expected,
-                deadline: class.slo,
-                // The hint drains the backlog to the *class* budget, not to
-                // the raw SLO: a low-weight class must wait out the extra
-                // `slo − budget` of backlog its weight denies it.
+                deadline: slo,
                 retry_after: expected - budget,
             });
         }
-        self.submit_inner(input, Some(class.slo), Some(Arc::clone(obs)))
-    }
 
-    /// The result caches, when [`ServerConfig::cache`] enabled them.
-    pub fn caches(&self) -> Option<&Arc<ResultCaches>> {
-        self.caches.as_ref()
-    }
-
-    /// Invalidates both result caches in O(1) (no-op when caching is off).
-    /// Pre-bump entries can never be served again; they are lazily removed
-    /// (counted `cache.{qa,imm}.stale`) as lookups touch them.
-    pub fn invalidate_result_caches(&self) {
-        if let Some(caches) = &self.caches {
-            caches.invalidate_all();
-        }
-    }
-
-    /// Admits a query only if its deadline looks meetable: sheds up front
-    /// when the [`SiriusServer::expected_sojourn`] estimate already exceeds
-    /// `deadline`, and stamps admitted jobs so workers drop them unserved
-    /// if they expire in a queue anyway (completing the ticket with the
-    /// same typed error).
-    ///
-    /// With an effectively infinite deadline (for example
-    /// `Duration::MAX`) this behaves exactly like [`SiriusServer::submit`]:
-    /// the estimate can never exceed it and the deadline stamp degrades to
-    /// "none", leaving shed-on-full as the only admission policy.
-    ///
-    /// # Errors
-    ///
-    /// [`SiriusError::DeadlineUnmeetable`] when the expected sojourn
-    /// exceeds `deadline` — `retry_after` is the estimate's excess over the
-    /// deadline, i.e. how long the backlog ahead needs to drain at the
-    /// current service rate before the deadline becomes meetable;
-    /// [`SiriusError::Overloaded`] when the ASR queue is at capacity;
-    /// [`SiriusError::ShuttingDown`] after shutdown began.
-    pub fn submit_with_deadline(
-        &self,
-        input: SiriusInput,
-        deadline: Duration,
-    ) -> Result<Ticket, SiriusError> {
-        let expected = self.expected_sojourn();
-        if expected > deadline {
-            self.metrics.shed_deadline.inc();
-            return Err(SiriusError::DeadlineUnmeetable {
-                expected,
-                deadline,
-                retry_after: expected - deadline,
-            });
-        }
-        self.submit_inner(input, Some(deadline), None)
-    }
-
-    fn submit_inner(
-        &self,
-        input: SiriusInput,
-        deadline: Option<Duration>,
-        tenant: Option<Arc<TenantObs>>,
-    ) -> Result<Ticket, SiriusError> {
         let tx = self.submit_tx.as_ref().ok_or(SiriusError::ShuttingDown)?;
         let started = Instant::now();
-        // A deadline too far out to represent as an `Instant` can never
-        // pass; carry it as "none" so workers skip the expiry check.
-        let deadline = deadline.and_then(|d| started.checked_add(d));
+        // An SLO too far out to represent as an `Instant` can never pass;
+        // carry it as "none" so workers skip the expiry check.
+        let deadline = started.checked_add(slo);
         let state = Arc::new(TicketState {
             slot: Mutex::new(None),
             done: Condvar::new(),
         });
+        let tenant = tenant.map(|(_, obs)| Arc::clone(obs));
         let ctx = Ctx {
             ticket: Arc::clone(&state),
             started,
@@ -992,9 +832,7 @@ impl SiriusServer {
             image: input.image,
             recognized: String::new(),
             asr_timing: AsrTiming::default(),
-            classify: Duration::ZERO,
-            imm_timing: None,
-            matched_venue: None,
+            down: Downstream::default(),
             tenant: tenant.clone(),
             cache_key: None,
         };
@@ -1030,11 +868,25 @@ impl SiriusServer {
         }
     }
 
+    /// The result caches, when [`ServerConfig::cache`] enabled them.
+    pub fn caches(&self) -> Option<&Arc<ResultCaches>> {
+        self.caches.as_ref()
+    }
+
+    /// Invalidates both result caches in O(1) (no-op when caching is off).
+    /// Pre-bump entries can never be served again; they are lazily removed
+    /// (counted `cache.{qa,imm}.stale`) as lookups touch them.
+    pub fn invalidate_result_caches(&self) {
+        if let Some(caches) = &self.caches {
+            caches.invalidate_all();
+        }
+    }
+
     /// Submits and waits: the one-call synchronous client of the staged
     /// path. Output matches [`Sirius::process_with`] bit-for-bit (same
     /// stage methods, same order).
-    pub fn process_sync(&self, input: SiriusInput) -> Result<SiriusResponse, SiriusError> {
-        self.submit(input)?.wait()
+    pub fn process_sync(&self, request: impl Into<Request>) -> Result<SiriusResponse, SiriusError> {
+        self.submit(request)?.wait()
     }
 
     /// Stops admitting, drains every accepted query, and joins all workers.

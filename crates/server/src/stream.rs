@@ -33,6 +33,10 @@
 //! pipeline's response rather than a typed streaming error the serial path
 //! would never surface.
 //!
+//! Streaming is one of the three things the runtime's single ASR stage
+//! value (`AsrStage`) can be; the generic worker pool runs all of them
+//! through the same dequeue / expire / `catch_unwind` / timing loop.
+//!
 //! [`Sirius::try_process_with`]: sirius::pipeline::Sirius::try_process_with
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,22 +45,19 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sirius::error::SiriusError;
-use sirius::pipeline::{Sirius, SiriusOutcome, SiriusResponse, StageTiming};
-use sirius::stage::{
-    AsrRequest, AsrResponse, ClassifyRequest, ClassifyResponse, ImmRequest, ImmResponse, QaRequest,
-    QaResponse,
-};
-use sirius_obs::{Recorder, SpanKind};
+use sirius::pipeline::{Sirius, SiriusOutcome};
+use sirius::stage::{AsrRequest, AsrResponse, ClassifyRequest, ImmRequest, QaRequest};
+use sirius_nlp::qa::QaBreakdown;
 use sirius_par::queue::{bounded, Receiver, Sender};
 use sirius_speech::asr::AcousticModelKind;
 use sirius_speech::features::SAMPLE_RATE;
+use sirius_speech::WindowScorer;
+use sirius_vision::db::ImmTiming;
 use sirius_vision::image::GrayImage;
 
-use crate::batch::BatchHandle;
+use crate::batch::{spawn_batch_collector, BatchHandle, SiriusWindowScorer};
 use crate::metrics::{ServerMetrics, StreamObs};
-use crate::pool::Job;
-use crate::qos::{CacheKey, CachedAnswer, ResultCaches};
-use crate::runtime::{finish, Ctx, ServerConfig};
+use crate::runtime::{Ctx, ServerConfig};
 
 /// Governs streaming ASR service: chunked ingestion pacing and speculative
 /// downstream dispatch.
@@ -119,20 +120,23 @@ impl StreamPolicy {
     }
 }
 
-/// A speculatively computed downstream payload: everything the final
-/// response needs past ASR. `imm`/`qa` are present exactly when the
-/// classifier routed the text to the question path.
-struct SpecPayload {
-    classify: ClassifyResponse,
-    imm: Option<ImmResponse>,
-    qa: Option<QaResponse>,
+/// What the stages past ASR contribute to the final response. The queues
+/// accumulate it on the query context stage by stage; a speculation
+/// computes it in one go, field for field as the staged path would for the
+/// same text.
+#[derive(Default)]
+pub(crate) struct Downstream {
+    pub(crate) classify: Duration,
+    pub(crate) imm_timing: Option<ImmTiming>,
+    pub(crate) matched_venue: Option<String>,
+    pub(crate) qa_timing: Option<QaBreakdown>,
 }
 
 /// One finished speculation: the prefix it ran on and what it produced.
 struct SpecResult {
     generation: u64,
     text: String,
-    payload: Result<SpecPayload, SiriusError>,
+    payload: Result<(Downstream, SiriusOutcome), SiriusError>,
 }
 
 struct SpecInner {
@@ -181,29 +185,28 @@ fn run_downstream(
     sirius: &Sirius,
     text: String,
     image: Option<GrayImage>,
-) -> Result<SpecPayload, SiriusError> {
+) -> Result<(Downstream, SiriusOutcome), SiriusError> {
     let classify = sirius.stage_classify(ClassifyRequest {
         recognized: text.clone(),
     })?;
-    if classify.action.is_some() {
-        return Ok(SpecPayload {
-            classify,
-            imm: None,
-            qa: None,
-        });
+    let mut down = Downstream {
+        classify: classify.elapsed,
+        ..Downstream::default()
+    };
+    if let Some(action) = classify.action {
+        return Ok((down, SiriusOutcome::Action(action)));
     }
     let imm = sirius.stage_imm(ImmRequest {
         question: text,
         image,
     })?;
+    down.imm_timing = imm.timing;
+    down.matched_venue = imm.matched_venue;
     let qa = sirius.stage_qa(QaRequest {
-        question: imm.question.clone(),
+        question: imm.question,
     })?;
-    Ok(SpecPayload {
-        classify,
-        imm: Some(imm),
-        qa: Some(qa),
-    })
+    down.qa_timing = Some(qa.breakdown);
+    Ok((down, SiriusOutcome::Answer(qa.answer)))
 }
 
 /// Spawns the speculation pool: `workers` threads draining `rx`, running
@@ -262,19 +265,110 @@ fn spawn_spec_pool(
         .collect()
 }
 
-/// What one streaming serve produced. One short-lived value per query,
-/// consumed by the worker loop immediately — not worth boxing.
-#[allow(clippy::large_enum_variant)]
-enum Served {
-    /// An ASR result to route through the ordinary classify queue (the
-    /// no-speculation path, a speculation miss, or an error).
-    Asr(Result<AsrResponse, SiriusError>),
-    /// A confirmed speculation: ASR plus the whole downstream payload —
-    /// the ticket completes without touching another queue.
-    Complete {
-        asr: AsrResponse,
-        payload: SpecPayload,
-    },
+/// What the ASR stage hands its router: the recognition and — when a
+/// speculation that ran on exactly this text was confirmed — the whole
+/// downstream payload, which completes the query without touching another
+/// queue. `None` routes onward through the classify queue (whole-utterance
+/// ASR, speculation off, or a speculation miss).
+pub(crate) struct AsrServed {
+    pub(crate) asr: AsrResponse,
+    pub(crate) confirmed: Option<(Downstream, SiriusOutcome)>,
+}
+
+impl From<AsrResponse> for AsrServed {
+    fn from(asr: AsrResponse) -> Self {
+        Self {
+            asr,
+            confirmed: None,
+        }
+    }
+}
+
+/// The runtime's one ASR stage, chosen once from [`ServerConfig`]: plain
+/// whole-utterance recognition, DNN scoring through the batch collector
+/// (`remote`), or streaming ingestion with optional speculation
+/// (`streaming`) — the latter two compose.
+pub(crate) struct AsrStage {
+    sirius: Arc<Sirius>,
+    /// The collector DNN queries score through, when batching is on.
+    remote: Option<BatchHandle>,
+    streaming: Option<Streaming>,
+}
+
+struct Streaming {
+    policy: StreamPolicy,
+    obs: Arc<StreamObs>,
+    /// The speculation pool's queue, when speculation is on.
+    spec_tx: Option<Sender<SpecJob>>,
+}
+
+impl AsrStage {
+    /// Builds the stage `config` calls for and spawns its helper threads —
+    /// the batch collector and the speculation pool. Both exit once the
+    /// stage (held only by the ASR workers' handler) is dropped, so the ASR
+    /// pool exiting is what lets them drain and stop and their joins can
+    /// never deadlock.
+    pub(crate) fn start(
+        sirius: &Arc<Sirius>,
+        config: &ServerConfig,
+        metrics: &ServerMetrics,
+    ) -> (Self, Vec<JoinHandle<()>>) {
+        let asr_workers = config.asr.workers.max(1);
+        let mut helpers = Vec::new();
+        let remote = config.batch.is_batching().then(|| {
+            let scorer: Arc<dyn WindowScorer> =
+                Arc::new(SiriusWindowScorer::new(Arc::clone(sirius)));
+            let (handle, collector) = spawn_batch_collector(
+                scorer,
+                config.batch,
+                Arc::clone(&metrics.batch),
+                asr_workers,
+            );
+            helpers.push(collector);
+            handle
+        });
+        let streaming = config.stream.is_streaming().then(|| Streaming {
+            policy: config.stream,
+            obs: Arc::clone(&metrics.stream),
+            // The spec pool's queue is sized so a full ASR pool can have
+            // several prefixes in flight each; overflow degrades to a
+            // dropped speculation, never to blocking the decode loop.
+            spec_tx: config.stream.speculate.then(|| {
+                let (tx, rx) = bounded(config.asr.queue_depth.max(asr_workers * 4));
+                helpers.extend(spawn_spec_pool(Arc::clone(sirius), asr_workers, rx));
+                tx
+            }),
+        });
+        let stage = Self {
+            sirius: Arc::clone(sirius),
+            remote,
+            streaming,
+        };
+        (stage, helpers)
+    }
+
+    /// Serves one ASR job. Expired jobs never get here — the pool drops
+    /// them at dequeue — so an abandoned query never occupies a slot in a
+    /// batch or a speculation.
+    pub(crate) fn serve(&self, ctx: &Ctx, req: AsrRequest) -> Result<AsrServed, SiriusError> {
+        if let Some(streaming) = &self.streaming {
+            return streaming.serve(&self.sirius, self.remote.as_ref(), ctx, req);
+        }
+        match (req.acoustic, &self.remote) {
+            (AcousticModelKind::Dnn, Some(handle)) => {
+                let out = self
+                    .sirius
+                    .asr()
+                    .recognize_with_window_scorer(&req.audio, handle);
+                Ok(AsrServed::from(AsrResponse {
+                    recognized: out.text,
+                    timing: out.timing,
+                }))
+            }
+            // GMM has no GEMM to batch: the ordinary stage path, unchanged.
+            _ => self.sirius.stage_asr(req).map(AsrServed::from),
+        }
+    }
 }
 
 /// Sleeps until `due` (absolute); `None` (unrepresentable) never arrives,
@@ -288,282 +382,113 @@ fn wait_until(due: Option<Instant>) {
     }
 }
 
-/// Serves one query through the streaming recognizer: paced chunk
-/// ingestion, partial-commit telemetry, speculative dispatch, and the
-/// final reconcile. See the module docs for the full story.
-fn serve_streaming(
-    sirius: &Sirius,
-    policy: StreamPolicy,
-    stream_obs: &StreamObs,
-    remote: Option<&BatchHandle>,
-    spec_tx: Option<&Sender<SpecJob>>,
-    ctx: &Ctx,
-    req: AsrRequest,
-) -> Served {
-    // Degenerate audio takes the batch stage so the response (including
-    // error behaviour) is byte-identical to the serial pipeline's.
-    if req.audio.is_empty() || req.audio.iter().any(|s| !s.is_finite()) {
-        return Served::Asr(sirius.stage_asr(req));
-    }
-
-    let asr = sirius.asr();
-    let mut rec = match (req.acoustic, remote) {
-        (AcousticModelKind::Dnn, Some(handle)) => asr.streaming_with_window_scorer(handle),
-        _ => asr.streaming(req.acoustic),
-    };
-
-    let spec_cell = spec_tx.map(|_| SpecCell::new());
-    let chunk_samples = policy.chunk_samples();
-    let mut last_committed = 0usize;
-    let mut arrived = 0usize;
-    for chunk in req.audio.chunks(chunk_samples) {
-        arrived += chunk.len();
-        if policy.pacing > 0.0 {
-            let offset = policy.pacing * arrived as f64 / SAMPLE_RATE as f64;
-            wait_until(ctx.started.checked_add(Duration::from_secs_f64(offset)));
+impl Streaming {
+    /// Serves one query through the streaming recognizer: paced chunk
+    /// ingestion, partial-commit telemetry, speculative dispatch, and the
+    /// final reconcile. See the module docs for the full story.
+    fn serve(
+        &self,
+        sirius: &Sirius,
+        remote: Option<&BatchHandle>,
+        ctx: &Ctx,
+        req: AsrRequest,
+    ) -> Result<AsrServed, SiriusError> {
+        // Degenerate audio takes the batch stage so the response (including
+        // error behaviour) is byte-identical to the serial pipeline's.
+        if req.audio.is_empty() || req.audio.iter().any(|s| !s.is_finite()) {
+            return sirius.stage_asr(req).map(AsrServed::from);
         }
-        let push_begun = Instant::now();
-        let progress = match rec.push_chunk(chunk) {
-            Ok(progress) => progress,
-            // Unreachable (audio was pre-validated), but a typed error
-            // must never panic a worker.
-            Err(e) => return Served::Asr(Err(e.into())),
+
+        let asr = sirius.asr();
+        let mut rec = match (req.acoustic, remote) {
+            (AcousticModelKind::Dnn, Some(handle)) => asr.streaming_with_window_scorer(handle),
+            _ => asr.streaming(req.acoustic),
         };
-        if progress.committed_words > last_committed {
-            stream_obs.partials_emitted.inc();
-            stream_obs
-                .commit_latency
-                .record_duration(push_begun.elapsed());
-            if last_committed == 0 {
-                stream_obs
-                    .first_partial
-                    .record_duration(ctx.started.elapsed());
+
+        let spec = self.spec_tx.as_ref().map(|tx| (tx, SpecCell::new()));
+        let chunk_samples = self.policy.chunk_samples();
+        let mut last_committed = 0usize;
+        let mut arrived = 0usize;
+        for chunk in req.audio.chunks(chunk_samples) {
+            arrived += chunk.len();
+            if self.policy.pacing > 0.0 {
+                let offset = self.policy.pacing * arrived as f64 / SAMPLE_RATE as f64;
+                wait_until(ctx.started.checked_add(Duration::from_secs_f64(offset)));
             }
-            if let (Some(tx), Some(cell)) = (spec_tx, &spec_cell) {
-                let generation = {
-                    let mut inner = cell.inner.lock().expect("spec lock");
-                    inner.generation += 1;
-                    inner.outstanding += 1;
-                    inner.generation
-                };
-                let job = SpecJob {
-                    cell: Arc::clone(cell),
-                    generation,
-                    text: rec.committed_text(),
-                    image: ctx.image.clone(),
-                };
-                if tx.try_send(job).is_ok() {
-                    stream_obs.spec_dispatched.inc();
-                } else {
-                    // Queue full (or closing): retract the reservation so
-                    // reconcile does not wait for a job that never ran.
-                    let mut inner = cell.inner.lock().expect("spec lock");
-                    inner.outstanding = inner.outstanding.saturating_sub(1);
-                    cell.done.notify_all();
+            let push_begun = Instant::now();
+            // An error is unreachable (audio was pre-validated), but a typed
+            // error must never panic a worker.
+            let progress = rec.push_chunk(chunk)?;
+            if progress.committed_words > last_committed {
+                self.obs.partials_emitted.inc();
+                self.obs
+                    .commit_latency
+                    .record_duration(push_begun.elapsed());
+                if last_committed == 0 {
+                    self.obs
+                        .first_partial
+                        .record_duration(ctx.started.elapsed());
                 }
-            }
-            last_committed = progress.committed_words;
-        }
-    }
-
-    let out = match rec.finish() {
-        Ok(out) => out,
-        Err(e) => return Served::Asr(Err(e.into())),
-    };
-    let asr_resp = AsrResponse {
-        recognized: out.text,
-        timing: out.timing,
-    };
-
-    // Reconcile: wait for every dispatched speculation (so none still
-    // borrows the query), then reuse the deposit iff it ran on exactly
-    // the final hypothesis and succeeded.
-    if let Some(cell) = spec_cell {
-        let deposit = {
-            let mut inner = cell.inner.lock().expect("spec lock");
-            while inner.outstanding > 0 {
-                inner = cell.done.wait(inner).expect("spec lock");
-            }
-            inner.deposit.take()
-        };
-        let dispatched_any = deposit.is_some() || last_committed > 0;
-        if let Some(result) = deposit {
-            if result.text == asr_resp.recognized {
-                if let Ok(payload) = result.payload {
-                    stream_obs.spec_hit.inc();
-                    return Served::Complete {
-                        asr: asr_resp,
-                        payload,
+                if let Some((tx, cell)) = &spec {
+                    let generation = {
+                        let mut inner = cell.inner.lock().expect("spec lock");
+                        inner.generation += 1;
+                        inner.outstanding += 1;
+                        inner.generation
                     };
-                }
-            }
-            stream_obs.spec_miss.inc();
-        } else if dispatched_any {
-            stream_obs.spec_miss.inc();
-        }
-    }
-    Served::Asr(Ok(asr_resp))
-}
-
-/// Assembles the final response from a confirmed speculation, mirroring
-/// the classify-route (Action) and QA-route (Answer) assemblies in
-/// `runtime.rs` field for field.
-fn assemble(ctx: &Ctx, asr: AsrResponse, payload: SpecPayload) -> SiriusResponse {
-    if let Some(action) = payload.classify.action {
-        return SiriusResponse {
-            recognized: asr.recognized,
-            outcome: SiriusOutcome::Action(action),
-            matched_venue: None,
-            timing: StageTiming {
-                asr: asr.timing,
-                classify: payload.classify.elapsed,
-                qa: None,
-                imm: None,
-                total: ctx.started.elapsed(),
-            },
-        };
-    }
-    let imm = payload.imm.expect("question payload carries IMM");
-    let qa = payload.qa.expect("question payload carries QA");
-    SiriusResponse {
-        recognized: asr.recognized,
-        outcome: SiriusOutcome::Answer(qa.answer),
-        matched_venue: imm.matched_venue,
-        timing: StageTiming {
-            asr: asr.timing,
-            classify: payload.classify.elapsed,
-            qa: Some(qa.breakdown),
-            imm: imm.timing,
-            total: ctx.started.elapsed(),
-        },
-    }
-}
-
-/// Spawns the streaming ASR stage: `config.asr.workers` serving threads
-/// plus (when speculation is on) an equal-sized speculation pool. Mirrors
-/// the generic pool's instrumentation — queue wait, expiry at dequeue,
-/// in-flight/service accounting, `catch_unwind` survival — and routes
-/// each query either through `route` (into the classify queue) or, on a
-/// confirmed speculation, straight to ticket completion.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_streaming_stages<R, E>(
-    sirius: Arc<Sirius>,
-    config: &ServerConfig,
-    rx: Receiver<Job<Ctx, AsrRequest>>,
-    metrics: Arc<ServerMetrics>,
-    recorder: Arc<dyn Recorder>,
-    remote: Option<BatchHandle>,
-    caches: Option<Arc<ResultCaches>>,
-    route: R,
-    on_expired: E,
-) -> Vec<JoinHandle<()>>
-where
-    R: Fn(Ctx, Result<AsrResponse, SiriusError>) + Send + Sync + Clone + 'static,
-    E: Fn(Ctx) + Send + Sync + Clone + 'static,
-{
-    let policy = config.stream;
-    let asr_workers = config.asr.workers.max(1);
-    let mut workers = Vec::new();
-    // The spec pool's queue is sized so a full ASR pool can have several
-    // prefixes in flight each; overflow degrades to a dropped speculation,
-    // never to blocking the decode loop.
-    let spec_tx = if policy.speculate {
-        let (tx, spec_rx) = bounded::<SpecJob>(config.asr.queue_depth.max(asr_workers * 4));
-        workers.extend(spawn_spec_pool(Arc::clone(&sirius), asr_workers, spec_rx));
-        Some(tx)
-    } else {
-        None
-    };
-
-    for i in 0..asr_workers {
-        let sirius = Arc::clone(&sirius);
-        let rx = rx.clone();
-        let obs = Arc::clone(&metrics.asr);
-        let stream_obs = Arc::clone(&metrics.stream);
-        let metrics = Arc::clone(&metrics);
-        let recorder = Arc::clone(&recorder);
-        let remote = remote.clone();
-        let caches = caches.clone();
-        let spec_tx = spec_tx.clone();
-        let route = route.clone();
-        let on_expired = on_expired.clone();
-        workers.push(
-            std::thread::Builder::new()
-                .name(format!("sirius-asr-{i}"))
-                .spawn(move || {
-                    while let Some(Job {
-                        ctx,
-                        req,
-                        enqueued,
-                        deadline,
-                    }) = rx.recv()
-                    {
-                        let wait = enqueued.elapsed();
-                        obs.queue_wait.record_duration(wait);
-                        if recorder.enabled() {
-                            recorder.record("asr", SpanKind::QueueWait, wait);
-                        }
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
-                            obs.expired.inc();
-                            on_expired(ctx);
-                            continue;
-                        }
-                        obs.in_flight.inc();
-                        let begun = Instant::now();
-                        let served = catch_unwind(AssertUnwindSafe(|| {
-                            serve_streaming(
-                                &sirius,
-                                policy,
-                                &stream_obs,
-                                remote.as_ref(),
-                                spec_tx.as_ref(),
-                                &ctx,
-                                req,
-                            )
-                        }));
-                        let service = begun.elapsed();
-                        obs.in_flight.dec();
-                        obs.service.record_duration(service);
-                        obs.service_meter.record_duration(service);
-                        if recorder.enabled() {
-                            recorder.record("asr", SpanKind::Service, service);
-                        }
-                        let served = served.unwrap_or_else(|_| {
-                            obs.panics.inc();
-                            Served::Asr(Err(SiriusError::StagePanicked { stage: "asr" }))
-                        });
-                        match served {
-                            Served::Asr(result) => route(ctx, result),
-                            Served::Complete { asr, payload } => {
-                                let response = assemble(&ctx, asr, payload);
-                                // A confirmed speculation bypasses the
-                                // classify/QA queues where misses normally
-                                // fill the caches, so fill here — the next
-                                // identical query then hits at ASR commit.
-                                if let Some(caches) = caches.as_deref() {
-                                    let key =
-                                        CacheKey::of(&response.recognized, ctx.image.as_ref());
-                                    caches.fill(key, CachedAnswer::of(&response));
-                                }
-                                finish(
-                                    &metrics,
-                                    recorder.as_ref(),
-                                    ctx.started,
-                                    ctx.tenant.as_deref(),
-                                    &ctx.ticket,
-                                    Ok(response),
-                                );
-                            }
-                        }
+                    let job = SpecJob {
+                        cell: Arc::clone(cell),
+                        generation,
+                        text: rec.committed_text(),
+                        image: ctx.image.clone(),
+                    };
+                    if tx.try_send(job).is_ok() {
+                        self.obs.spec_dispatched.inc();
+                    } else {
+                        // Queue full (or closing): retract the reservation so
+                        // reconcile does not wait for a job that never ran.
+                        let mut inner = cell.inner.lock().expect("spec lock");
+                        inner.outstanding = inner.outstanding.saturating_sub(1);
+                        cell.done.notify_all();
                     }
-                    // The worker's `spec_tx` clone drops here; once every
-                    // ASR worker exits the spec queue closes and the pool
-                    // drains and joins cleanly.
-                })
-                .expect("spawn streaming asr worker"),
-        );
+                }
+                last_committed = progress.committed_words;
+            }
+        }
+
+        let out = rec.finish()?;
+        let mut served = AsrServed::from(AsrResponse {
+            recognized: out.text,
+            timing: out.timing,
+        });
+
+        // Reconcile: wait for every dispatched speculation (so none still
+        // borrows the query), then reuse the deposit iff it ran on exactly
+        // the final hypothesis and succeeded.
+        if let Some((_, cell)) = spec {
+            let deposit = {
+                let mut inner = cell.inner.lock().expect("spec lock");
+                while inner.outstanding > 0 {
+                    inner = cell.done.wait(inner).expect("spec lock");
+                }
+                inner.deposit.take()
+            };
+            match deposit {
+                Some(SpecResult {
+                    text,
+                    payload: Ok(payload),
+                    ..
+                }) if text == served.asr.recognized => {
+                    self.obs.spec_hit.inc();
+                    served.confirmed = Some(payload);
+                }
+                Some(_) => self.obs.spec_miss.inc(),
+                None if last_committed > 0 => self.obs.spec_miss.inc(),
+                None => {}
+            }
+        }
+        Ok(served)
     }
-    workers
 }
 
 #[cfg(test)]

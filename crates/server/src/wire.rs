@@ -71,18 +71,15 @@ const TYPE_SUBMIT: u8 = 0x01;
 const TYPE_ANSWER: u8 = 0x02;
 const TYPE_ERROR: u8 = 0x03;
 
-/// A query submission: the remote form of
-/// [`SiriusServer::submit`](crate::SiriusServer::submit) /
-/// [`submit_with_deadline`](crate::SiriusServer::submit_with_deadline) /
-/// [`submit_classed`](crate::SiriusServer::submit_classed).
+/// A query submission: the remote form of a [`Request`](crate::Request)
+/// entering [`SiriusServer::submit`](crate::SiriusServer::submit).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitFrame {
     /// Tenant class for classed (weighted, SLO-gated) admission; empty for
-    /// the class-less submit paths.
+    /// a class-less request.
     pub tenant_class: String,
-    /// Deadline in nanoseconds for deadline-aware admission; `0` means no
-    /// deadline. Ignored when `tenant_class` is set — the class's SLO is
-    /// the deadline then.
+    /// The request's deadline in nanoseconds; `0` means none. Alongside a
+    /// tenant class the tighter of this and the class's SLO applies.
     pub deadline_ns: u64,
     /// Mono PCM audio at 16 kHz.
     pub audio: Vec<f32>,

@@ -8,6 +8,10 @@
 //! 3. With an effectively infinite SLO the deadline-aware policy degrades
 //!    exactly to shed-on-full: only `Overloaded` rejections, no expiries
 //!    (and the near-`Duration::MAX` deadline arithmetic does not panic).
+//! 4. A request naming both a tenant class and a deadline is governed by
+//!    the tighter of the two: a deadline under the class budget gates
+//!    admission and is the deadline reported; a looser one changes nothing
+//!    about classed admission.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -15,7 +19,7 @@ use std::time::Duration;
 use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusConfig};
 use sirius::prepare_input_set;
-use sirius_server::{ServerConfig, SiriusServer, STAGES};
+use sirius_server::{Request, ServerConfig, SiriusServer, TenantClass, STAGES};
 
 static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
 
@@ -34,7 +38,7 @@ fn expired_jobs_complete_with_the_typed_error_and_consume_no_service() {
     // ASR worker dequeues the job.
     assert_eq!(server.expected_sojourn(), Duration::ZERO, "cold estimator");
     let ticket = server
-        .submit_with_deadline(prepared.first().expect("inputs").input(), Duration::ZERO)
+        .submit(Request::from(prepared[0].input()).with_deadline(Duration::ZERO))
         .expect("cold estimator admits a zero deadline");
     match ticket.wait() {
         Err(SiriusError::DeadlineUnmeetable {
@@ -82,7 +86,7 @@ fn deadline_shed_at_admission_carries_a_sane_retry_hint() {
     );
 
     let tiny = Duration::from_nanos(1);
-    match server.submit_with_deadline(prepared.first().expect("inputs").input(), tiny) {
+    match server.submit(Request::from(prepared[0].input()).with_deadline(tiny)) {
         Err(SiriusError::DeadlineUnmeetable {
             expected,
             deadline,
@@ -129,7 +133,7 @@ fn infinite_slo_degrades_to_shed_on_full() {
     let mut shed = 0u64;
     for _ in 0..3 {
         for p in prepared.iter() {
-            match server.submit_with_deadline(p.input(), Duration::MAX) {
+            match server.submit(Request::from(p.input()).with_deadline(Duration::MAX)) {
                 Ok(ticket) => accepted.push(ticket),
                 Err(SiriusError::Overloaded { stage }) => {
                     assert_eq!(stage, "asr", "shedding happens at admission");
@@ -158,5 +162,70 @@ fn infinite_slo_degrades_to_shed_on_full() {
             "{stage}"
         );
     }
+    server.shutdown();
+}
+
+#[test]
+fn a_classed_request_with_a_deadline_is_held_to_the_tighter_of_the_two() {
+    let sirius = shared_sirius();
+    let prepared = prepare_input_set(&sirius, 1729);
+    let slo = Duration::from_millis(400);
+    let server = SiriusServer::start(
+        Arc::clone(&sirius),
+        ServerConfig::default().with_tenant_classes(vec![
+            TenantClass::new("premium", 1, slo, 4),
+            TenantClass::new("best_effort", 0, slo, 1),
+        ]),
+    );
+    // Seed the estimator between best-effort's weighted budget (400 ms × 1/4
+    // = 100 ms) and premium's (400 ms); idle, it reads the same every call.
+    server
+        .metrics()
+        .asr
+        .service_meter
+        .record_duration(Duration::from_millis(300));
+    let expected = server.expected_sojourn();
+    assert!(expected > Duration::from_millis(100) && expected <= slo);
+    let shed = |request: Request| match server.submit(request) {
+        Err(SiriusError::DeadlineUnmeetable {
+            expected: seen,
+            deadline,
+            retry_after,
+        }) => {
+            assert_eq!(seen, expected, "idle estimator");
+            (deadline, retry_after)
+        }
+        Err(other) => panic!("expected a deadline shed, got {other}"),
+        Ok(_) => panic!("expected a deadline shed, got an admit"),
+    };
+
+    // Tighter than the class budget: premium alone would admit (budget
+    // 400 ms), but the request's own 50 ms deadline gates admission and is
+    // the deadline the shed reports.
+    let tight = Duration::from_millis(50);
+    let premium = || Request::from(prepared[0].input()).with_class("premium");
+    assert_eq!(
+        shed(premium().with_deadline(tight)),
+        (tight, expected - tight)
+    );
+
+    // Looser than the class SLO: exactly classed-only admission, hint pinned
+    // to the weighted budget.
+    let loose = Duration::from_secs(10);
+    let best_effort = || Request::from(prepared[1].input()).with_class("best_effort");
+    let classed_only = shed(best_effort());
+    assert_eq!(classed_only, (slo, expected - Duration::from_millis(100)));
+    assert_eq!(shed(best_effort().with_deadline(loose)), classed_only);
+    server
+        .submit(premium().with_deadline(loose))
+        .expect("premium admits under a loose deadline, as it does without one")
+        .wait()
+        .expect("and completes");
+
+    let snap = server.metrics_snapshot();
+    assert_eq!(snap.counter("admission.shed_deadline"), Some(3));
+    assert_eq!(snap.counter("tenant.premium.shed_deadline"), Some(1));
+    assert_eq!(snap.counter("tenant.best_effort.shed_deadline"), Some(2));
+    assert_eq!(snap.counter("tenant.premium.completed"), Some(1));
     server.shutdown();
 }

@@ -16,7 +16,7 @@ use sirius::error::{ClusterError, SiriusError};
 use sirius::pipeline::{Sirius, SiriusConfig, SiriusInput, SiriusOutcome, SiriusResponse};
 use sirius::prepare_input_set;
 use sirius_server::{
-    ClusterConfig, RoutePolicy, ServerConfig, ServerMetrics, SiriusCluster, SiriusServer,
+    ClusterConfig, Request, RoutePolicy, ServerConfig, ServerMetrics, SiriusCluster, SiriusServer,
 };
 
 static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
@@ -144,7 +144,9 @@ fn cluster_deadline_admission_sheds_with_replica_context() {
     // An impossible deadline is shed up front by the routed replica, typed
     // with which replica made the call.
     let err = cluster
-        .submit_with_deadline(prepared[0].input(), std::time::Duration::from_nanos(1))
+        .submit(
+            Request::from(prepared[0].input()).with_deadline(std::time::Duration::from_nanos(1)),
+        )
         .expect_err("1ns deadline cannot be meetable on a warmed runtime");
     match err {
         ClusterError::Replica { replica, source } => {
@@ -158,7 +160,9 @@ fn cluster_deadline_admission_sheds_with_replica_context() {
     }
     // A generous deadline is admitted and served.
     let ok = cluster
-        .submit_with_deadline(prepared[0].input(), std::time::Duration::from_secs(600))
+        .submit(
+            Request::from(prepared[0].input()).with_deadline(std::time::Duration::from_secs(600)),
+        )
         .expect("generous deadline admits")
         .wait()
         .expect("serves");
@@ -184,13 +188,13 @@ fn two_servers_in_one_registry_do_not_alias_metrics() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 4242);
     let registry = sirius_obs::Registry::new();
-    let a = SiriusServer::start_with_metrics(
+    let a = SiriusServer::start_with(
         Arc::clone(&sirius),
         ServerConfig::default(),
         Arc::new(sirius_obs::NoopRecorder),
         ServerMetrics::in_registry(registry.clone(), "replica0."),
     );
-    let b = SiriusServer::start_with_metrics(
+    let b = SiriusServer::start_with(
         Arc::clone(&sirius),
         ServerConfig::default(),
         Arc::new(sirius_obs::NoopRecorder),

@@ -2,7 +2,7 @@
 //! is served, and nothing a client sends may destabilise the server.
 //!
 //! 1. Remote answers over the frame protocol are bit-identical to
-//!    in-process `submit_classed` for the full 42-query input set across
+//!    in-process classed `submit` for the full 42-query input set across
 //!    every tenant class, and the per-tenant ledger accounts for both.
 //! 2. Concurrent remote clients (N threads × tenant classes) stay
 //!    bit-identical and the ledger balances across replicas.
@@ -14,6 +14,9 @@
 //! 5. `GET /metrics` on the same socket serves Prometheus text carrying
 //!    both replica and `net.` series; other paths 404.
 //! 6. Shutdown drains cleanly while a connection is parked mid-stream.
+//! 7. A request naming both a tenant class and a deadline means the same
+//!    thing remotely as in-process (regression: the wire dispatch used to
+//!    drop the deadline whenever a class was named).
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -25,7 +28,7 @@ use sirius::pipeline::{Sirius, SiriusConfig, SiriusResponse};
 use sirius::prepare_input_set;
 use sirius_server::{
     read_frame, ClusterConfig, Frame, FrameRead, NetClient, NetClientError, NetConfig, NetServer,
-    RoutePolicy, ServerConfig, SiriusCluster, TenantClass, WireFault, MAX_FRAME_BODY,
+    Request, RoutePolicy, ServerConfig, SiriusCluster, TenantClass, WireFault, MAX_FRAME_BODY,
 };
 
 static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
@@ -76,6 +79,20 @@ fn tenant_total(net: &NetServer, class: &str, counter: &str) -> u64 {
         .merged_counter(&snap, &format!("tenant.{class}.{counter}"))
 }
 
+/// `net.frames_out`, given a bounded moment to reach `expected`: a handler
+/// counts a frame after writing it, so the client can hold its answer a
+/// beat before the counter lands.
+fn settled_frames_out(net: &NetServer, expected: u64) -> Option<u64> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let seen = net.cluster().metrics_snapshot().counter("net.frames_out");
+        if seen == Some(expected) || std::time::Instant::now() >= deadline {
+            return seen;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn remote_answers_are_bit_identical_to_in_process_across_tenant_classes() {
     let net = start_net(2);
@@ -90,14 +107,14 @@ fn remote_answers_are_bit_identical_to_in_process_across_tenant_classes() {
             .expect("remote classed query served");
         let local = net
             .cluster()
-            .submit_classed(p.input(), class)
+            .submit(Request::from(p.input()).with_class(class))
             .expect("in-process admit")
             .wait()
             .expect("in-process query served");
         assert_eq!(
             payload(&remote),
             payload(&local),
-            "remote answer must be bit-identical to in-process submit_classed (query {i})"
+            "remote answer must be bit-identical to in-process classed submit (query {i})"
         );
     }
 
@@ -121,7 +138,7 @@ fn remote_answers_are_bit_identical_to_in_process_across_tenant_classes() {
 
     let snap = net.cluster().metrics_snapshot();
     assert_eq!(snap.counter("net.frames_in"), Some(42));
-    assert_eq!(snap.counter("net.frames_out"), Some(42));
+    assert_eq!(settled_frames_out(&net, 42), Some(42));
     assert_eq!(snap.counter("net.errors_protocol"), Some(0));
     assert_eq!(snap.counter("net.handler_panics"), Some(0));
     assert!(snap.counter("net.bytes_in").unwrap() > 0);
@@ -194,7 +211,10 @@ fn concurrent_remote_clients_stay_bit_identical_and_balance_the_ledger() {
     let snap = net.cluster().metrics_snapshot();
     let remote_queries = 2 * prepared.len() as u64; // 6 threads × 14 queries
     assert_eq!(snap.counter("net.frames_in"), Some(remote_queries));
-    assert_eq!(snap.counter("net.frames_out"), Some(remote_queries));
+    assert_eq!(
+        settled_frames_out(&net, remote_queries),
+        Some(remote_queries)
+    );
     assert_eq!(snap.counter("net.handler_panics"), Some(0));
     assert_eq!(snap.counter("net.connections_opened"), Some(THREADS as u64));
     net.shutdown();
@@ -292,7 +312,7 @@ fn hostile_frames_get_typed_errors_and_the_listener_survives() {
         .expect("server survives hostile peers");
     let local = net
         .cluster()
-        .submit_classed(prepared[0].input(), "premium")
+        .submit(Request::from(prepared[0].input()).with_class("premium"))
         .unwrap()
         .wait()
         .unwrap();
@@ -438,4 +458,60 @@ fn shutdown_drains_cleanly_with_a_parked_connection() {
     if let Ok(r) = client.submit(&prepared[0].input(), "premium", None) {
         panic!("server answered after shutdown: {:?}", r.outcome);
     }
+}
+
+#[test]
+fn a_classed_deadline_survives_the_wire() {
+    let net = start_net(1);
+    let prepared = prepare_input_set(&shared_sirius(), 1729);
+    let input = prepared[0].input();
+    let mut client = NetClient::connect(net.local_addr()).expect("client connects");
+    // Seed the replica's estimator; idle, it reads the same on every call.
+    net.cluster().replicas()[0]
+        .metrics()
+        .asr
+        .service_meter
+        .record_duration(Duration::from_millis(300));
+    let expected = net.cluster().expected_sojourn();
+
+    // Tighter than the (hour-scale) class budget: the remote shed is the
+    // in-process shed, reporting the request's own deadline.
+    let tight = Duration::from_millis(50);
+    let remote = match client.submit(&input, "premium", Some(tight)) {
+        Err(NetClientError::Fault(WireFault::Cluster(e))) => e,
+        other => panic!("the tight deadline must be shed remotely, got {other:?}"),
+    };
+    let local = net
+        .cluster()
+        .submit(
+            Request::from(input.clone())
+                .with_class("premium")
+                .with_deadline(tight),
+        )
+        .expect_err("and in-process");
+    assert_eq!(remote, local);
+    assert_eq!(
+        local,
+        ClusterError::Replica {
+            replica: 0,
+            source: SiriusError::DeadlineUnmeetable {
+                expected,
+                deadline: tight,
+                retry_after: expected - tight,
+            },
+        }
+    );
+    assert_eq!(tenant_total(&net, "premium", "shed_deadline"), 2);
+
+    // Looser than the class SLO: served, exactly as classed-only.
+    let loose = Duration::from_secs(2 * 3600);
+    let remote = client
+        .submit(&input, "premium", Some(loose))
+        .expect("a loose deadline is served");
+    let classed_only = client
+        .submit(&input, "premium", None)
+        .expect("classed-only served");
+    assert_eq!(payload(&remote), payload(&classed_only));
+    assert_eq!(tenant_total(&net, "premium", "completed"), 2);
+    net.shutdown();
 }

@@ -12,6 +12,10 @@
 //! 6. The admission ledger must balance even when deadlines expire jobs:
 //!    accepted = completed + failed, with the sojourn histograms and
 //!    per-stage expiry counters splitting the two sides exactly.
+//! 7. Refactor guards: the exported metric names are a golden list, and
+//!    every query leaves exactly the spans its route implies under each
+//!    ASR variant — so a renamed metric or a dropped/doubled span fails
+//!    here instead of silently emptying a `BENCHMARK.json` per-layer row.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -19,8 +23,13 @@ use std::time::Duration;
 use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusConfig, SiriusOutcome};
 use sirius::prepare_input_set;
+use sirius::taxonomy::QueryKind;
 use sirius_obs::{CollectingRecorder, SpanKind};
-use sirius_server::{ServerConfig, SiriusServer};
+use sirius_server::{
+    BatchPolicy, CachePolicy, Request, ServerConfig, ServerMetrics, SiriusServer, StreamPolicy,
+    TenantClass,
+};
+use sirius_speech::asr::AcousticModelKind;
 
 static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
 
@@ -134,10 +143,11 @@ fn recorder_sees_every_span_of_every_query() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 777);
     let recorder = Arc::new(CollectingRecorder::new());
-    let server = SiriusServer::start_with_recorder(
+    let server = SiriusServer::start_with(
         Arc::clone(&sirius),
         ServerConfig::default(),
         Arc::<CollectingRecorder>::clone(&recorder),
+        ServerMetrics::new(),
     );
     let n = 6;
     for p in prepared.iter().take(n) {
@@ -174,17 +184,18 @@ fn failed_queries_still_record_a_terminal_total_span() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 555);
     let recorder = Arc::new(CollectingRecorder::new());
-    let server = SiriusServer::start_with_recorder(
+    let server = SiriusServer::start_with(
         Arc::clone(&sirius),
         ServerConfig::default(),
         Arc::<CollectingRecorder>::clone(&recorder),
+        ServerMetrics::new(),
     );
 
     // On a cold server the sojourn estimator reads zero, so a nanosecond
     // deadline is admitted — and then expires in the ASR queue before any
     // worker can serve it.
     let ticket = server
-        .submit_with_deadline(prepared[0].input(), Duration::from_nanos(1))
+        .submit(Request::from(prepared[0].input()).with_deadline(Duration::from_nanos(1)))
         .expect("cold estimator admits everything");
     let err = ticket.wait().expect_err("deadline must expire in queue");
     assert!(matches!(err, SiriusError::DeadlineUnmeetable { .. }));
@@ -273,7 +284,7 @@ fn admission_ledger_balances_with_expiring_deadlines() {
     for _ in 0..3 {
         for p in prepared.iter() {
             let slo = server.expected_sojourn() + Duration::from_micros(200);
-            match server.submit_with_deadline(p.input(), slo) {
+            match server.submit(Request::from(p.input()).with_deadline(slo)) {
                 Ok(t) => tickets.push(t),
                 Err(SiriusError::DeadlineUnmeetable { .. }) => shed += 1,
                 Err(SiriusError::Overloaded { .. }) => shed += 1,
@@ -345,4 +356,211 @@ fn snapshot_exports_queue_gauges_and_renders() {
     assert!(prom.contains("# TYPE asr_service_ns summary"));
     assert!(prom.contains("asr_queue_capacity 7"));
     server.shutdown();
+}
+
+/// Every metric name a fully-featured server exports, sorted. A rename or
+/// a dropped registration must be a deliberate edit of this list (and of
+/// whatever `BENCHMARK.json` per-layer row reads the metric).
+const GOLDEN_METRIC_NAMES: &[&str] = &[
+    "admission.accepted",
+    "admission.rejected_shutdown",
+    "admission.shed",
+    "admission.shed_deadline",
+    "asr.batch_flush_full",
+    "asr.batch_flush_timeout",
+    "asr.batch_size",
+    "asr.commit_latency_ns",
+    "asr.expired",
+    "asr.in_flight",
+    "asr.panics",
+    "asr.partials_emitted",
+    "asr.queue_capacity",
+    "asr.queue_depth",
+    "asr.queue_wait_ns",
+    "asr.service_ewma_ns",
+    "asr.service_ns",
+    "asr.spec_dispatched",
+    "asr.spec_hit",
+    "asr.spec_miss",
+    "cache.imm.entries",
+    "cache.imm.eviction",
+    "cache.imm.hit",
+    "cache.imm.insert",
+    "cache.imm.miss",
+    "cache.imm.stale",
+    "cache.qa.entries",
+    "cache.qa.eviction",
+    "cache.qa.hit",
+    "cache.qa.insert",
+    "cache.qa.miss",
+    "cache.qa.stale",
+    "classify.expired",
+    "classify.in_flight",
+    "classify.panics",
+    "classify.queue_capacity",
+    "classify.queue_depth",
+    "classify.queue_wait_ns",
+    "classify.service_ewma_ns",
+    "classify.service_ns",
+    "completed",
+    "e2e.first_partial_ns",
+    "failed",
+    "imm.expired",
+    "imm.in_flight",
+    "imm.panics",
+    "imm.queue_capacity",
+    "imm.queue_depth",
+    "imm.queue_wait_ns",
+    "imm.service_ewma_ns",
+    "imm.service_ns",
+    "qa.expired",
+    "qa.in_flight",
+    "qa.panics",
+    "qa.queue_capacity",
+    "qa.queue_depth",
+    "qa.queue_wait_ns",
+    "qa.service_ewma_ns",
+    "qa.service_ns",
+    "sojourn_failed_ns",
+    "sojourn_ns",
+    "tenant.best_effort.accepted",
+    "tenant.best_effort.cache_hit",
+    "tenant.best_effort.completed",
+    "tenant.best_effort.failed",
+    "tenant.best_effort.in_flight",
+    "tenant.best_effort.shed_deadline",
+    "tenant.best_effort.sojourn_ns",
+    "tenant.premium.accepted",
+    "tenant.premium.cache_hit",
+    "tenant.premium.completed",
+    "tenant.premium.failed",
+    "tenant.premium.in_flight",
+    "tenant.premium.shed_deadline",
+    "tenant.premium.sojourn_ns",
+];
+
+#[test]
+fn exported_metric_names_are_golden() {
+    let config = ServerConfig::default()
+        .with_tenant_classes(vec![
+            TenantClass::new("premium", 1, Duration::from_secs(60), 2),
+            TenantClass::new("best_effort", 0, Duration::from_secs(60), 1),
+        ])
+        .with_cache_policy(CachePolicy::enabled())
+        .with_batch_policy(BatchPolicy::new(4, Duration::from_millis(1)))
+        .with_stream_policy(StreamPolicy::new(Duration::from_millis(160)).with_speculation());
+    let server = SiriusServer::start(shared_sirius(), config);
+    let snap = server.metrics_snapshot();
+    server.shutdown();
+
+    let mut names: Vec<&str> = snap
+        .counters
+        .iter()
+        .map(|(n, _)| n)
+        .chain(snap.gauges.iter().map(|(n, _)| n))
+        .chain(snap.histograms.iter().map(|(n, _)| n))
+        .chain(snap.meters.iter().map(|(n, _)| n))
+        .map(String::as_str)
+        .collect();
+    names.sort_unstable();
+    assert_eq!(names, GOLDEN_METRIC_NAMES);
+}
+
+/// The sorted span multiset of a query served by exactly `stages`: one
+/// queue-wait and one service span per stage, plus the terminal total.
+fn spans_through(stages: &[&'static str]) -> Vec<(&'static str, &'static str)> {
+    let mut spans: Vec<_> = stages
+        .iter()
+        .flat_map(|s| [(*s, "queue_wait"), (*s, "service")])
+        .collect();
+    spans.push(("total", "total"));
+    spans.sort_unstable();
+    spans
+}
+
+#[test]
+fn every_query_leaves_exactly_the_spans_of_its_route() {
+    let sirius = shared_sirius();
+    let prepared = prepare_input_set(&sirius, 1618);
+    let cached = || ServerConfig::default().with_cache_policy(CachePolicy::enabled());
+    let streaming = StreamPolicy::new(Duration::from_millis(160));
+    let mut batched_dnn = cached().with_batch_policy(BatchPolicy::new(4, Duration::from_millis(1)));
+    batched_dnn.acoustic = AcousticModelKind::Dnn;
+    let modes = [
+        ("plain", cached()),
+        ("batched-dnn", batched_dnn),
+        ("streaming", cached().with_stream_policy(streaming)),
+        (
+            "streaming+speculation",
+            cached().with_stream_policy(streaming.with_speculation()),
+        ),
+    ];
+
+    for (mode, config) in modes {
+        let recorder = Arc::new(CollectingRecorder::new());
+        let server = SiriusServer::start_with(
+            Arc::clone(&sirius),
+            config,
+            Arc::<CollectingRecorder>::clone(&recorder),
+            ServerMetrics::new(),
+        );
+        // Runs one query and returns its result, the spans it left (sorted)
+        // and whether a speculation confirmed it. The terminal span is
+        // recorded before the ticket completes, so once `wait` returns the
+        // recorder holds every span of the query.
+        let run = |input, deadline: Option<Duration>| {
+            let before = recorder.events().len();
+            let hits_before = server.metrics().stream.spec_hit.get();
+            let request = Request {
+                input,
+                class: None,
+                deadline,
+            };
+            let result = server.submit(request).expect("idle server admits").wait();
+            let mut spans: Vec<_> = recorder.events()[before..]
+                .iter()
+                .map(|(stage, kind, _)| (*stage, kind.label()))
+                .collect();
+            spans.sort_unstable();
+            let confirmed = server.metrics().stream.spec_hit.get() > hits_before;
+            (result, spans, confirmed)
+        };
+
+        // Expired: the cold estimator admits a 1 ns deadline, which has
+        // passed by the time the ASR worker dequeues the job — a queue
+        // wait, no service, one terminal span.
+        let (result, spans, _) = run(prepared[0].input(), Some(Duration::from_nanos(1)));
+        assert!(
+            matches!(result, Err(SiriusError::DeadlineUnmeetable { .. })),
+            "{mode}"
+        );
+        assert_eq!(spans, [("asr", "queue_wait"), ("total", "total")], "{mode}");
+
+        for kind in QueryKind::ALL {
+            let query = prepared
+                .iter()
+                .find(|p| p.spec.kind == kind)
+                .expect("the input set has every kind");
+            let (result, spans, confirmed) = run(query.input(), None);
+            let response = result.expect("query served");
+            let expected = match response.outcome {
+                // A confirmed speculation completes at the ASR worker.
+                _ if confirmed => spans_through(&["asr"]),
+                SiriusOutcome::Action(_) => spans_through(&["asr", "classify"]),
+                SiriusOutcome::Answer(_) => spans_through(&["asr", "classify", "imm", "qa"]),
+            };
+            assert_eq!(spans, expected, "{mode} {kind:?}");
+
+            // The repeat is a cache hit at ASR commit (or a confirmed
+            // speculation): either way it never reaches another queue.
+            let (result, spans, _) = run(query.input(), None);
+            assert_eq!(result.expect("repeat served").outcome, response.outcome);
+            assert_eq!(spans, spans_through(&["asr"]), "{mode} {kind:?} repeat");
+        }
+        let (hits, _) = server.caches().expect("cache enabled").totals();
+        if !mode.ends_with("speculation") {
+            assert_eq!(hits, 3, "{mode}: every repeat was a cache hit");
+        }
+        server.shutdown();
+    }
 }

@@ -22,7 +22,8 @@ use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusConfig, SiriusResponse};
 use sirius::prepare_input_set;
 use sirius_server::{
-    CachePolicy, ClusterConfig, RoutePolicy, ServerConfig, SiriusCluster, SiriusServer, TenantClass,
+    CachePolicy, ClusterConfig, Request, RoutePolicy, ServerConfig, SiriusCluster, SiriusServer,
+    TenantClass,
 };
 
 static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
@@ -229,9 +230,9 @@ fn weighted_admission_sheds_best_effort_before_premium() {
     );
 
     let premium = server
-        .submit_classed(prepared[0].input(), "premium")
+        .submit(Request::from(prepared[0].input()).with_class("premium"))
         .expect("premium is admitted at full weight");
-    match server.submit_classed(prepared[1].input(), "best_effort") {
+    match server.submit(Request::from(prepared[1].input()).with_class("best_effort")) {
         Err(SiriusError::DeadlineUnmeetable {
             expected,
             deadline,
@@ -272,12 +273,12 @@ fn classed_cache_hits_are_attributed_to_their_tenant() {
 
     let input = prepared[0].input();
     let cold = server
-        .submit_classed(input.clone(), "premium")
+        .submit(Request::from(input.clone()).with_class("premium"))
         .expect("cold query admitted")
         .wait()
         .expect("cold query served");
     let warm = server
-        .submit_classed(input, "best_effort")
+        .submit(Request::from(input).with_class("best_effort"))
         .expect("warm query admitted on a cold estimator")
         .wait()
         .expect("warm query served");
@@ -295,7 +296,7 @@ fn unknown_tenant_class_is_a_typed_error() {
     let sirius = shared_sirius();
     let prepared = prepare_input_set(&sirius, 99);
     let server = SiriusServer::start(Arc::clone(&sirius), tenant_config());
-    match server.submit_classed(prepared[0].input(), "platinum") {
+    match server.submit(Request::from(prepared[0].input()).with_class("platinum")) {
         Err(SiriusError::UnknownTenantClass { class }) => assert_eq!(class, "platinum"),
         Err(other) => panic!("expected UnknownTenantClass, got {other:?}"),
         Ok(_) => panic!("expected UnknownTenantClass, got an admit"),
@@ -317,7 +318,7 @@ fn cluster_routes_classed_traffic_with_per_replica_accounting() {
 
     for p in prepared.iter().take(8) {
         cluster
-            .submit_classed(p.input(), "premium")
+            .submit(Request::from(p.input()).with_class("premium"))
             .expect("premium admitted on idle cluster")
             .wait()
             .expect("query served");

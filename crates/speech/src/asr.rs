@@ -16,7 +16,9 @@ use rand_chacha::ChaCha8Rng;
 use crate::dnn::{Dnn, DnnTrainConfig};
 use crate::features::{Frontend, FEATURE_DIM, FRAME_HOP, FRAME_LEN};
 use crate::gmm::Gmm;
-use crate::hmm::{AcousticScorer, Decoder, DecoderConfig, DnnScorer, GmmScorer, WindowScorer};
+use crate::hmm::{
+    AcousticScorer, DecodeResult, Decoder, DecoderConfig, DnnScorer, GmmScorer, WindowScorer,
+};
 use crate::lexicon::{Lexicon, NUM_STATES, STATES_PER_PHONE};
 use crate::lm::BigramLm;
 use crate::synth::{SynthConfig, Synthesizer, Utterance};
@@ -114,6 +116,30 @@ pub struct AsrOutput {
     /// Confidence in `[0, 1]` from the Viterbi margin (1.0 when no
     /// competing hypothesis survived).
     pub confidence: f32,
+}
+
+impl AsrOutput {
+    /// The output of a finished decode over `frames` acoustic frames; an
+    /// utterance that decoded to nothing is the empty text at zero
+    /// confidence. Shared by the whole-utterance, collector-backed and
+    /// streaming recognizers so the three cannot drift apart.
+    pub(crate) fn from_decode(
+        decoded: Option<DecodeResult>,
+        frames: usize,
+        timing: AsrTiming,
+    ) -> Self {
+        let (text, tokens_expanded, confidence) = match decoded {
+            Some(r) => (r.words.join(" "), r.tokens_expanded, r.confidence(frames)),
+            None => (String::new(), 0, 0.0),
+        };
+        Self {
+            text,
+            timing,
+            frames,
+            tokens_expanded,
+            confidence,
+        }
+    }
 }
 
 /// A trained speech recognizer with both GMM and DNN acoustic models.
@@ -361,27 +387,16 @@ impl AsrSystem {
             }
         };
 
-        let num_frames = frames.len();
-        let (text, tokens_expanded, confidence) = match decoded {
-            Some(r) => (
-                r.words.join(" "),
-                r.tokens_expanded,
-                r.confidence(num_frames),
-            ),
-            None => (String::new(), 0, 0.0),
-        };
-        AsrOutput {
-            text,
-            timing: AsrTiming {
+        AsrOutput::from_decode(
+            decoded,
+            frames.len(),
+            AsrTiming {
                 feature_extraction,
                 scoring,
                 search,
                 total: t_total.elapsed(),
             },
-            frames: frames.len(),
-            tokens_expanded,
-            confidence,
-        }
+        )
     }
 
     /// Starts a streaming recognition session with the selected acoustic
@@ -432,27 +447,16 @@ impl AsrSystem {
         let scoring = scores.compute_time();
         let search = t.elapsed().saturating_sub(scoring);
 
-        let num_frames = frames.len();
-        let (text, tokens_expanded, confidence) = match decoded {
-            Some(r) => (
-                r.words.join(" "),
-                r.tokens_expanded,
-                r.confidence(num_frames),
-            ),
-            None => (String::new(), 0, 0.0),
-        };
-        AsrOutput {
-            text,
-            timing: AsrTiming {
+        AsrOutput::from_decode(
+            decoded,
+            frames.len(),
+            AsrTiming {
                 feature_extraction,
                 scoring,
                 search,
                 total: t_total.elapsed(),
             },
-            frames: num_frames,
-            tokens_expanded,
-            confidence,
-        }
+        )
     }
 }
 

@@ -229,28 +229,17 @@ impl<'a> StreamingRecognizer<'a> {
         self.advance_to(self.feats.len());
         self.refresh_committed();
         let decoded = self.sdec.finish(self.asr.lexicon());
-        let num_frames = self.feats.len();
-        let (text, tokens_expanded, confidence) = match decoded {
-            Some(r) => (
-                r.words.join(" "),
-                r.tokens_expanded,
-                r.confidence(num_frames),
-            ),
-            None => (String::new(), 0, 0.0),
-        };
         self.active += start.elapsed();
-        Ok(AsrOutput {
-            text,
-            timing: AsrTiming {
+        Ok(AsrOutput::from_decode(
+            decoded,
+            self.feats.len(),
+            AsrTiming {
                 feature_extraction: self.feature_time,
                 scoring: self.scoring,
                 search: self.search,
                 total: self.active,
             },
-            frames: num_frames,
-            tokens_expanded,
-            confidence,
-        })
+        ))
     }
 
     /// Extracts every cepstra frame fully contained in the ingested audio

@@ -25,37 +25,22 @@ cargo test --release -p sirius-obs -q
 echo "==> cargo test --release -p sirius-cache -q (keyed result-cache unit gates)"
 cargo test --release -p sirius-cache -q
 
-echo "==> cargo test --release -p sirius-server -q (concurrency + telemetry gates)"
+echo "==> cargo test --release -p sirius-server -q (every server gate: concurrency, telemetry, admission, batching, streaming, cluster, qos, net)"
 cargo test --release -p sirius-server -q
-
-echo "==> cargo test --release -p sirius-server --test admission -q (deadline-aware admission gates)"
-cargo test --release -p sirius-server --test admission -q
-
-echo "==> cargo test --release -p sirius-server --test batching -q (cross-query batching equivalence gate)"
-cargo test --release -p sirius-server --test batching -q
 
 echo "==> cargo test --release -p sirius-speech --test streaming_equivalence -q (streaming ASR bit-identity + stable-prefix gates)"
 cargo test --release -p sirius-speech --test streaming_equivalence -q
 
-echo "==> cargo test --release -p sirius-server --test streaming -q (streaming serving equivalence + telemetry gates)"
-cargo test --release -p sirius-server --test streaming -q
-
 echo "==> cargo test --release -p sirius --test cluster_equivalence -q (sharded scatter-gather bit-identity gates)"
 cargo test --release -p sirius --test cluster_equivalence -q
-
-echo "==> cargo test --release -p sirius-server --test cluster -q (cluster routing equivalence + shared-registry gates)"
-cargo test --release -p sirius-server --test cluster -q
-
-echo "==> cargo test --release -p sirius-server --test qos -q (tenant-class admission + result-cache bit-identity gates)"
-cargo test --release -p sirius-server --test qos -q
-
-echo "==> cargo test --release -p sirius-server --test net -q (loopback network front-end + hostile-frame gates)"
-cargo test --release -p sirius-server --test net -q
 
 echo "==> cargo test --release -p sirius-codec -q (wire codec hardening gates)"
 cargo test --release -p sirius-codec -q
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
+
+echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml (frozen benchmark surface still compiles)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> all checks passed"
