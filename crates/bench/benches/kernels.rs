@@ -80,7 +80,7 @@ fn bench_decode_eager_vs_lazy(c: &mut Criterion) {
     group.bench_function("dnn_lazy", |b| {
         b.iter(|| {
             for frames in utts {
-                let mut scores = asr.dnn_scorer().lazy_scores(frames);
+                let mut scores = asr.dnn_scorer().lazy_scores(frames, None);
                 black_box(decoder.decode_lazy(&mut scores, asr.lm(), asr.lexicon()));
             }
         })

@@ -2,9 +2,13 @@
 //!
 //! Measures the three pairs the PR optimizes — eager vs lazy end-to-end ASR
 //! decode (GMM and DNN), per-frame matvec vs GEMM-batched DNN forward, and
-//! AoS vs SoA GMM scoring — and prints a JSON summary to stdout. The repo's
-//! vendored criterion shim has no JSON reporter, so this binary hand-rolls
-//! the one artifact the experiment recipe records (`BENCH_kernels.json`).
+//! AoS vs SoA GMM scoring — and prints a JSON summary to stdout. Beside the
+//! lazy decode it times the same utterances through the streaming
+//! recognizer as a single chunk (`streaming_one_chunk_ms`), the number that
+//! says what serving whole utterances through the streaming path would
+//! cost. The repo's vendored criterion shim has no JSON reporter, so this
+//! binary hand-rolls the one artifact the experiment recipe records
+//! (`BENCH_kernels.json`).
 //!
 //! Usage: `bench_kernels [--reps N]` (default 5; medians over reps).
 
@@ -36,6 +40,7 @@ fn median(samples: &mut [f64]) -> f64 {
 struct DecodePair {
     eager_ms: f64,
     lazy_ms: f64,
+    streaming_one_chunk_ms: f64,
     fe_ms: f64,
     scoring_ms: f64,
     search_ms: f64,
@@ -50,6 +55,7 @@ fn bench_decode(
 ) -> DecodePair {
     let mut eager = Vec::with_capacity(reps);
     let mut lazy = Vec::with_capacity(reps);
+    let mut one_chunk = Vec::with_capacity(reps);
     let mut fe = Vec::with_capacity(reps);
     let mut scoring = Vec::with_capacity(reps);
     let mut search = Vec::with_capacity(reps);
@@ -74,6 +80,14 @@ fn bench_decode(
             se_s += out.timing.search.as_secs_f64() * 1e3;
         }
         lazy.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        for (samples, expect) in utts.iter().zip(&eager_texts) {
+            let mut rec = asr.streaming(kind);
+            rec.push_chunk(samples).expect("clean synthesized audio");
+            let out = rec.finish().expect("non-empty utterance");
+            outputs_match &= out.text == *expect;
+        }
+        one_chunk.push(t.elapsed().as_secs_f64() * 1e3);
         fe.push(fe_s);
         scoring.push(sc_s);
         search.push(se_s);
@@ -81,6 +95,7 @@ fn bench_decode(
     DecodePair {
         eager_ms: median(&mut eager),
         lazy_ms: median(&mut lazy),
+        streaming_one_chunk_ms: median(&mut one_chunk),
         fe_ms: median(&mut fe),
         scoring_ms: median(&mut scoring),
         search_ms: median(&mut search),
@@ -94,6 +109,7 @@ fn decode_json(name: &str, p: &DecodePair) -> String {
             "    \"{}\": {{\n",
             "      \"eager_ms\": {:.3},\n",
             "      \"lazy_ms\": {:.3},\n",
+            "      \"streaming_one_chunk_ms\": {:.3},\n",
             "      \"speedup\": {:.2},\n",
             "      \"outputs_match\": {},\n",
             "      \"lazy_breakdown_ms\": {{ \"feature_extraction\": {:.3}, \"scoring\": {:.3}, \"search\": {:.3} }}\n",
@@ -102,6 +118,7 @@ fn decode_json(name: &str, p: &DecodePair) -> String {
         name,
         p.eager_ms,
         p.lazy_ms,
+        p.streaming_one_chunk_ms,
         p.eager_ms / p.lazy_ms,
         p.outputs_match,
         p.fe_ms,

@@ -48,30 +48,20 @@ pub use pipeline::{
     ShardDirectory, Sirius, SiriusConfig, SiriusInput, SiriusOutcome, SiriusResponse,
 };
 pub use profile::Profiler;
-pub use stage::Stage;
 pub use taxonomy::{input_set, QueryKind, QuerySpec};
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use std::sync::{Arc, OnceLock};
+    use std::sync::OnceLock;
 
     use crate::pipeline::{Sirius, SiriusConfig};
 
-    static SIRIUS: OnceLock<Arc<Sirius>> = OnceLock::new();
-
-    fn shared() -> &'static Arc<Sirius> {
-        SIRIUS.get_or_init(|| Arc::new(Sirius::build(SiriusConfig::default())))
-    }
+    static SIRIUS: OnceLock<Sirius> = OnceLock::new();
 
     /// A shared Sirius instance for tests (building one trains every model,
     /// which costs seconds; share it across the test binary).
     pub fn shared_sirius() -> &'static Sirius {
-        shared()
-    }
-
-    /// The same shared instance behind an [`Arc`], for stage wrappers.
-    pub fn shared_sirius_arc() -> Arc<Sirius> {
-        Arc::clone(shared())
+        SIRIUS.get_or_init(|| Sirius::build(SiriusConfig::default()))
     }
 }
 

@@ -481,11 +481,7 @@ impl Sirius {
 
     /// Stage 1: speech recognition.
     pub fn stage_asr(&self, req: AsrRequest) -> Result<AsrResponse, SiriusError> {
-        let out = self.asr.recognize(&req.audio, req.acoustic);
-        Ok(AsrResponse {
-            recognized: out.text,
-            timing: out.timing,
-        })
+        Ok(self.asr.recognize(&req.audio, req.acoustic).into())
     }
 
     /// Stage 2: query classification (action extraction included, so the

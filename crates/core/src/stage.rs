@@ -4,48 +4,26 @@
 //! services in a row — ASR, the query classifier, image matching and QA —
 //! and the datacenter sections of the paper (Figures 16/17, Tables 8/9)
 //! treat each one as an independently provisioned server. This module gives
-//! each service a typed request/response message pair and a [`Stage`]
-//! implementation, so the same code path can run either synchronously
-//! (composed by [`Sirius::try_process_with`]) or behind per-stage worker
-//! pools and bounded queues (the `sirius-server` runtime). Both paths invoke
-//! the identical stage methods in the identical order per query, so their
-//! outputs are bit-identical by construction.
+//! each service a typed request/response message pair; the service itself is
+//! a `Sirius::stage_*` method taking one and returning the other, so the same
+//! code path can run either synchronously (composed by
+//! [`Sirius::try_process_with`]) or behind per-stage worker pools and bounded
+//! queues (the `sirius-server` runtime, which names its stages in
+//! `sirius_server::STAGES`). Both paths invoke the identical stage methods in
+//! the identical order per query, so their outputs are bit-identical by
+//! construction.
 //!
 //! [`Sirius::process`]: crate::pipeline::Sirius::process
 //! [`Sirius::try_process_with`]: crate::pipeline::Sirius::try_process_with
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use sirius_nlp::qa::QaBreakdown;
-use sirius_speech::asr::{AcousticModelKind, AsrTiming};
+use sirius_speech::asr::{AcousticModelKind, AsrOutput, AsrTiming};
 use sirius_vision::db::ImmTiming;
 use sirius_vision::image::GrayImage;
 
 use crate::classifier::{DeviceAction, QueryClass};
-use crate::error::SiriusError;
-use crate::pipeline::Sirius;
-
-/// One pipeline stage: a typed request in, a typed response (or a typed
-/// error) out.
-///
-/// Implementations must be freely shareable across worker threads: a stage
-/// holds only immutable trained state, and every per-query value travels in
-/// the request/response messages.
-pub trait Stage: Send + Sync {
-    /// The message this stage consumes.
-    type Req: Send + 'static;
-    /// The message this stage produces.
-    type Resp: Send + 'static;
-
-    /// Short stable stage name, used for queue labels and
-    /// [`SiriusError::Overloaded`] attribution.
-    fn name(&self) -> &'static str;
-
-    /// Processes one request. Must not panic on malformed input — errors
-    /// come back as [`SiriusError`] values.
-    fn handle(&self, req: Self::Req) -> Result<Self::Resp, SiriusError>;
-}
 
 /// Request to the speech-recognition stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +41,15 @@ pub struct AsrResponse {
     pub recognized: String,
     /// Stage timing breakdown.
     pub timing: AsrTiming,
+}
+
+impl From<AsrOutput> for AsrResponse {
+    fn from(out: AsrOutput) -> Self {
+        Self {
+            recognized: out.text,
+            timing: out.timing,
+        }
+    }
 }
 
 /// Request to the query-classifier stage.
@@ -121,72 +108,9 @@ pub struct QaResponse {
     pub breakdown: QaBreakdown,
 }
 
-macro_rules! sirius_stage {
-    ($(#[$doc:meta])* $name:ident, $label:literal, $req:ty, $resp:ty, $method:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name(pub Arc<Sirius>);
-
-        impl Stage for $name {
-            type Req = $req;
-            type Resp = $resp;
-
-            fn name(&self) -> &'static str {
-                $label
-            }
-
-            fn handle(&self, req: Self::Req) -> Result<Self::Resp, SiriusError> {
-                self.0.$method(req)
-            }
-        }
-    };
-}
-
-sirius_stage!(
-    /// The ASR service as a [`Stage`] over a shared assistant.
-    AsrStage,
-    "asr",
-    AsrRequest,
-    AsrResponse,
-    stage_asr
-);
-sirius_stage!(
-    /// The query classifier as a [`Stage`] over a shared assistant.
-    ClassifyStage,
-    "classify",
-    ClassifyRequest,
-    ClassifyResponse,
-    stage_classify
-);
-sirius_stage!(
-    /// The image-matching service as a [`Stage`] over a shared assistant.
-    ImmStage,
-    "imm",
-    ImmRequest,
-    ImmResponse,
-    stage_imm
-);
-sirius_stage!(
-    /// The question-answering service as a [`Stage`] over a shared assistant.
-    QaStage,
-    "qa",
-    QaRequest,
-    QaResponse,
-    stage_qa
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_names_are_stable() {
-        let sirius = crate::test_support::shared_sirius_arc();
-        assert_eq!(AsrStage(Arc::clone(&sirius)).name(), "asr");
-        assert_eq!(ClassifyStage(Arc::clone(&sirius)).name(), "classify");
-        assert_eq!(ImmStage(Arc::clone(&sirius)).name(), "imm");
-        assert_eq!(QaStage(sirius).name(), "qa");
-    }
 
     #[test]
     fn classify_stage_extracts_actions_only_for_commands() {

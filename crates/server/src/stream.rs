@@ -22,7 +22,7 @@
 //!    downstream ever observes a wrong prefix.
 //!
 //! Both paths are bit-identical to the serial pipeline: the streaming
-//! recognizer's final hypothesis equals batch `recognize_with_mode` by
+//! recognizer's final hypothesis equals batch `recognize` by
 //! construction, and the downstream stages are pure functions of the
 //! recognized text and the image, so a payload computed speculatively on
 //! the (confirmed) final text equals the one the staged path would compute.
@@ -33,9 +33,12 @@
 //! pipeline's response rather than a typed streaming error the serial path
 //! would never surface.
 //!
-//! Streaming is one of the three things the runtime's single ASR stage
-//! value (`AsrStage`) can be; the generic worker pool runs all of them
-//! through the same dequeue / expire / `catch_unwind` / timing loop.
+//! Streaming is one of the two ways the runtime's single ASR stage value
+//! (`AsrStage`) drives the recognizer — whole utterance or chunk by chunk —
+//! and either way the scorer is one [`Acoustic`] value built per request:
+//! the request's model, with the batch collector as the DNN's remote scorer
+//! when one exists. The generic worker pool runs all of it through the same
+//! dequeue / expire / `catch_unwind` / timing loop.
 //!
 //! [`Sirius::try_process_with`]: sirius::pipeline::Sirius::try_process_with
 
@@ -49,9 +52,8 @@ use sirius::pipeline::{Sirius, SiriusOutcome};
 use sirius::stage::{AsrRequest, AsrResponse, ClassifyRequest, ImmRequest, QaRequest};
 use sirius_nlp::qa::QaBreakdown;
 use sirius_par::queue::{bounded, Receiver, Sender};
-use sirius_speech::asr::AcousticModelKind;
 use sirius_speech::features::SAMPLE_RATE;
-use sirius_speech::WindowScorer;
+use sirius_speech::{Acoustic, WindowScorer};
 use sirius_vision::db::ImmTiming;
 use sirius_vision::image::GrayImage;
 
@@ -284,10 +286,10 @@ impl From<AsrResponse> for AsrServed {
     }
 }
 
-/// The runtime's one ASR stage, chosen once from [`ServerConfig`]: plain
-/// whole-utterance recognition, DNN scoring through the batch collector
-/// (`remote`), or streaming ingestion with optional speculation
-/// (`streaming`) — the latter two compose.
+/// The runtime's one ASR stage, chosen once from [`ServerConfig`]:
+/// whole-utterance recognition, or streaming ingestion with optional
+/// speculation (`streaming`); either scores DNN queries through the batch
+/// collector when there is one (`remote`).
 pub(crate) struct AsrStage {
     sirius: Arc<Sirius>,
     /// The collector DNN queries score through, when batching is on.
@@ -351,22 +353,16 @@ impl AsrStage {
     /// them at dequeue — so an abandoned query never occupies a slot in a
     /// batch or a speculation.
     pub(crate) fn serve(&self, ctx: &Ctx, req: AsrRequest) -> Result<AsrServed, SiriusError> {
-        if let Some(streaming) = &self.streaming {
-            return streaming.serve(&self.sirius, self.remote.as_ref(), ctx, req);
-        }
-        match (req.acoustic, &self.remote) {
-            (AcousticModelKind::Dnn, Some(handle)) => {
-                let out = self
-                    .sirius
-                    .asr()
-                    .recognize_with_window_scorer(&req.audio, handle);
-                Ok(AsrServed::from(AsrResponse {
-                    recognized: out.text,
-                    timing: out.timing,
-                }))
+        // The one place "DNN and a collector exists → remote" is decided;
+        // GMM has no GEMM to batch, so `Acoustic::new` drops the remote.
+        let remote = self.remote.as_ref().map(|h| h as &dyn WindowScorer);
+        let acoustic = Acoustic::new(req.acoustic, remote);
+        match &self.streaming {
+            Some(streaming) => streaming.serve(&self.sirius, acoustic, ctx, req),
+            None => {
+                let out = self.sirius.asr().recognize(&req.audio, acoustic);
+                Ok(AsrServed::from(AsrResponse::from(out)))
             }
-            // GMM has no GEMM to batch: the ordinary stage path, unchanged.
-            _ => self.sirius.stage_asr(req).map(AsrServed::from),
         }
     }
 }
@@ -389,7 +385,7 @@ impl Streaming {
     fn serve(
         &self,
         sirius: &Sirius,
-        remote: Option<&BatchHandle>,
+        acoustic: Acoustic<'_>,
         ctx: &Ctx,
         req: AsrRequest,
     ) -> Result<AsrServed, SiriusError> {
@@ -399,11 +395,7 @@ impl Streaming {
             return sirius.stage_asr(req).map(AsrServed::from);
         }
 
-        let asr = sirius.asr();
-        let mut rec = match (req.acoustic, remote) {
-            (AcousticModelKind::Dnn, Some(handle)) => asr.streaming_with_window_scorer(handle),
-            _ => asr.streaming(req.acoustic),
-        };
+        let mut rec = sirius.asr().streaming(acoustic);
 
         let spec = self.spec_tx.as_ref().map(|tx| (tx, SpecCell::new()));
         let chunk_samples = self.policy.chunk_samples();
@@ -456,11 +448,7 @@ impl Streaming {
             }
         }
 
-        let out = rec.finish()?;
-        let mut served = AsrServed::from(AsrResponse {
-            recognized: out.text,
-            timing: out.timing,
-        });
+        let mut served = AsrServed::from(AsrResponse::from(rec.finish()?));
 
         // Reconcile: wait for every dispatched speculation (so none still
         // borrows the query), then reuse the deposit iff it ran on exactly

@@ -7,6 +7,13 @@
 //! [`AsrSystem::recognize`] runs the front-end, acoustic scoring and Viterbi
 //! search, reporting per-stage timing so the end-to-end pipeline can
 //! reproduce the paper's ASR cycle breakdown (Figure 9: scoring dominates).
+//!
+//! The search is one search with a pluggable scorer, and the scorer is one
+//! value: [`Acoustic`] says which model scores and, for the DNN, where its
+//! forward passes run. [`AsrSystem::recognize`] (whole utterance) and
+//! [`AsrSystem::streaming`] (chunk by chunk) both take it, so a serving
+//! layer that batches DNN blocks across queries uses the same two entry
+//! points as everyone else.
 
 use std::time::{Duration, Instant};
 
@@ -37,6 +44,49 @@ impl std::fmt::Display for AcousticModelKind {
         match self {
             AcousticModelKind::Gmm => f.write_str("GMM"),
             AcousticModelKind::Dnn => f.write_str("DNN"),
+        }
+    }
+}
+
+/// What scores emissions for one decode: the model, and for the DNN where
+/// its forward passes run.
+///
+/// `Dnn(None)` runs each 16-frame block on the decoding thread.
+/// `Dnn(Some(remote))` hands the block to `remote` — the seam a serving
+/// layer batches across queries at (see [`WindowScorer`]). The GMM has no
+/// GEMM to batch, so "GMM with a remote scorer" is not representable;
+/// [`Acoustic::new`] drops the remote for it.
+#[derive(Clone, Copy)]
+pub enum Acoustic<'a> {
+    /// Gaussian mixture scoring.
+    Gmm,
+    /// DNN scoring, locally or through a remote window scorer.
+    Dnn(Option<&'a dyn WindowScorer>),
+}
+
+impl<'a> Acoustic<'a> {
+    /// The scorer for `kind`, with `remote` applied where it means
+    /// something (DNN only).
+    pub fn new(kind: AcousticModelKind, remote: Option<&'a dyn WindowScorer>) -> Self {
+        match kind {
+            AcousticModelKind::Gmm => Acoustic::Gmm,
+            AcousticModelKind::Dnn => Acoustic::Dnn(remote),
+        }
+    }
+}
+
+impl From<AcousticModelKind> for Acoustic<'_> {
+    fn from(kind: AcousticModelKind) -> Self {
+        Acoustic::new(kind, None)
+    }
+}
+
+impl std::fmt::Debug for Acoustic<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Acoustic::Gmm => f.write_str("Gmm"),
+            Acoustic::Dnn(None) => f.write_str("Dnn(local)"),
+            Acoustic::Dnn(Some(_)) => f.write_str("Dnn(remote)"),
         }
     }
 }
@@ -121,8 +171,8 @@ pub struct AsrOutput {
 impl AsrOutput {
     /// The output of a finished decode over `frames` acoustic frames; an
     /// utterance that decoded to nothing is the empty text at zero
-    /// confidence. Shared by the whole-utterance, collector-backed and
-    /// streaming recognizers so the three cannot drift apart.
+    /// confidence. Shared by the whole-utterance and streaming recognizers
+    /// so the two cannot drift apart.
     pub(crate) fn from_decode(
         decoded: Option<DecodeResult>,
         frames: usize,
@@ -279,8 +329,14 @@ impl AsrSystem {
 
     /// Applies a multicore execution policy to both acoustic scorers.
     ///
-    /// Scoring parallelizes over frames; output is bit-identical to the
-    /// serial path at every thread count and strategy.
+    /// Only two things honour it: the eager reference
+    /// ([`AcousticScorer::score_utterance`], which fans out over states or
+    /// frame blocks) and the lazy GMM provider's `prepare` fan-out over a
+    /// frame's missing states. The DNN block provider behind
+    /// [`AsrSystem::recognize`] and [`AsrSystem::streaming`] is serial by
+    /// design — one 16-frame GEMM at a time, in decode order — and ignores
+    /// the policy. Output is bit-identical to the serial path at every
+    /// thread count and strategy.
     pub fn set_exec_policy(&mut self, policy: sirius_par::ExecPolicy) {
         self.gmm.set_policy(policy);
         self.dnn.set_policy(policy);
@@ -329,134 +385,95 @@ impl AsrSystem {
         })
     }
 
-    /// Recognizes audio with the selected acoustic model, using the default
-    /// lazy scoring mode (see [`ScoringMode`]).
-    pub fn recognize(&self, samples: &[f32], kind: AcousticModelKind) -> AsrOutput {
-        self.recognize_with_mode(samples, kind, ScoringMode::default())
+    /// Recognizes audio with the selected acoustic scorer — an
+    /// [`AcousticModelKind`] or a full [`Acoustic`] value — scoring lazily
+    /// as the beam search reaches each frame (GMM: per-state memoization;
+    /// DNN: frame-blocked GEMM batches).
+    ///
+    /// `Acoustic::Dnn(Some(remote))` is bit-identical to local DNN scoring
+    /// for any correct [`WindowScorer`]: the decoder visits the same frames
+    /// in the same order, the blocks partition the utterance identically,
+    /// and scoring is row-independent. The providers time their own model
+    /// evaluations so the paper's stage breakdown (Figure 9) stays
+    /// meaningful: `scoring` is that time (with a remote scorer it is
+    /// scoring *latency*, batch-formation wait included) and `search` is the
+    /// decode time net of it.
+    pub fn recognize<'r>(&self, samples: &[f32], acoustic: impl Into<Acoustic<'r>>) -> AsrOutput {
+        let t_total = Instant::now();
+        let frames = self.frontend.extract(samples);
+        let feature_extraction = t_total.elapsed();
+
+        let t = Instant::now();
+        let (decoded, scoring) = match acoustic.into() {
+            Acoustic::Gmm => {
+                let mut scores = self.gmm.lazy_scores(&frames);
+                let decoded = self
+                    .decoder
+                    .decode_lazy(&mut scores, &self.lm, &self.lexicon);
+                (decoded, scores.compute_time())
+            }
+            Acoustic::Dnn(remote) => {
+                let mut scores = self.dnn.lazy_scores(&frames, remote);
+                let decoded = self
+                    .decoder
+                    .decode_lazy(&mut scores, &self.lm, &self.lexicon);
+                (decoded, scores.compute_time())
+            }
+        };
+        let search = t.elapsed().saturating_sub(scoring);
+        let timing = AsrTiming {
+            feature_extraction,
+            scoring,
+            search,
+            total: t_total.elapsed(),
+        };
+        AsrOutput::from_decode(decoded, frames.len(), timing)
     }
 
     /// Recognizes audio with an explicit [`ScoringMode`]. Both modes yield
-    /// the same text and scores; they differ only in how much acoustic
-    /// scoring work the decode performs.
+    /// the same text and scores; `Lazy` is [`AsrSystem::recognize`], `Eager`
+    /// scores the whole matrix first — the reference the equivalence gates
+    /// compare against.
     pub fn recognize_with_mode(
         &self,
         samples: &[f32],
         kind: AcousticModelKind,
         mode: ScoringMode,
     ) -> AsrOutput {
+        if mode == ScoringMode::Lazy {
+            return self.recognize(samples, kind);
+        }
         let t_total = Instant::now();
-        let t = Instant::now();
         let frames = self.frontend.extract(samples);
-        let feature_extraction = t.elapsed();
+        let feature_extraction = t_total.elapsed();
 
-        let (decoded, scoring, search) = match mode {
-            ScoringMode::Eager => {
-                let t = Instant::now();
-                let emis = match kind {
-                    AcousticModelKind::Gmm => self.gmm.score_utterance(&frames),
-                    AcousticModelKind::Dnn => self.dnn.score_utterance(&frames),
-                };
-                let scoring = t.elapsed();
-                let t = Instant::now();
-                let decoded = self.decoder.decode_scores(&emis, &self.lm, &self.lexicon);
-                (decoded, scoring, t.elapsed())
-            }
-            ScoringMode::Lazy => {
-                // Scoring happens inside the decode; the providers time
-                // their own model evaluations so the paper's stage
-                // breakdown (Figure 9) stays meaningful.
-                let t = Instant::now();
-                let (decoded, scoring) = match kind {
-                    AcousticModelKind::Gmm => {
-                        let mut scores = self.gmm.lazy_scores(&frames);
-                        let decoded =
-                            self.decoder
-                                .decode_lazy(&mut scores, &self.lm, &self.lexicon);
-                        (decoded, scores.compute_time())
-                    }
-                    AcousticModelKind::Dnn => {
-                        let mut scores = self.dnn.lazy_scores(&frames);
-                        let decoded =
-                            self.decoder
-                                .decode_lazy(&mut scores, &self.lm, &self.lexicon);
-                        (decoded, scores.compute_time())
-                    }
-                };
-                let search = t.elapsed().saturating_sub(scoring);
-                (decoded, scoring, search)
-            }
+        let t = Instant::now();
+        let emis = match kind {
+            AcousticModelKind::Gmm => self.gmm.score_utterance(&frames),
+            AcousticModelKind::Dnn => self.dnn.score_utterance(&frames),
         };
-
-        AsrOutput::from_decode(
-            decoded,
-            frames.len(),
-            AsrTiming {
-                feature_extraction,
-                scoring,
-                search,
-                total: t_total.elapsed(),
-            },
-        )
+        let scoring = t.elapsed();
+        let t = Instant::now();
+        let decoded = self.decoder.decode_scores(&emis, &self.lm, &self.lexicon);
+        let timing = AsrTiming {
+            feature_extraction,
+            scoring,
+            search: t.elapsed(),
+            total: t_total.elapsed(),
+        };
+        AsrOutput::from_decode(decoded, frames.len(), timing)
     }
 
     /// Starts a streaming recognition session with the selected acoustic
-    /// model (see [`crate::streaming::StreamingRecognizer`]). Feeding the
+    /// scorer (see [`crate::streaming::StreamingRecognizer`]). Feeding the
     /// same audio chunk by chunk and finishing yields output bit-identical
-    /// to [`AsrSystem::recognize`] over the concatenated samples.
-    pub fn streaming(&self, kind: AcousticModelKind) -> crate::streaming::StreamingRecognizer<'_> {
-        crate::streaming::StreamingRecognizer::new(self, kind)
-    }
-
-    /// Starts a streaming DNN recognition session whose block GEMMs are
-    /// delegated to `remote` (the serving layer's cross-query batch
-    /// collector), bit-identical to
-    /// [`AsrSystem::recognize_with_window_scorer`].
-    pub fn streaming_with_window_scorer<'a>(
+    /// to [`AsrSystem::recognize`] over the concatenated samples with the
+    /// same [`Acoustic`].
+    pub fn streaming<'a>(
         &'a self,
-        remote: &'a dyn WindowScorer,
+        acoustic: impl Into<Acoustic<'a>>,
     ) -> crate::streaming::StreamingRecognizer<'a> {
-        crate::streaming::StreamingRecognizer::with_remote(self, remote)
-    }
-
-    /// Recognizes audio with the DNN acoustic model, delegating the block
-    /// GEMMs to `remote` — the hook a serving layer uses to coalesce frame
-    /// blocks from several in-flight queries into one forward pass.
-    ///
-    /// For any correct [`WindowScorer`] this is bit-identical to
-    /// `recognize(samples, AcousticModelKind::Dnn)`: the decoder visits the
-    /// same frames in the same order, the blocks partition the utterance
-    /// identically, and scoring is row-independent (see [`WindowScorer`]).
-    /// The reported `scoring` time is the remote scoring *latency* (it
-    /// includes any batch-formation wait), so `search` stays the decode
-    /// time net of scoring, as in the local path.
-    pub fn recognize_with_window_scorer(
-        &self,
-        samples: &[f32],
-        remote: &dyn WindowScorer,
-    ) -> AsrOutput {
-        let t_total = Instant::now();
-        let t = Instant::now();
-        let frames = self.frontend.extract(samples);
-        let feature_extraction = t.elapsed();
-
-        let t = Instant::now();
-        let mut scores = self.dnn.batched_scores(&frames, remote);
-        let decoded = self
-            .decoder
-            .decode_lazy(&mut scores, &self.lm, &self.lexicon);
-        let scoring = scores.compute_time();
-        let search = t.elapsed().saturating_sub(scoring);
-
-        AsrOutput::from_decode(
-            decoded,
-            frames.len(),
-            AsrTiming {
-                feature_extraction,
-                scoring,
-                search,
-                total: t_total.elapsed(),
-            },
-        )
+        crate::streaming::StreamingRecognizer::new(self, acoustic.into())
     }
 }
 

@@ -9,6 +9,13 @@
 //! emissions (81 tied states, [`crate::lexicon::NUM_STATES`]); word-to-word
 //! transitions carry bigram language-model scores, with optional inter-word
 //! silence.
+//!
+//! The search is one search ([`Decoder::decode_lazy`], or the same beam
+//! step driven incrementally by [`StreamingDecoder`]) with a pluggable
+//! scorer behind [`FrameScores`]. There are three providers: [`EagerScores`]
+//! over a pre-computed matrix (the reference), [`LazyGmmScores`] (per-state
+//! memoization) and [`BlockDnnScores`] (16-frame GEMM blocks, scored here or
+//! by a remote [`WindowScorer`]).
 
 use crate::dnn::{Dnn, DnnPlan, DnnScratch};
 use crate::gmm::{Gmm, GmmSoa};
@@ -212,7 +219,7 @@ impl FrameScores for LazyGmmScores<'_> {
     }
 }
 
-/// Frames scored per GEMM batch by [`LazyDnnScores`]. The network reads a
+/// Frames scored per GEMM batch by [`BlockDnnScores`]. The network reads a
 /// whole context window anyway, so the DNN's laziness is in *batching*:
 /// frames are scored in blocks of this size, one GEMM per layer per block,
 /// instead of one matrix-vector product per frame per layer.
@@ -232,11 +239,19 @@ struct BlockScratch {
 /// Unlike the GMM, a DNN forward pass produces *all* state posteriors at
 /// once, so skipping individual states saves nothing. Instead this provider
 /// turns the per-frame matrix-vector products into per-block GEMMs
-/// (bit-identical per row — see [`Dnn::forward_batch_into`]), reusing one
-/// scratch allocation for the whole utterance.
-#[derive(Debug)]
-pub struct LazyDnnScores<'a> {
+/// (bit-identical per row — see [`Dnn::forward_batch_into`]). The decoder
+/// visits frames in order, so the blocks are the deterministic
+/// `[0, 16), [16, 32), ...` partition of the utterance.
+///
+/// *Where* a block's forward pass runs is the `remote` field, not a second
+/// type. `None` runs it here, on one scratch allocation reused for the
+/// whole utterance. `Some` hands the stacked windows to a [`WindowScorer`]
+/// — which is what lets a serving layer coalesce blocks from several
+/// in-flight queries into one GEMM while every query's scores stay
+/// bit-identical (row independence, see [`WindowScorer`]).
+pub struct BlockDnnScores<'a> {
     scorer: &'a DnnScorer,
+    remote: Option<&'a dyn WindowScorer>,
     frames: &'a [Vec<f32>],
     block: Vec<f32>,
     block_start: usize,
@@ -247,128 +262,24 @@ pub struct LazyDnnScores<'a> {
     compute_time: Duration,
 }
 
-impl<'a> LazyDnnScores<'a> {
-    fn new(scorer: &'a DnnScorer, frames: &'a [Vec<f32>]) -> Self {
-        Self {
-            scorer,
-            frames,
-            block: Vec::new(),
-            block_start: 0,
-            block_len: 0,
-            t: 0,
-            buf: BlockScratch::default(),
-            stats: LazyScoreStats {
-                total_cells: frames.len() * NUM_STATES,
-                ..LazyScoreStats::default()
-            },
-            compute_time: Duration::ZERO,
-        }
-    }
-
+impl BlockDnnScores<'_> {
     /// Evaluation counters for this utterance.
     pub fn stats(&self) -> LazyScoreStats {
         self.stats
     }
 
-    /// Wall time spent in the network forward passes.
+    /// Wall time spent obtaining block scores. With a remote scorer this
+    /// includes any wait for batch-mates, so under load it is the query's
+    /// scoring *latency*, not pure model FLOP time.
     pub fn compute_time(&self) -> Duration {
         self.compute_time
     }
 }
 
-impl FrameScores for LazyDnnScores<'_> {
-    const WANTS_ACTIVE_SET: bool = false;
-
-    fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn begin_frame(&mut self, t: usize) {
-        self.t = t;
-        let in_block = self.block_len > 0
-            && (self.block_start..self.block_start + self.block_len).contains(&t);
-        if !in_block {
-            let start = Instant::now();
-            let len = (self.frames.len() - t).min(DNN_BLOCK);
-            self.block.clear();
-            self.block.resize(len * NUM_STATES, 0.0);
-            self.scorer
-                .score_block(self.frames, t, len, &mut self.buf, &mut self.block);
-            self.block_start = t;
-            self.block_len = len;
-            self.stats.computed += len * NUM_STATES;
-            self.compute_time += start.elapsed();
-        }
-    }
-
-    fn get(&mut self, s: usize) -> f32 {
-        self.stats.requested += 1;
-        self.block[(self.t - self.block_start) * NUM_STATES + s]
-    }
-}
-
-/// Block-batched DNN emission scores whose GEMMs run on a remote
-/// [`WindowScorer`] instead of the local network.
-///
-/// Structurally a twin of [`LazyDnnScores`]: the decoder visits frames in
-/// order, so blocks are the same deterministic `[0, 16), [16, 32), ...`
-/// partition, and the context windows are built with the same
-/// [`DnnScorer::context_window_into`]. Only the forward pass is delegated —
-/// which is what lets a serving layer coalesce blocks from several
-/// in-flight queries into one GEMM while every query's scores stay
-/// bit-identical (row independence, see [`WindowScorer`]).
-///
-/// [`BatchedDnnScores::compute_time`] includes any time the remote scorer
-/// spends waiting for batch-mates; it is the query's *scoring latency*, not
-/// pure model FLOP time.
-pub struct BatchedDnnScores<'a> {
-    scorer: &'a DnnScorer,
-    remote: &'a dyn WindowScorer,
-    frames: &'a [Vec<f32>],
-    block: Vec<f32>,
-    block_start: usize,
-    block_len: usize,
-    t: usize,
-    /// Staging buffer for the stacked context windows of one block.
-    x: Vec<f32>,
-    stats: LazyScoreStats,
-    compute_time: Duration,
-}
-
-impl<'a> BatchedDnnScores<'a> {
-    fn new(scorer: &'a DnnScorer, frames: &'a [Vec<f32>], remote: &'a dyn WindowScorer) -> Self {
-        Self {
-            scorer,
-            remote,
-            frames,
-            block: Vec::new(),
-            block_start: 0,
-            block_len: 0,
-            t: 0,
-            x: Vec::new(),
-            stats: LazyScoreStats {
-                total_cells: frames.len() * NUM_STATES,
-                ..LazyScoreStats::default()
-            },
-            compute_time: Duration::ZERO,
-        }
-    }
-
-    /// Evaluation counters for this utterance.
-    pub fn stats(&self) -> LazyScoreStats {
-        self.stats
-    }
-
-    /// Wall time spent obtaining scores from the remote scorer (includes
-    /// batch-formation wait, so under load this is scoring *latency*).
-    pub fn compute_time(&self) -> Duration {
-        self.compute_time
-    }
-}
-
-impl std::fmt::Debug for BatchedDnnScores<'_> {
+impl std::fmt::Debug for BlockDnnScores<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchedDnnScores")
+        f.debug_struct("BlockDnnScores")
+            .field("remote", &self.remote.is_some())
             .field("frames", &self.frames.len())
             .field("block_start", &self.block_start)
             .field("block_len", &self.block_len)
@@ -377,7 +288,7 @@ impl std::fmt::Debug for BatchedDnnScores<'_> {
     }
 }
 
-impl FrameScores for BatchedDnnScores<'_> {
+impl FrameScores for BlockDnnScores<'_> {
     const WANTS_ACTIVE_SET: bool = false;
 
     fn num_frames(&self) -> usize {
@@ -391,20 +302,26 @@ impl FrameScores for BatchedDnnScores<'_> {
         if !in_block {
             let start = Instant::now();
             let len = (self.frames.len() - t).min(DNN_BLOCK);
-            let dim = self.frames[0].len();
-            let width = dim * (2 * self.scorer.context + 1);
-            self.x.clear();
-            self.x.resize(len * width, 0.0);
-            for r in 0..len {
-                DnnScorer::context_window_into(
-                    self.frames,
-                    t + r,
-                    self.scorer.context,
-                    &mut self.x[r * width..(r + 1) * width],
-                );
+            match self.remote {
+                None => {
+                    self.block.clear();
+                    self.block.resize(len * NUM_STATES, 0.0);
+                    self.scorer
+                        .score_block(self.frames, t, len, &mut self.buf, &mut self.block);
+                }
+                Some(remote) => {
+                    self.scorer
+                        .stack_windows(self.frames, t, len, &mut self.buf.x);
+                    self.block = remote.score_windows(&self.buf.x, len);
+                    // Checked in release too: rows of the wrong width would
+                    // be read misaligned, a silently wrong transcript.
+                    assert_eq!(
+                        self.block.len(),
+                        len * NUM_STATES,
+                        "remote scorer returned the wrong number of scores for {len} rows"
+                    );
+                }
             }
-            self.block = self.remote.score_windows(&self.x, len);
-            debug_assert_eq!(self.block.len(), len * NUM_STATES, "remote row width");
             self.block_start = t;
             self.block_len = len;
             self.stats.computed += len * NUM_STATES;
@@ -608,6 +525,19 @@ impl DnnScorer {
         }
     }
 
+    /// Stacks the context windows of frames `start..start + len` into `x`
+    /// (row-major `len x width`) — the one place a block's GEMM input is
+    /// built, whichever side then runs the forward pass.
+    fn stack_windows(&self, frames: &[Vec<f32>], start: usize, len: usize, x: &mut Vec<f32>) {
+        let width = frames[0].len() * (2 * self.context + 1);
+        x.clear();
+        x.resize(len * width, 0.0);
+        for r in 0..len {
+            let row = &mut x[r * width..(r + 1) * width];
+            Self::context_window_into(frames, start + r, self.context, row);
+        }
+    }
+
     /// Scores frames `start..start + len` into `out` (row-major
     /// `len x NUM_STATES`) with one GEMM per layer over the whole block.
     /// Bit-identical to the per-frame path in
@@ -621,18 +551,7 @@ impl DnnScorer {
         out: &mut [f32],
     ) {
         let BlockScratch { x, scratch, post } = buf;
-        let dim = frames[0].len();
-        let width = dim * (2 * self.context + 1);
-        x.clear();
-        x.resize(len * width, 0.0);
-        for r in 0..len {
-            Self::context_window_into(
-                frames,
-                start + r,
-                self.context,
-                &mut x[r * width..(r + 1) * width],
-            );
-        }
+        self.stack_windows(frames, start, len, x);
         self.score_windows_into(x, len, scratch, post, out);
     }
 
@@ -668,29 +587,38 @@ impl DnnScorer {
     }
 
     /// A block-batched [`FrameScores`] provider over `frames` for
-    /// [`Decoder::decode_lazy`].
-    pub fn lazy_scores<'a>(&'a self, frames: &'a [Vec<f32>]) -> LazyDnnScores<'a> {
-        LazyDnnScores::new(self, frames)
-    }
-
-    /// A [`FrameScores`] provider like [`DnnScorer::lazy_scores`] whose
-    /// block GEMMs are delegated to `remote` — typically a serving-layer
-    /// batch collector that coalesces blocks from several in-flight
-    /// queries into one forward pass. Bit-identical to the local path for
-    /// any correct [`WindowScorer`] (see [`DnnScorer::score_windows`]).
-    pub fn batched_scores<'a>(
+    /// [`Decoder::decode_lazy`]. With `remote`, each block's forward pass is
+    /// delegated to it — typically a serving-layer batch collector that
+    /// coalesces blocks from several in-flight queries into one GEMM.
+    /// Bit-identical to the local path (`None`) for any correct
+    /// [`WindowScorer`] (see [`DnnScorer::score_windows`]).
+    pub fn lazy_scores<'a>(
         &'a self,
         frames: &'a [Vec<f32>],
-        remote: &'a dyn WindowScorer,
-    ) -> BatchedDnnScores<'a> {
-        BatchedDnnScores::new(self, frames, remote)
+        remote: Option<&'a dyn WindowScorer>,
+    ) -> BlockDnnScores<'a> {
+        BlockDnnScores {
+            scorer: self,
+            remote,
+            frames,
+            block: Vec::new(),
+            block_start: 0,
+            block_len: 0,
+            t: 0,
+            buf: BlockScratch::default(),
+            stats: LazyScoreStats {
+                total_cells: frames.len() * NUM_STATES,
+                ..LazyScoreStats::default()
+            },
+            compute_time: Duration::ZERO,
+        }
     }
 }
 
 /// Scores a batch of stacked DNN context windows into emission rows.
 ///
 /// This is the seam a serving layer batches across queries at: the decoder
-/// side ([`BatchedDnnScores`]) builds windows exactly as the local path
+/// side ([`BlockDnnScores`]) builds windows exactly as the local path
 /// does, and any implementation must return, for each row, bits identical
 /// to [`DnnScorer::score_windows`] on that row alone. The reference
 /// implementation is `DnnScorer` itself; a batch collector satisfies the
@@ -1706,6 +1634,24 @@ mod scorer_tests {
     #[should_panic(expected = "one GMM per tied state")]
     fn wrong_gmm_count_panics() {
         let _ = GmmScorer::new(Vec::new());
+    }
+
+    /// A remote reply of the wrong width must stop the decode — in release
+    /// builds too — instead of being indexed as misaligned score rows.
+    #[test]
+    #[should_panic(expected = "remote scorer returned the wrong number of scores")]
+    fn short_remote_reply_panics_in_every_profile() {
+        struct ShortRows;
+        impl WindowScorer for ShortRows {
+            fn score_windows(&self, _x: &[f32], rows: usize) -> Vec<f32> {
+                vec![0.0; rows * (NUM_STATES - 1)]
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let net = Dnn::new(&[FEATURE_DIM * 3, 16, NUM_STATES], &mut rng);
+        let scorer = DnnScorer::new(net, &vec![1.0; NUM_STATES], 1);
+        let frames = vec![vec![0.1f32; FEATURE_DIM]; 5];
+        scorer.lazy_scores(&frames, Some(&ShortRows)).begin_frame(0);
     }
 }
 

@@ -44,7 +44,7 @@ pub mod streaming;
 pub mod synth;
 pub mod vad;
 
-pub use asr::{AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig, ScoringMode};
+pub use asr::{Acoustic, AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig, ScoringMode};
 pub use hmm::{StreamingDecoder, WindowScorer};
 pub use streaming::{StreamProgress, StreamingError, StreamingRecognizer};
 pub use synth::{SynthConfig, Synthesizer, Utterance};

@@ -1,7 +1,7 @@
 //! Streaming recognition: incremental frame ingestion with stable-prefix
 //! partial hypotheses.
 //!
-//! Batch recognition ([`AsrSystem::recognize_with_mode`]) sees the whole
+//! Batch recognition ([`AsrSystem::recognize`]) sees the whole
 //! utterance before the decoder runs; the server therefore cannot start
 //! downstream work until ASR finishes, pinning end-to-end latency at the
 //! sum-of-stages floor. [`StreamingRecognizer`] accepts audio chunks as
@@ -13,17 +13,17 @@
 //! unique-ancestor portion of the live beam, which is never retracted and
 //! always prefixes the final hypothesis.
 //!
-//! Because each step replays exactly the computation the batch pass would
-//! do over the same frame indices, [`StreamingRecognizer::finish`] is
-//! bit-identical to `recognize_with_mode` on the concatenated audio — the
-//! invariant the streaming server relies on to reconcile speculative
-//! downstream work.
+//! Each step replays exactly the computation the batch pass would do over
+//! the same frame indices, through the same [`Acoustic`] value and therefore
+//! the same score provider. So [`StreamingRecognizer::finish`] is
+//! bit-identical to `recognize` on the concatenated audio — the invariant
+//! the streaming server relies on to reconcile speculative downstream work.
 
 use std::time::{Duration, Instant};
 
-use crate::asr::{AcousticModelKind, AsrOutput, AsrSystem, AsrTiming};
+use crate::asr::{Acoustic, AsrOutput, AsrSystem, AsrTiming};
 use crate::features::{delta_row, FrontendScratch, FRAME_HOP, FRAME_LEN};
-use crate::hmm::{StreamingDecoder, WindowScorer};
+use crate::hmm::StreamingDecoder;
 
 /// Typed failures of streaming audio ingestion.
 ///
@@ -71,25 +71,14 @@ pub struct StreamProgress {
     pub frames_decoded: usize,
 }
 
-/// Which scorer backs the streaming decode.
-#[derive(Clone, Copy)]
-enum StreamScorer<'a> {
-    Gmm,
-    Dnn,
-    /// DNN with the block GEMMs delegated to a remote [`WindowScorer`]
-    /// (the server's cross-query batch collector).
-    Remote(&'a dyn WindowScorer),
-}
-
 /// Incremental recognizer over audio chunks; see the module docs.
 ///
-/// Create with [`AsrSystem::streaming`] or
-/// [`AsrSystem::streaming_with_window_scorer`], feed chunks with
+/// Create with [`AsrSystem::streaming`], feed chunks with
 /// [`StreamingRecognizer::push_chunk`], then call
 /// [`StreamingRecognizer::finish`].
 pub struct StreamingRecognizer<'a> {
     asr: &'a AsrSystem,
-    scorer: StreamScorer<'a>,
+    acoustic: Acoustic<'a>,
     sdec: StreamingDecoder<'a>,
     samples: Vec<f32>,
     cepstra: Vec<Vec<f32>>,
@@ -115,22 +104,10 @@ impl std::fmt::Debug for StreamingRecognizer<'_> {
 }
 
 impl<'a> StreamingRecognizer<'a> {
-    pub(crate) fn new(asr: &'a AsrSystem, kind: AcousticModelKind) -> Self {
-        let scorer = match kind {
-            AcousticModelKind::Gmm => StreamScorer::Gmm,
-            AcousticModelKind::Dnn => StreamScorer::Dnn,
-        };
-        Self::with_scorer(asr, scorer)
-    }
-
-    pub(crate) fn with_remote(asr: &'a AsrSystem, remote: &'a dyn WindowScorer) -> Self {
-        Self::with_scorer(asr, StreamScorer::Remote(remote))
-    }
-
-    fn with_scorer(asr: &'a AsrSystem, scorer: StreamScorer<'a>) -> Self {
+    pub(crate) fn new(asr: &'a AsrSystem, acoustic: Acoustic<'a>) -> Self {
         StreamingRecognizer {
             asr,
-            scorer,
+            acoustic,
             sdec: StreamingDecoder::new(asr.decoder(), asr.lm()),
             samples: Vec::new(),
             cepstra: Vec::new(),
@@ -191,9 +168,9 @@ impl<'a> StreamingRecognizer<'a> {
         // would clamp at the current feature edge (batch clamps at the
         // true utterance edge). GMM scores one row at a time, so every
         // extracted row is already final.
-        let horizon = match self.scorer {
-            StreamScorer::Gmm => self.feats.len(),
-            StreamScorer::Dnn | StreamScorer::Remote(_) => self
+        let horizon = match self.acoustic {
+            Acoustic::Gmm => self.feats.len(),
+            Acoustic::Dnn(_) => self
                 .feats
                 .len()
                 .saturating_sub(self.asr.dnn_scorer().context()),
@@ -209,7 +186,7 @@ impl<'a> StreamingRecognizer<'a> {
 
     /// Ends the utterance: extracts the clamped feature tail, decodes the
     /// remaining frames and backtraces. The result is bit-identical to
-    /// `recognize_with_mode` (lazy scoring) over the concatenated audio.
+    /// [`AsrSystem::recognize`] over the concatenated audio.
     ///
     /// # Errors
     ///
@@ -271,19 +248,14 @@ impl<'a> StreamingRecognizer<'a> {
             return;
         }
         let t = Instant::now();
-        let scoring_before = match self.scorer {
-            StreamScorer::Gmm => {
+        let scoring_before = match self.acoustic {
+            Acoustic::Gmm => {
                 let mut scores = self.asr.gmm_scorer().lazy_scores(&self.feats);
                 self.sdec.advance(&mut scores, horizon);
                 scores.compute_time()
             }
-            StreamScorer::Dnn => {
-                let mut scores = self.asr.dnn_scorer().lazy_scores(&self.feats);
-                self.sdec.advance(&mut scores, horizon);
-                scores.compute_time()
-            }
-            StreamScorer::Remote(remote) => {
-                let mut scores = self.asr.dnn_scorer().batched_scores(&self.feats, remote);
+            Acoustic::Dnn(remote) => {
+                let mut scores = self.asr.dnn_scorer().lazy_scores(&self.feats, remote);
                 self.sdec.advance(&mut scores, horizon);
                 scores.compute_time()
             }
@@ -307,7 +279,7 @@ impl<'a> StreamingRecognizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asr::AsrTrainConfig;
+    use crate::asr::{AcousticModelKind, AsrTrainConfig};
     use crate::synth::{SynthConfig, Synthesizer};
 
     fn system() -> AsrSystem {

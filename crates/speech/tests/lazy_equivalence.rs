@@ -7,7 +7,7 @@
 //! `(frame, state)` cell twice, and that narrow beams actually skip work.
 
 use sirius_par::ExecPolicy;
-use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
+use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig};
 use sirius_speech::lexicon::Lexicon;
 use sirius_speech::synth::{SynthConfig, Synthesizer};
@@ -65,7 +65,7 @@ fn lazy_decode_is_bit_identical_to_eager() {
                 // DNN: eager matrix vs block-batched lazy provider.
                 let emis = asr.dnn_scorer().score_utterance(&frames);
                 let eager = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
-                let mut lazy_scores = asr.dnn_scorer().lazy_scores(&frames);
+                let mut lazy_scores = asr.dnn_scorer().lazy_scores(&frames, None);
                 let lazy = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
                 match (eager, lazy) {
                     (Some(a), Some(b)) => {
@@ -106,7 +106,8 @@ fn recognize_modes_agree() {
 /// The remote-scorer decode path (the seam the serving layer batches
 /// across queries at) must be bit-identical to the local DNN decode — same
 /// text, same confidence bits, same search effort — when the "remote" is
-/// the scorer itself, and must actually route every block through it.
+/// the scorer itself, and must actually route every block through it. A
+/// remote offered to the GMM is never called: it has no GEMM to batch.
 #[test]
 fn window_scorer_decode_is_bit_identical_to_local_dnn() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,20 +137,41 @@ fn window_scorer_decode_is_bit_identical_to_local_dnn() {
         let local = asr.recognize(&utt.samples, AcousticModelKind::Dnn);
 
         // The scorer is its own reference WindowScorer implementation.
-        let direct = asr.recognize_with_window_scorer(&utt.samples, asr.dnn_scorer());
+        let direct = asr.recognize(&utt.samples, Acoustic::Dnn(Some(asr.dnn_scorer())));
         assert_eq!(direct.text, local.text, "{text}");
         assert_eq!(direct.confidence.to_bits(), local.confidence.to_bits());
         assert_eq!(direct.tokens_expanded, local.tokens_expanded);
         assert_eq!(direct.frames, local.frames);
 
-        // A wrapping scorer sees every block: rows must cover the decode's
-        // visited frames (blocks of <= 16, so blocks * 16 >= rows > 0).
         let counting = Counting {
             inner: asr.dnn_scorer(),
             blocks: AtomicUsize::new(0),
             rows: AtomicUsize::new(0),
         };
-        let via = asr.recognize_with_window_scorer(&utt.samples, &counting);
+        // GMM + remote is unrepresentable: `Acoustic::new` drops the remote,
+        // the decode is plain GMM and the counting scorer sees zero blocks.
+        let gmm = asr.recognize(&utt.samples, AcousticModelKind::Gmm);
+        let gmm_via = asr.recognize(
+            &utt.samples,
+            Acoustic::new(AcousticModelKind::Gmm, Some(&counting)),
+        );
+        assert_eq!(gmm_via.text, gmm.text, "{text}");
+        assert_eq!(gmm_via.confidence.to_bits(), gmm.confidence.to_bits());
+        assert_eq!(gmm_via.tokens_expanded, gmm.tokens_expanded);
+        assert_eq!(gmm_via.frames, gmm.frames);
+        assert_eq!(
+            counting.blocks.load(Ordering::Relaxed),
+            0,
+            "GMM used remote"
+        );
+        assert_eq!(counting.rows.load(Ordering::Relaxed), 0);
+
+        // A wrapping scorer sees every block: rows must cover the decode's
+        // visited frames (blocks of <= 16, so blocks * 16 >= rows > 0).
+        let via = asr.recognize(
+            &utt.samples,
+            Acoustic::new(AcousticModelKind::Dnn, Some(&counting)),
+        );
         assert_eq!(via.text, local.text, "{text}");
         assert_eq!(via.confidence.to_bits(), local.confidence.to_bits());
         let blocks = counting.blocks.load(Ordering::Relaxed);

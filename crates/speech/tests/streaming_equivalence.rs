@@ -11,7 +11,7 @@
 //!    speculative pipelining is built on).
 
 use sirius_par::ExecPolicy;
-use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
+use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig, EagerScores};
 use sirius_speech::lexicon::Lexicon;
 use sirius_speech::synth::{SynthConfig, Synthesizer};
@@ -141,17 +141,18 @@ fn streaming_recognizer_matches_batch_recognition() {
 }
 
 /// The remote-scorer streaming path (the seam the serving layer batches
-/// across queries at) must be bit-identical to both the local streaming
-/// DNN decode and batch `recognize_with_window_scorer`.
+/// across queries at) must be bit-identical to both the local DNN decode
+/// and batch `recognize` through the same [`Acoustic`] value.
 #[test]
-fn streaming_with_window_scorer_matches_batch() {
+fn streaming_with_remote_scorer_matches_batch() {
     let asr = system();
     let mut synth = Synthesizer::new(444, SynthConfig::default());
     for text in CORPUS {
         let utt = synth.say(text);
         let local = asr.recognize(&utt.samples, AcousticModelKind::Dnn);
-        let batch_remote = asr.recognize_with_window_scorer(&utt.samples, asr.dnn_scorer());
-        let mut rec = asr.streaming_with_window_scorer(asr.dnn_scorer());
+        let remote = Acoustic::new(AcousticModelKind::Dnn, Some(asr.dnn_scorer()));
+        let batch_remote = asr.recognize(&utt.samples, remote);
+        let mut rec = asr.streaming(remote);
         for c in utt.samples.chunks(800) {
             rec.push_chunk(c).expect("clean audio");
         }

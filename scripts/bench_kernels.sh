@@ -9,5 +9,6 @@ cd "$(dirname "$0")/.."
 REPS="${1:-9}"
 
 cargo build --release -p sirius-bench --bin bench_kernels
-./target/release/bench_kernels --reps "$REPS" > BENCH_kernels.json
-echo "==> wrote BENCH_kernels.json"
+. scripts/bench_out.sh
+bench_run ./target/release/bench_kernels --reps "$REPS"
+bench_publish BENCH_kernels.json

@@ -12,5 +12,6 @@ cd "$(dirname "$0")/.."
 REPS="${1:-3}"
 
 cargo build --release -p sirius-bench --bin bench_obs
-./target/release/bench_obs --reps "$REPS" > BENCH_obs.json
-echo "==> wrote BENCH_obs.json"
+. scripts/bench_out.sh
+bench_run ./target/release/bench_obs --reps "$REPS"
+bench_publish BENCH_obs.json

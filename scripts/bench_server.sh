@@ -21,28 +21,18 @@ WORKERS="${2:-4}"
 
 cargo build --release -p sirius-bench --bin bench_server
 
-# The run takes minutes and can fail or be interrupted at any point, so it
-# never touches the committed file: output goes to a temp file, the checks
-# below run against that, and only a checked, stamped result is moved into
-# place. (Redirecting straight into BENCH_server.json is how the committed
-# file came to be 0 bytes.)
-OUT="$(mktemp "${TMPDIR:-/tmp}/BENCH_server.XXXXXX")"
-trap 'rm -f "$OUT"' EXIT
-./target/release/bench_server --queries "$QUERIES" --workers "$WORKERS" > "$OUT"
-[ -s "$OUT" ] || { echo "bench_server produced no output" >&2; exit 1; }
+# The run never touches the committed file (see bench_out.sh).
+. scripts/bench_out.sh
+bench_run ./target/release/bench_server --queries "$QUERIES" --workers "$WORKERS"
 
 # The bench itself verifies that staged and admitted-query outputs are
 # bit-identical to the serial pipeline; fail loudly if either check, or the
-# policy-sweep accounting identity, regressed. A result that passes is
-# stamped with where and when it was taken: numbers from different core
-# counts or commits are not comparable.
-CORES="$(nproc)" COMMIT="$(git rev-parse --short HEAD)" DATE="$(date -u +%Y-%m-%d)" \
+# policy-sweep accounting identity, regressed. Only a result that passes is
+# stamped and published.
 python3 - "$OUT" <<'EOF'
-import json, os, sys
-path = sys.argv[1]
-with open(path) as f:
-    text = f.read()
-bench = json.loads(text)
+import json, sys
+with open(sys.argv[1]) as f:
+    bench = json.load(f)
 assert bench["saturation"]["outputs_match_serial"] is True, "saturation outputs diverged from serial"
 sweep = bench["policy_sweep"]
 assert sweep["outputs_match_serial"] is True, "policy-sweep outputs diverged from serial"
@@ -93,14 +83,5 @@ assert net["scrape_ok"] is True, \
 assert len(net["points"]) >= 4 and all(p["qps"] > 0 for p in net["points"]), \
     "net sweep is missing closed-loop client points"
 print("==> outputs_match_serial and accounting checks passed")
-stamp = json.dumps({
-    "cores": int(os.environ["CORES"]),
-    "commit": os.environ["COMMIT"],
-    "date": os.environ["DATE"],
-})
-head, brace, rest = text.partition("{")
-with open(path, "w") as f:
-    f.write(f'{head}{brace}\n  "stamp": {stamp},{rest}')
 EOF
-mv "$OUT" BENCH_server.json
-echo "==> wrote BENCH_server.json"
+bench_publish BENCH_server.json

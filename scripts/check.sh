@@ -28,8 +28,8 @@ cargo test --release -p sirius-cache -q
 echo "==> cargo test --release -p sirius-server -q (every server gate: concurrency, telemetry, admission, batching, streaming, cluster, qos, net)"
 cargo test --release -p sirius-server -q
 
-echo "==> cargo test --release -p sirius-speech --test streaming_equivalence -q (streaming ASR bit-identity + stable-prefix gates)"
-cargo test --release -p sirius-speech --test streaming_equivalence -q
+echo "==> cargo test --release -p sirius-speech -q (every speech gate: unit tests, lazy/eager and streaming bit-identity, stable prefix)"
+cargo test --release -p sirius-speech -q
 
 echo "==> cargo test --release -p sirius --test cluster_equivalence -q (sharded scatter-gather bit-identity gates)"
 cargo test --release -p sirius --test cluster_equivalence -q
