@@ -19,6 +19,7 @@ use rand_chacha::ChaCha8Rng;
 
 use sirius_speech::asr::{AsrSystem, AsrTrainConfig};
 use sirius_speech::dnn::{Dnn, DnnScratch};
+use sirius_speech::features::Frames;
 use sirius_speech::gmm::Gmm;
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig};
 use sirius_speech::synth::{SynthConfig, Synthesizer};
@@ -30,7 +31,7 @@ const CORPUS: [&str; 4] = [
     "go home now",
 ];
 
-type AsrContext = (AsrSystem, Vec<Vec<Vec<f32>>>);
+type AsrContext = (AsrSystem, Vec<Frames>);
 
 fn asr_context() -> &'static AsrContext {
     static CTX: OnceLock<AsrContext> = OnceLock::new();
@@ -128,14 +129,15 @@ fn bench_gmm_layout(c: &mut Criterion) {
     let dim = 39usize;
     let gmm = random_gmm(dim, 16, &mut rng);
     let soa = gmm.soa();
-    let frames: Vec<Vec<f32>> = (0..128)
+    let rows: Vec<Vec<f32>> = (0..128)
         .map(|_| (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
         .collect();
+    let frames = Frames::from_rows(&rows);
     let mut group = c.benchmark_group("kernel_gmm_layout");
     group.sample_size(10);
     group.bench_function("component_major_aos", |b| {
         b.iter(|| {
-            for f in &frames {
+            for f in frames.rows() {
                 black_box(gmm.log_likelihood(f));
             }
         })

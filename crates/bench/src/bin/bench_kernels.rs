@@ -20,6 +20,7 @@ use rand_chacha::ChaCha8Rng;
 
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
 use sirius_speech::dnn::{Dnn, DnnScratch};
+use sirius_speech::features::{Frames, FrontendScratch, FRAME_HOP, FRAME_LEN, NUM_CEPSTRA};
 use sirius_speech::gmm::Gmm;
 use sirius_speech::synth::{SynthConfig, Synthesizer};
 
@@ -44,7 +45,64 @@ struct DecodePair {
     fe_ms: f64,
     scoring_ms: f64,
     search_ms: f64,
+    /// Beam survivors per frame, over the whole corpus (a count, not a
+    /// timing: it repeats exactly).
+    tokens_per_frame: f64,
     outputs_match: bool,
+}
+
+/// The front-end's three steps over the corpus, timed apart by running the
+/// chain up to each step: power spectrum only, through the cepstra, and
+/// through the delta rows.
+struct FrontendSplit {
+    fft_ms: f64,
+    mel_log_dct_ms: f64,
+    deltas_ms: f64,
+}
+
+fn bench_frontend(asr: &AsrSystem, utts: &[Vec<f32>], reps: usize) -> FrontendSplit {
+    let fe = asr.frontend();
+    // Start of every whole analysis frame, as `Frontend::extract` walks them.
+    let starts = |samples: &[f32]| {
+        let spare = samples.len().checked_sub(FRAME_LEN);
+        spare
+            .into_iter()
+            .flat_map(|spare| (0..=spare).step_by(FRAME_HOP))
+    };
+    let mut scratch = FrontendScratch::default();
+    let (mut fft, mut cepstra_ms, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let t = Instant::now();
+        for samples in utts {
+            for start in starts(samples) {
+                fe.power_spectrum(samples, start, &mut scratch);
+            }
+        }
+        fft.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        let cepstra: Vec<Frames> = utts
+            .iter()
+            .map(|samples| {
+                let mut cepstra = Frames::new(NUM_CEPSTRA);
+                for start in starts(samples) {
+                    fe.cepstra_frame(samples, start, &mut scratch, &mut cepstra);
+                }
+                cepstra
+            })
+            .collect();
+        cepstra_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        for cepstra in &cepstra {
+            std::hint::black_box(Frames::with_deltas(cepstra));
+        }
+        deltas.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    let fft_ms = median(&mut fft);
+    FrontendSplit {
+        fft_ms,
+        mel_log_dct_ms: median(&mut cepstra_ms) - fft_ms,
+        deltas_ms: median(&mut deltas),
+    }
 }
 
 fn bench_decode(
@@ -60,6 +118,7 @@ fn bench_decode(
     let mut scoring = Vec::with_capacity(reps);
     let mut search = Vec::with_capacity(reps);
     let mut outputs_match = true;
+    let (mut tokens, mut frames) = (0usize, 0usize);
     for _ in 0..reps {
         let mut eager_texts = Vec::new();
         let t = Instant::now();
@@ -71,10 +130,13 @@ fn bench_decode(
         }
         eager.push(t.elapsed().as_secs_f64() * 1e3);
         let (mut fe_s, mut sc_s, mut se_s) = (0.0f64, 0.0f64, 0.0f64);
+        (tokens, frames) = (0, 0);
         let t = Instant::now();
         for (samples, expect) in utts.iter().zip(&eager_texts) {
             let out = asr.recognize_with_mode(samples, kind, ScoringMode::Lazy);
             outputs_match &= out.text == *expect;
+            tokens += out.tokens_expanded;
+            frames += out.frames;
             fe_s += out.timing.feature_extraction.as_secs_f64() * 1e3;
             sc_s += out.timing.scoring.as_secs_f64() * 1e3;
             se_s += out.timing.search.as_secs_f64() * 1e3;
@@ -99,11 +161,12 @@ fn bench_decode(
         fe_ms: median(&mut fe),
         scoring_ms: median(&mut scoring),
         search_ms: median(&mut search),
+        tokens_per_frame: tokens as f64 / frames.max(1) as f64,
         outputs_match,
     }
 }
 
-fn decode_json(name: &str, p: &DecodePair) -> String {
+fn decode_json(name: &str, p: &DecodePair, fe: &FrontendSplit) -> String {
     format!(
         concat!(
             "    \"{}\": {{\n",
@@ -112,7 +175,8 @@ fn decode_json(name: &str, p: &DecodePair) -> String {
             "      \"streaming_one_chunk_ms\": {:.3},\n",
             "      \"speedup\": {:.2},\n",
             "      \"outputs_match\": {},\n",
-            "      \"lazy_breakdown_ms\": {{ \"feature_extraction\": {:.3}, \"scoring\": {:.3}, \"search\": {:.3} }}\n",
+            "      \"tokens_per_frame\": {:.1},\n",
+            "      \"lazy_breakdown_ms\": {{ \"feature_extraction\": {:.3}, \"fft\": {:.3}, \"mel_log_dct\": {:.3}, \"deltas\": {:.3}, \"scoring\": {:.3}, \"search\": {:.3} }}\n",
             "    }}"
         ),
         name,
@@ -121,7 +185,11 @@ fn decode_json(name: &str, p: &DecodePair) -> String {
         p.streaming_one_chunk_ms,
         p.eager_ms / p.lazy_ms,
         p.outputs_match,
+        p.tokens_per_frame,
         p.fe_ms,
+        fe.fft_ms,
+        fe.mel_log_dct_ms,
+        fe.deltas_ms,
         p.scoring_ms,
         p.search_ms,
     )
@@ -167,15 +235,16 @@ fn bench_gmm_layout(reps: usize) -> (f64, f64, bool) {
     let weights = (0..m).map(|_| rng.gen_range(0.1f32..1.0)).collect();
     let gmm = Gmm::from_params(dim, means, vars, weights);
     let soa = gmm.soa();
-    let frames: Vec<Vec<f32>> = (0..2048)
+    let rows: Vec<Vec<f32>> = (0..2048)
         .map(|_| (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
         .collect();
+    let frames = Frames::from_rows(&rows);
     let mut aos = Vec::with_capacity(reps);
     let mut soa_ms = Vec::with_capacity(reps);
     let mut reference = Vec::new();
     for _ in 0..reps {
         let t = Instant::now();
-        reference = frames.iter().map(|f| gmm.log_likelihood(f)).collect();
+        reference = frames.rows().map(|f| gmm.log_likelihood(f)).collect();
         aos.push(t.elapsed().as_secs_f64() * 1e3);
     }
     let mut out = vec![0.0f32; frames.len()];
@@ -219,6 +288,7 @@ fn main() {
     eprintln!("benchmarking decode (eager vs lazy), {reps} reps...");
     let gmm = bench_decode(&asr, &utts, AcousticModelKind::Gmm, reps);
     let dnn = bench_decode(&asr, &utts, AcousticModelKind::Dnn, reps);
+    let fe = bench_frontend(&asr, &utts, reps);
     eprintln!("benchmarking DNN forward (matvec vs GEMM)...");
     let (pf_ms, gemm_ms, dnn_bits) = bench_dnn_forward(reps);
     eprintln!("benchmarking GMM layout (AoS vs SoA)...");
@@ -229,8 +299,8 @@ fn main() {
     println!("  \"reps\": {reps},");
     println!("  \"corpus_utterances\": {},", CORPUS.len());
     println!("  \"asr_decode\": {{");
-    println!("{},", decode_json("gmm", &gmm));
-    println!("{}", decode_json("dnn", &dnn));
+    println!("{},", decode_json("gmm", &gmm, &fe));
+    println!("{}", decode_json("dnn", &dnn, &fe));
     println!("  }},");
     println!(
         "  \"dnn_forward\": {{ \"per_frame_matvec_ms\": {:.3}, \"batched_gemm_ms\": {:.3}, \"speedup\": {:.2}, \"bit_identical\": {} }},",

@@ -10,18 +10,28 @@
 //! GEMM call.
 //!
 //! ```text
-//!  ASR worker 1 ─┐ score_windows(blockₐ)
+//!  ASR worker 1 ─┐ session.score_windows(blockₐ)
 //!  ASR worker 2 ─┼──▶ [batch queue] ─▶ collector ─▶ one GEMM over
-//!  ASR worker 3 ─┘      (gather until      │        [blockₐ; blockᵦ; …]
-//!                        max_batch or      └─▶ scatter rows back to the
-//!                        max_delay)            per-query reply slots
+//!  ASR worker 3 ─┘      (gather until every │       [blockₐ; blockᵦ; …]
+//!                        live session has   └─▶ scatter rows back to the
+//!                        a block in, or         per-query reply slots
+//!                        max_batch, or
+//!                        max_delay)
 //! ```
 //!
+//! **Sessions.** A decode blocks on each of its blocks, so it has at most
+//! one in flight: a batch can never hold more blocks than there are decodes
+//! in progress. Each DNN decode therefore scores through a
+//! [`BatchSession`] opened for its span ([`BatchHandle::session`]), and the
+//! collector counts the live ones.
+//!
 //! **Policy.** [`BatchPolicy`]`{ max_batch, max_delay }`: the collector
-//! flushes as soon as `max_batch` blocks are gathered (a *full* flush) or
-//! the oldest gathered block has waited `max_delay` (a *timeout* flush),
-//! whichever comes first. `max_batch = 1` degrades to today's per-query
-//! path: the runtime does not even spawn a collector.
+//! flushes as soon as it holds `min(max_batch, live sessions)` blocks (a
+//! *full* flush — nobody is left who could add to the batch) or the oldest
+//! gathered block has waited `max_delay` (a *timeout* flush), whichever
+//! comes first. So `max_delay` only bounds the wait for a session that is
+//! mid-search; a lone decode never waits. `max_batch = 1` degrades to the
+//! per-query path: the runtime does not even spawn a collector.
 //!
 //! **Bit-identity.** Both the forward pass and the emission conversion are
 //! strictly row-independent (see `sirius_speech::WindowScorer`), so
@@ -35,6 +45,8 @@
 //! The collector exits when every [`BatchHandle`] (held by the ASR workers
 //! via their stage handler) is dropped — it drains the queue, answering every
 //! outstanding request, before exiting, so no worker is left waiting. A
+//! session that ends (its decode finished, or unwound) tells the collector
+//! on drop, so a batch is never held for a decode that is gone. A
 //! send that races collector teardown falls back to scoring locally, which
 //! is bit-identical anyway.
 //!
@@ -47,13 +59,14 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sirius::pipeline::Sirius;
-use sirius_par::queue::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use sirius_par::queue::{bounded, Receiver, RecvTimeoutError, Sender};
 use sirius_speech::WindowScorer;
 
 use crate::metrics::BatchObs;
 
-/// Governs the ASR batch collector: flush when `max_batch` blocks are
-/// gathered or the oldest has waited `max_delay`, whichever comes first.
+/// Governs the ASR batch collector: flush when `max_batch` blocks — or one
+/// from every decode in progress, if that is fewer — are gathered, or the
+/// oldest has waited `max_delay`, whichever comes first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Most frame blocks coalesced into one GEMM. At 1 (the default) the
@@ -127,29 +140,40 @@ impl ReplySlot {
     }
 }
 
-/// The worker-side end of the batch collector: a [`WindowScorer`] that
-/// ships each block to the collector and blocks until the scattered rows
-/// come back. Cheap to clone; every ASR worker scores through one.
+/// What travels to the collector: blocks to score, and the opening and
+/// closing of the sessions they belong to. One FIFO carries all three, so
+/// the collector's session count is never behind the blocks it holds.
+enum Msg {
+    Open,
+    Close,
+    Score(ScoreRequest),
+}
+
+/// The worker-side end of the batch collector. Cheap to clone; every ASR
+/// worker holds one and opens a [`BatchSession`] per DNN decode.
 #[derive(Clone)]
 pub struct BatchHandle {
-    tx: Sender<ScoreRequest>,
+    tx: Sender<Msg>,
     /// Local scorer used if a send races collector teardown — bit-identical
     /// to the batched path, so the fallback is invisible in the output.
     fallback: Arc<dyn WindowScorer>,
 }
 
-impl WindowScorer for BatchHandle {
-    fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32> {
-        let reply = ReplySlot::new();
-        let req = ScoreRequest {
-            x: x.to_vec(),
-            rows,
-            reply: Arc::clone(&reply),
-        };
-        if self.tx.send(req).is_err() {
-            return self.fallback.score_windows(x, rows);
-        }
-        reply.wait()
+impl BatchHandle {
+    /// Opens a scoring session: the [`WindowScorer`] one decode scores all
+    /// its blocks through. Hold it for exactly the span of the decode — the
+    /// collector waits (up to `max_delay`) for a block from every open
+    /// session before it flushes a partial batch.
+    pub fn session(&self) -> BatchSession<'_> {
+        // If the collector is gone the session is not counted anywhere and
+        // its blocks score locally.
+        let _ = self.tx.send(Msg::Open);
+        BatchSession { handle: self }
+    }
+
+    /// Scores one block through a session of its own.
+    pub fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32> {
+        self.session().score_windows(x, rows)
     }
 }
 
@@ -158,6 +182,34 @@ impl std::fmt::Debug for BatchHandle {
         f.debug_struct("BatchHandle")
             .field("queued", &self.tx.len())
             .finish_non_exhaustive()
+    }
+}
+
+/// One decode's connection to the collector: ships each block and blocks
+/// until the scattered rows come back. Dropping it ends the session.
+pub struct BatchSession<'a> {
+    handle: &'a BatchHandle,
+}
+
+impl WindowScorer for BatchSession<'_> {
+    fn score_windows(&self, x: &[f32], rows: usize) -> Vec<f32> {
+        let reply = ReplySlot::new();
+        let req = ScoreRequest {
+            x: x.to_vec(),
+            rows,
+            reply: Arc::clone(&reply),
+        };
+        if self.handle.tx.send(Msg::Score(req)).is_err() {
+            return self.handle.fallback.score_windows(x, rows);
+        }
+        reply.wait()
+    }
+}
+
+impl Drop for BatchSession<'_> {
+    fn drop(&mut self) {
+        // A closed channel means there is no collector left to tell.
+        let _ = self.handle.tx.send(Msg::Close);
     }
 }
 
@@ -177,7 +229,7 @@ pub fn spawn_batch_collector(
     workers: usize,
 ) -> (BatchHandle, JoinHandle<()>) {
     let depth = policy.max_batch.max(workers).max(1);
-    let (tx, rx) = bounded::<ScoreRequest>(depth);
+    let (tx, rx) = bounded::<Msg>(depth);
     let handle = BatchHandle {
         tx,
         fallback: Arc::clone(&scorer),
@@ -193,47 +245,45 @@ fn collector_loop(
     scorer: &dyn WindowScorer,
     policy: BatchPolicy,
     obs: &BatchObs,
-    rx: &Receiver<ScoreRequest>,
+    rx: &Receiver<Msg>,
 ) {
     let max_batch = policy.max_batch.max(1);
-    while let Some(first) = rx.recv() {
-        let mut batch = vec![first];
-        if max_batch > 1 {
-            // The delay clock starts at the *oldest* gathered block. An
-            // unrepresentable deadline (near-MAX delay) means "wait for a
-            // full batch or close".
-            let deadline = Instant::now().checked_add(policy.max_delay);
-            while batch.len() < max_batch {
-                // Drain whatever is already queued before sleeping.
-                match rx.try_recv() {
-                    Ok(req) => {
-                        batch.push(req);
-                        continue;
-                    }
-                    Err(TryRecvError::Disconnected) => break,
-                    Err(TryRecvError::Empty) => {}
+    let mut live = 0usize;
+    let mut batch: Vec<ScoreRequest> = Vec::new();
+    // When the oldest gathered block has waited `max_delay`. `None` with a
+    // non-empty batch is an unrepresentable deadline (near-MAX delay):
+    // wait for a full batch or close.
+    let mut deadline: Option<Instant> = None;
+    loop {
+        // Every live session blocks on its one block, so a batch holding
+        // `live` blocks is as large as it can get.
+        if !batch.is_empty() && batch.len() >= max_batch.min(live.max(1)) {
+            obs.flush_full.inc();
+            flush(scorer, obs, std::mem::take(&mut batch));
+        }
+        let msg = match deadline.filter(|_| !batch.is_empty()) {
+            None => rx.recv().ok_or(RecvTimeoutError::Disconnected),
+            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+        };
+        match msg {
+            Ok(Msg::Open) => live += 1,
+            Ok(Msg::Close) => live = live.saturating_sub(1),
+            Ok(Msg::Score(req)) => {
+                if batch.is_empty() {
+                    deadline = Instant::now().checked_add(policy.max_delay);
                 }
-                match deadline {
-                    Some(deadline) => {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        match rx.recv_timeout(deadline - now) {
-                            Ok(req) => batch.push(req),
-                            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                                break
-                            }
-                        }
-                    }
-                    None => match rx.recv() {
-                        Some(req) => batch.push(req),
-                        None => break,
-                    },
+                batch.push(req);
+            }
+            Err(closed_or_late) => {
+                if !batch.is_empty() {
+                    obs.flush_timeout.inc();
+                    flush(scorer, obs, std::mem::take(&mut batch));
+                }
+                if closed_or_late == RecvTimeoutError::Disconnected {
+                    return;
                 }
             }
         }
-        flush(scorer, obs, max_batch, batch);
     }
 }
 
@@ -241,13 +291,8 @@ fn collector_loop(
 /// scatters the emission rows back to each request's reply slot, in gather
 /// order — row independence makes every scattered slice bit-identical to
 /// scoring that request alone.
-fn flush(scorer: &dyn WindowScorer, obs: &BatchObs, max_batch: usize, batch: Vec<ScoreRequest>) {
+fn flush(scorer: &dyn WindowScorer, obs: &BatchObs, batch: Vec<ScoreRequest>) {
     obs.size.record(batch.len() as u64);
-    if batch.len() >= max_batch {
-        obs.flush_full.inc();
-    } else {
-        obs.flush_timeout.inc();
-    }
     if batch.len() == 1 {
         // Nothing to coalesce; skip the concatenation copy.
         let req = batch.into_iter().next().expect("one request");
@@ -400,20 +445,22 @@ mod tests {
         assert_eq!(flushes, sizes.count);
     }
 
+    /// The collector waits for a session that is open but mid-search — and
+    /// only `max_delay` long.
     #[test]
-    fn timeout_flushes_a_partial_batch() {
+    fn timeout_flushes_a_batch_another_session_never_joins() {
         let scorer = RowFn::new();
         let (registry, obs) = obs();
-        // max_batch 8 but only one request in flight: only the delay can
-        // flush it.
         let policy = BatchPolicy::new(8, Duration::from_millis(5));
         let (handle, collector) =
-            spawn_batch_collector(Arc::<RowFn>::clone(&scorer) as _, policy, obs, 1);
+            spawn_batch_collector(Arc::<RowFn>::clone(&scorer) as _, policy, obs, 2);
+        let searching = handle.session();
         let block = [9.0f32, 11.0];
         let begun = Instant::now();
-        let out = handle.score_windows(&block, 1);
+        let out = handle.session().score_windows(&block, 1);
         assert!(begun.elapsed() >= Duration::from_millis(5), "waited out");
         assert_eq!(out, expected(&block));
+        drop(searching);
         drop(handle);
         collector.join().expect("collector exits");
         let snap = registry.snapshot();
@@ -421,12 +468,55 @@ mod tests {
         assert_eq!(snap.counter("asr.batch_flush_timeout"), Some(1));
     }
 
+    /// A lone decode has nobody to wait for: each of its blocks is a full
+    /// batch of one however long `max_delay` is, and a session that ends
+    /// releases a batch that was being held for it.
+    #[test]
+    fn a_batch_holding_every_live_session_flushes_at_once() {
+        let scorer = RowFn::new();
+        let (registry, obs) = obs();
+        let policy = BatchPolicy::new(8, Duration::from_secs(30));
+        let (handle, collector) =
+            spawn_batch_collector(Arc::<RowFn>::clone(&scorer) as _, policy, obs, 2);
+        let begun = Instant::now();
+        let lone = handle.session();
+        for i in 0..13 {
+            let block = [i as f32, 1.0];
+            assert_eq!(lone.score_windows(&block, 1), expected(&block));
+        }
+        drop(lone);
+        // Two sessions: the first block is held for the second session,
+        // and released when that session ends without sending.
+        let leaving = handle.session();
+        let (sent_tx, sent_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let session = handle.session();
+                sent_tx.send(()).expect("test alive");
+                session.score_windows(&[4.0, 5.0], 1)
+            })
+        };
+        sent_rx.recv().expect("waiter opened its session");
+        drop(leaving);
+        assert_eq!(waiter.join().expect("waiter"), expected(&[4.0, 5.0]));
+        assert!(
+            begun.elapsed() < Duration::from_secs(10),
+            "waited for nobody"
+        );
+        drop(handle);
+        collector.join().expect("collector exits");
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("asr.batch_flush_full"), Some(14));
+        assert_eq!(snap.counter("asr.batch_flush_timeout"), Some(0));
+    }
+
     #[test]
     fn send_failure_falls_back_to_local_scoring() {
         // A handle whose collector is gone (receiver dropped) must still
         // answer — locally, through the fallback scorer.
         let scorer = RowFn::new();
-        let (tx, rx) = bounded::<ScoreRequest>(1);
+        let (tx, rx) = bounded::<Msg>(1);
         drop(rx);
         let handle = BatchHandle {
             tx,

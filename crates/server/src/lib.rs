@@ -44,7 +44,7 @@ pub mod runtime;
 pub mod stream;
 pub mod wire;
 
-pub use batch::{spawn_batch_collector, BatchHandle, BatchPolicy};
+pub use batch::{spawn_batch_collector, BatchHandle, BatchPolicy, BatchSession};
 pub use cluster::{ClusterConfig, ClusterTicket, RoutePolicy, SiriusCluster};
 pub use metrics::{BatchObs, ServerMetrics, StageObs, StreamObs, STAGES};
 pub use net::{http_get, NetClient, NetClientError, NetConfig, NetMetrics, NetServer};

@@ -53,7 +53,7 @@ use sirius::stage::{AsrRequest, AsrResponse, ClassifyRequest, ImmRequest, QaRequ
 use sirius_nlp::qa::QaBreakdown;
 use sirius_par::queue::{bounded, Receiver, Sender};
 use sirius_speech::features::SAMPLE_RATE;
-use sirius_speech::{Acoustic, WindowScorer};
+use sirius_speech::{Acoustic, AcousticModelKind, WindowScorer};
 use sirius_vision::db::ImmTiming;
 use sirius_vision::image::GrayImage;
 
@@ -353,9 +353,15 @@ impl AsrStage {
     /// them at dequeue — so an abandoned query never occupies a slot in a
     /// batch or a speculation.
     pub(crate) fn serve(&self, ctx: &Ctx, req: AsrRequest) -> Result<AsrServed, SiriusError> {
-        // The one place "DNN and a collector exists → remote" is decided;
-        // GMM has no GEMM to batch, so `Acoustic::new` drops the remote.
-        let remote = self.remote.as_ref().map(|h| h as &dyn WindowScorer);
+        // The one place "DNN and a collector exists → remote" is decided.
+        // The session lives for this decode only: the collector holds a
+        // partial batch for every open session, and a GMM decode (no GEMM
+        // to batch) would never send it a block.
+        let session = match (req.acoustic, &self.remote) {
+            (AcousticModelKind::Dnn, Some(handle)) => Some(handle.session()),
+            _ => None,
+        };
+        let remote = session.as_ref().map(|s| s as &dyn WindowScorer);
         let acoustic = Acoustic::new(req.acoustic, remote);
         match &self.streaming {
             Some(streaming) => streaming.serve(&self.sirius, acoustic, ctx, req),

@@ -94,6 +94,36 @@ fn batched_serving_is_bit_identical_to_serial() {
     }
 }
 
+/// One DNN query on an otherwise idle batching server has no batch-mate to
+/// wait for: its 13-odd blocks must each flush at once, not wait out
+/// `max_delay` — here 10 s a block, against a 5 s budget for the query.
+#[test]
+fn a_lone_dnn_query_does_not_wait_out_max_delay() {
+    let sirius = shared_sirius();
+    let prepared = prepare_input_set(&sirius, 4242);
+    let input = prepared[0].input();
+    let serial = payload(&sirius.process_with(&input, AcousticModelKind::Dnn));
+
+    let mut config = ServerConfig::with_workers(2)
+        .with_batch_policy(BatchPolicy::new(4, Duration::from_secs(10)));
+    config.acoustic = AcousticModelKind::Dnn;
+    let server = SiriusServer::start(Arc::clone(&sirius), config);
+    let begun = std::time::Instant::now();
+    let response = server
+        .submit(input)
+        .expect("idle server admits")
+        .wait()
+        .expect("query served");
+    let took = begun.elapsed();
+    assert!(took < Duration::from_secs(5), "lone query took {took:?}");
+    assert_eq!(payload(&response), serial);
+
+    let snap = server.metrics_snapshot();
+    assert!(snap.counter("asr.batch_flush_full").unwrap() > 0);
+    assert_eq!(snap.counter("asr.batch_flush_timeout"), Some(0));
+    server.shutdown();
+}
+
 /// Deterministic stand-in for the DNN scorer: width-1 rows, out = 3x + 7.
 /// Any correct batching of rows reproduces it exactly per request.
 struct AffineScorer;

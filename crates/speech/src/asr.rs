@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::dnn::{Dnn, DnnTrainConfig};
-use crate::features::{Frontend, FEATURE_DIM, FRAME_HOP, FRAME_LEN};
+use crate::features::{Frames, Frontend, FEATURE_DIM, FRAME_HOP, FRAME_LEN};
 use crate::gmm::Gmm;
 use crate::hmm::{
     AcousticScorer, DecodeResult, Decoder, DecoderConfig, DnnScorer, GmmScorer, WindowScorer,
@@ -218,15 +218,15 @@ impl AsrSystem {
 
         // Synthesize isolated-word training data with known alignments.
         let mut synth = Synthesizer::new(seed, SynthConfig::default());
-        let mut state_frames: Vec<Vec<Vec<f32>>> = vec![Vec::new(); NUM_STATES];
+        let mut state_frames = vec![Frames::new(FEATURE_DIM); NUM_STATES];
         let mut labeled: Vec<(Vec<f32>, usize)> = Vec::new();
         for (_, word, _) in lexicon.iter() {
             for _ in 0..config.reps {
                 let utt = synth.say(word);
                 let feats = frontend.extract(&utt.samples);
-                for (t, feat) in feats.iter().enumerate() {
+                for (t, feat) in feats.rows().enumerate() {
                     if let Some(state) = frame_state(&utt, t) {
-                        state_frames[state].push(feat.clone());
+                        state_frames[state].push_row(feat);
                     }
                 }
                 // DNN training examples need context windows; build below
@@ -238,7 +238,10 @@ impl AsrSystem {
 
         // GMM per tied state, with a global fallback for unseen states.
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x517a_11ce);
-        let all_frames: Vec<Vec<f32>> = state_frames.iter().flatten().cloned().collect();
+        let mut all_frames = Frames::new(FEATURE_DIM);
+        for row in state_frames.iter().flat_map(Frames::rows) {
+            all_frames.push_row(row);
+        }
         assert!(!all_frames.is_empty(), "no training frames produced");
         let global = Gmm::fit(&all_frames, 1, 1, &mut rng);
         let gmms: Vec<Gmm> = state_frames
@@ -492,7 +495,7 @@ fn frame_state(utt: &Utterance, t: usize) -> Option<usize> {
 
 fn build_context_examples(
     utt: &Utterance,
-    feats: &[Vec<f32>],
+    feats: &Frames,
     context: usize,
 ) -> Vec<(Vec<f32>, usize)> {
     (0..feats.len())
@@ -647,6 +650,42 @@ mod persistence_tests {
         let b_dnn = restored.recognize(&utt.samples, AcousticModelKind::Dnn);
         assert_eq!(a_dnn.text, b_dnn.text);
         assert_eq!(restored.lexicon().len(), asr.lexicon().len());
+    }
+
+    /// A saved system whose GMM has more components than the scorers'
+    /// fixed-width arrays hold must fail to load, not panic or mis-score
+    /// at the first decode.
+    #[test]
+    fn a_gmm_wider_than_the_scorers_is_rejected_on_load() {
+        use crate::gmm::MAX_COMPONENTS;
+        let asr = AsrSystem::train(&["hi there"], 7, AsrTrainConfig::default());
+        // The system's own bytes, with state 0's mixture replaced by `m`
+        // copies of one unit Gaussian.
+        let with_components = |m: usize| {
+            let mut e = sirius_codec::Encoder::new();
+            e.tag("sirius_asr_v1");
+            asr.lexicon.encode(&mut e);
+            asr.lm.encode(&mut e);
+            e.tag("gmm_scorer");
+            e.u32(NUM_STATES as u32);
+            e.tag("gmm");
+            e.u32(FEATURE_DIM as u32);
+            e.f32_slice(&vec![0.0; m * FEATURE_DIM]);
+            e.f32_slice(&vec![0.5; m * FEATURE_DIM]);
+            e.f32_slice(&vec![-(m as f32).ln(); m]);
+            e.f32_slice(&vec![-23.9; m]);
+            for g in &asr.gmm.models()[1..] {
+                g.encode(&mut e);
+            }
+            asr.dnn.encode(&mut e);
+            e.into_bytes()
+        };
+        let widest = AsrSystem::from_bytes(&with_components(MAX_COMPONENTS)).expect("64 load");
+        let utt = Synthesizer::new(606, SynthConfig::default()).say("hi there");
+        let out = widest.recognize(&utt.samples, AcousticModelKind::Gmm);
+        assert!(out.frames > 0 && out.confidence.is_finite());
+        let err = AsrSystem::from_bytes(&with_components(MAX_COMPONENTS + 1)).unwrap_err();
+        assert!(err.message.contains("at most 64"), "{}", err.message);
     }
 
     #[test]

@@ -11,6 +11,44 @@
 use rand::Rng;
 use sirius_codec::{DecodeError, Decoder, Encoder};
 
+use crate::features::Frames;
+
+/// Most mixture components a [`Gmm`] may have: the scorers keep one
+/// component's log density per slot of a fixed stack array.
+pub const MAX_COMPONENTS: usize = 64;
+
+/// Terms this far (in nats) below the largest are dropped from the
+/// log-sum-exp: `e^-20 = 2e-9` is under a thirtieth of an f32 ulp of the
+/// sum, which is at least 1.
+const LSE_CUTOFF: f32 = -20.0;
+
+/// `ln Σ e^l` over per-component log densities — the one log-sum-exp every
+/// GMM scorer in the crate ends in, which is what makes the AoS, SoA and
+/// eager paths bit-identical to each other. The largest term contributes
+/// exactly 1 without a call to `exp`, terms under [`LSE_CUTOFF`] contribute
+/// nothing, so a padding lane of `-inf` is free.
+fn log_sum_exp(logs: &[f32]) -> f32 {
+    let mut best = f32::NEG_INFINITY;
+    for &l in logs {
+        if l > best {
+            best = l;
+        }
+    }
+    if best == f32::NEG_INFINITY {
+        return best;
+    }
+    let mut acc = 0.0f32;
+    for &l in logs {
+        let d = l - best;
+        if d == 0.0 {
+            acc += 1.0;
+        } else if d > LSE_CUTOFF {
+            acc += d.exp();
+        }
+    }
+    best + acc.ln()
+}
+
 /// One diagonal-covariance Gaussian mixture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Gmm {
@@ -35,7 +73,10 @@ impl Gmm {
     /// if any variance is non-positive.
     pub fn from_params(dim: usize, means: Vec<f32>, vars: Vec<f32>, weights: Vec<f32>) -> Self {
         let m = weights.len();
-        assert!(m <= 64, "at most 64 mixture components supported");
+        assert!(
+            m <= MAX_COMPONENTS,
+            "at most {MAX_COMPONENTS} mixture components supported"
+        );
         assert_eq!(means.len(), m * dim, "means length");
         assert_eq!(vars.len(), m * dim, "vars length");
         assert!(vars.iter().all(|&v| v > 0.0), "variances must be positive");
@@ -74,32 +115,18 @@ impl Gmm {
     /// Panics in debug builds if `x.len() != self.dim()`.
     pub fn log_likelihood(&self, x: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), self.dim);
-        let mut best = f32::NEG_INFINITY;
-        let mut acc = 0.0f32;
-        // log-sum-exp over components, streaming.
-        let mut logs = [0f32; 64];
-        let m = self.num_components();
-        for k in 0..m {
+        let mut logs = [0f32; MAX_COMPONENTS];
+        let logs = &mut logs[..self.num_components()];
+        for (k, slot) in logs.iter_mut().enumerate() {
             let mut dist = 0.0f32;
             let base = k * self.dim;
             for d in 0..self.dim {
                 let diff = x[d] - self.means[base + d];
                 dist += diff * diff * self.precs[base + d];
             }
-            let l = self.weights[k] + self.factors[k] - dist;
-            logs[k.min(63)] = l;
-            if l > best {
-                best = l;
-            }
+            *slot = self.weights[k] + self.factors[k] - dist;
         }
-        if best == f32::NEG_INFINITY {
-            return f32::NEG_INFINITY;
-        }
-        for (k, l) in logs.iter().enumerate().take(m) {
-            let _ = k;
-            acc += (l - best).exp();
-        }
-        best + acc.ln()
+        log_sum_exp(logs)
     }
 
     /// Fits a GMM with `num_components` components to `data` using k-means
@@ -108,29 +135,24 @@ impl Gmm {
     /// # Panics
     ///
     /// Panics if `data` is empty or `num_components` is 0 or > 64.
-    pub fn fit(
-        data: &[Vec<f32>],
-        num_components: usize,
-        em_iters: usize,
-        rng: &mut impl Rng,
-    ) -> Self {
+    pub fn fit(data: &Frames, num_components: usize, em_iters: usize, rng: &mut impl Rng) -> Self {
         assert!(!data.is_empty(), "cannot fit a GMM to no data");
         assert!(
-            (1..=64).contains(&num_components),
-            "components must be in 1..=64"
+            (1..=MAX_COMPONENTS).contains(&num_components),
+            "components must be in 1..={MAX_COMPONENTS}"
         );
-        let dim = data[0].len();
+        let dim = data.dim();
         let n = data.len();
         // k-means++-lite initialization: random distinct points.
         let mut means: Vec<f32> = Vec::with_capacity(num_components * dim);
         for _ in 0..num_components {
             let idx = rng.gen_range(0..n);
-            means.extend_from_slice(&data[idx]);
+            means.extend_from_slice(data.row(idx));
         }
         let mut assignments = vec![0usize; n];
         for _ in 0..4 {
             // Assign.
-            for (i, x) in data.iter().enumerate() {
+            for (i, x) in data.rows().enumerate() {
                 let mut best = (f32::INFINITY, 0usize);
                 for k in 0..num_components {
                     let d: f32 = (0..dim)
@@ -148,7 +170,7 @@ impl Gmm {
             // Update.
             let mut counts = vec![0usize; num_components];
             let mut sums = vec![0.0f32; num_components * dim];
-            for (i, x) in data.iter().enumerate() {
+            for (i, x) in data.rows().enumerate() {
                 let k = assignments[i];
                 counts[k] += 1;
                 for j in 0..dim {
@@ -162,14 +184,14 @@ impl Gmm {
                     }
                 } else {
                     let idx = rng.gen_range(0..n);
-                    means[k * dim..(k + 1) * dim].copy_from_slice(&data[idx]);
+                    means[k * dim..(k + 1) * dim].copy_from_slice(data.row(idx));
                 }
             }
         }
         // Initial variances and weights from the hard assignment.
         let mut vars = vec![0.0f32; num_components * dim];
         let mut counts = vec![0usize; num_components];
-        for (i, x) in data.iter().enumerate() {
+        for (i, x) in data.rows().enumerate() {
             let k = assignments[i];
             counts[k] += 1;
             for j in 0..dim {
@@ -227,6 +249,15 @@ impl Gmm {
                 offset: 0,
             });
         }
+        if weights.len() > MAX_COMPONENTS {
+            return Err(DecodeError {
+                message: format!(
+                    "GMM has {} components, at most {MAX_COMPONENTS} supported",
+                    weights.len()
+                ),
+                offset: 0,
+            });
+        }
         Ok(Self {
             dim,
             means,
@@ -241,18 +272,20 @@ impl Gmm {
     pub fn soa(&self) -> GmmSoa {
         let m = self.num_components();
         let dim = self.dim;
-        let mut means_t = vec![0.0f32; m * dim];
-        let mut precs_t = vec![0.0f32; m * dim];
+        let groups = m.div_ceil(LANES);
+        let mut means_t = vec![[0.0f32; LANES]; groups * dim];
+        let mut precs_t = vec![[0.0f32; LANES]; groups * dim];
+        let mut offsets = vec![[f32::NEG_INFINITY; LANES]; groups];
         for k in 0..m {
+            let (g, lane) = (k / LANES, k % LANES);
             for d in 0..dim {
-                means_t[d * m + k] = self.means[k * dim + d];
-                precs_t[d * m + k] = self.precs[k * dim + d];
+                means_t[g * dim + d][lane] = self.means[k * dim + d];
+                precs_t[g * dim + d][lane] = self.precs[k * dim + d];
             }
+            offsets[g][lane] = self.weights[k] + self.factors[k];
         }
-        let offsets = (0..m).map(|k| self.weights[k] + self.factors[k]).collect();
         GmmSoa {
             dim,
-            m,
             means_t,
             precs_t,
             offsets,
@@ -260,7 +293,7 @@ impl Gmm {
     }
 
     /// One EM iteration over `data`, returning the updated model.
-    fn em_step(&self, data: &[Vec<f32>]) -> Self {
+    fn em_step(&self, data: &Frames) -> Self {
         let m = self.num_components();
         let dim = self.dim;
         let n = data.len();
@@ -268,7 +301,7 @@ impl Gmm {
         let mut mean_acc = vec![0.0f64; m * dim];
         let mut var_acc = vec![0.0f64; m * dim];
         let mut logs = vec![0.0f32; m];
-        for x in data {
+        for x in data.rows() {
             // Per-component log densities.
             let mut best = f32::NEG_INFINITY;
             for k in 0..m {
@@ -294,7 +327,7 @@ impl Gmm {
             .map(|i| (mean_acc[i] / resp_sum[i / dim].max(1e-10)) as f32)
             .collect();
         // Second pass for variances against the new means.
-        for x in data {
+        for x in data.rows() {
             let mut best = f32::NEG_INFINITY;
             for k in 0..m {
                 let mut dist = 0.0f32;
@@ -323,26 +356,33 @@ impl Gmm {
     }
 }
 
+/// Components scored side by side by [`GmmSoa`]: the trained mixtures have
+/// 8, and 8 f32 lanes are two SSE (one AVX) registers.
+const LANES: usize = 8;
+
 /// Dimension-major (SoA) scoring view of a [`Gmm`].
 ///
 /// The paper's GPU port transposes the GMM parameters so that "coalesced
 /// global memory accesses" walk all components together (Section 4.4.1);
-/// on a CPU the same transposition turns the inner loop into `m`
-/// independent accumulators that vectorize. Each component's squared
+/// on a CPU the same transposition turns the inner loop into independent
+/// accumulators that vectorize. Components are laid out in groups of
+/// [`LANES`] fixed-width lanes, so the distance loop has a trip count the
+/// compiler knows; a lane past the last component has zero precision and
+/// a `-inf` offset, which the log-sum-exp drops. Each component's squared
 /// distance still accumulates over the dimensions in ascending order, and
-/// the log-sum-exp runs over components in the same order as
+/// the same [`log_sum_exp`] runs over components in the same order as
 /// [`Gmm::log_likelihood`], so the result is **bit-identical** to the AoS
 /// triple loop — the lazy decoder's equivalence gate is exact.
 #[derive(Debug, Clone)]
 pub struct GmmSoa {
     dim: usize,
-    m: usize,
-    /// Transposed means, `means_t[d * m + k]`.
-    means_t: Vec<f32>,
+    /// Transposed means, `means_t[g * dim + d][lane]` for component
+    /// `g * LANES + lane`.
+    means_t: Vec<[f32; LANES]>,
     /// Transposed precisions, same layout.
-    precs_t: Vec<f32>,
-    /// Per-component `log weight + log normalizer`.
-    offsets: Vec<f32>,
+    precs_t: Vec<[f32; LANES]>,
+    /// Per-component `log weight + log normalizer`, `offsets[g][lane]`.
+    offsets: Vec<[f32; LANES]>,
 }
 
 impl GmmSoa {
@@ -359,33 +399,27 @@ impl GmmSoa {
     /// Panics in debug builds if `x.len() != self.dim()`.
     pub fn log_likelihood(&self, x: &[f32]) -> f32 {
         debug_assert_eq!(x.len(), self.dim);
-        let m = self.m;
-        let mut dists = [0.0f32; 64];
-        let dists = &mut dists[..m];
-        for (d, &xd) in x.iter().enumerate() {
-            let means = &self.means_t[d * m..(d + 1) * m];
-            let precs = &self.precs_t[d * m..(d + 1) * m];
-            for ((acc, &mean), &prec) in dists.iter_mut().zip(means).zip(precs) {
-                let diff = xd - mean;
-                *acc += diff * diff * prec;
+        let mut logs = [0.0f32; MAX_COMPONENTS];
+        let logs = &mut logs[..self.offsets.len() * LANES];
+        let groups = self
+            .means_t
+            .chunks_exact(self.dim)
+            .zip(self.precs_t.chunks_exact(self.dim));
+        for ((out, offsets), (means, precs)) in
+            logs.chunks_exact_mut(LANES).zip(&self.offsets).zip(groups)
+        {
+            let mut dists = [0.0f32; LANES];
+            for ((&xd, mean), prec) in x.iter().zip(means).zip(precs) {
+                for lane in 0..LANES {
+                    let diff = xd - mean[lane];
+                    dists[lane] += diff * diff * prec[lane];
+                }
+            }
+            for lane in 0..LANES {
+                out[lane] = offsets[lane] - dists[lane];
             }
         }
-        let mut best = f32::NEG_INFINITY;
-        for (k, acc) in dists.iter_mut().enumerate() {
-            let l = self.offsets[k] - *acc;
-            *acc = l;
-            if l > best {
-                best = l;
-            }
-        }
-        if best == f32::NEG_INFINITY {
-            return f32::NEG_INFINITY;
-        }
-        let mut acc = 0.0f32;
-        for l in dists.iter() {
-            acc += (l - best).exp();
-        }
-        best + acc.ln()
+        log_sum_exp(logs)
     }
 
     /// Scores this state against many frames, writing `out[t]` for each
@@ -396,9 +430,9 @@ impl GmmSoa {
     /// # Panics
     ///
     /// Panics if `out.len() != frames.len()`.
-    pub fn log_likelihood_batch(&self, frames: &[Vec<f32>], out: &mut [f32]) {
+    pub fn log_likelihood_batch(&self, frames: &Frames, out: &mut [f32]) {
         assert_eq!(out.len(), frames.len(), "output length mismatch");
-        for (slot, frame) in out.iter_mut().zip(frames) {
+        for (slot, frame) in out.iter_mut().zip(frames.rows()) {
             *slot = self.log_likelihood(frame);
         }
     }
@@ -456,7 +490,7 @@ mod tests {
                 c + rng.gen_range(-0.5..0.5),
             ]);
         }
-        let g = Gmm::fit(&data, 2, 5, &mut rng);
+        let g = Gmm::fit(&Frames::from_rows(&data), 2, 5, &mut rng);
         // Points near the cluster centers must score far better than the gap.
         let near = g.log_likelihood(&[4.0, 4.0]);
         let gap = g.log_likelihood(&[0.0, 0.0]);
@@ -471,8 +505,8 @@ mod tests {
         };
         let a_data: Vec<Vec<f32>> = (0..200).map(|_| sample(-2.0, &mut rng)).collect();
         let b_data: Vec<Vec<f32>> = (0..200).map(|_| sample(2.0, &mut rng)).collect();
-        let ga = Gmm::fit(&a_data, 2, 3, &mut rng);
-        let gb = Gmm::fit(&b_data, 2, 3, &mut rng);
+        let ga = Gmm::fit(&Frames::from_rows(&a_data), 2, 3, &mut rng);
+        let gb = Gmm::fit(&Frames::from_rows(&b_data), 2, 3, &mut rng);
         let mut correct = 0;
         for _ in 0..100 {
             let x = sample(-2.0, &mut rng);
@@ -491,6 +525,29 @@ mod tests {
     #[should_panic(expected = "variances must be positive")]
     fn zero_variance_rejected() {
         let _ = Gmm::from_params(1, vec![0.0], vec![0.0], vec![1.0]);
+    }
+
+    /// `from_params` refuses more than [`MAX_COMPONENTS`]; so must `decode`,
+    /// or the scorers' fixed-width arrays are indexed out of range.
+    #[test]
+    fn decode_rejects_more_components_than_the_scorers_hold() {
+        let encode = |m: usize| {
+            let mut e = Encoder::new();
+            e.tag("gmm");
+            e.u32(1);
+            e.f32_slice(&vec![0.0; m]);
+            e.f32_slice(&vec![0.5; m]);
+            e.f32_slice(&vec![-1.0; m]);
+            e.f32_slice(&vec![-1.0; m]);
+            e.into_bytes()
+        };
+        let bytes = encode(MAX_COMPONENTS);
+        let g = Gmm::decode(&mut Decoder::new(&bytes)).expect("64 components decode");
+        assert!(g.log_likelihood(&[0.0]).is_finite());
+        assert!(g.soa().log_likelihood(&[0.0]).is_finite());
+        let bytes = encode(MAX_COMPONENTS + 1);
+        let err = Gmm::decode(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(err.message.contains("at most 64"), "{}", err.message);
     }
 
     #[test]
@@ -518,7 +575,7 @@ mod soa_tests {
             let data: Vec<Vec<f32>> = (0..m * 16)
                 .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
                 .collect();
-            let g = Gmm::fit(&data, m, 1, &mut rng);
+            let g = Gmm::fit(&Frames::from_rows(&data), m, 1, &mut rng);
             let soa = g.soa();
             for _ in 0..32 {
                 let x: Vec<f32> = (0..dim).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
@@ -531,19 +588,66 @@ mod soa_tests {
         }
     }
 
+    /// What the shared log-sum-exp replaced: `exp` of every component.
+    fn naive_log_likelihood(logs: &[f32]) -> f32 {
+        let best = logs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        best + logs.iter().map(|l| (l - best).exp()).sum::<f32>().ln()
+    }
+
+    #[test]
+    fn log_sum_exp_is_within_1e5_of_the_naive_form() {
+        let mut rng = ChaCha8Rng::seed_from_u64(2024);
+        for case in 0..2000 {
+            let m = 1 + case % 8;
+            // Spreads from "all terms matter" to "only the max does".
+            let spread = [0.5f32, 5.0, 25.0, 200.0][case % 4];
+            let logs: Vec<f32> = (0..m).map(|_| -rng.gen_range(0.0..spread) - 40.0).collect();
+            let (got, want) = (log_sum_exp(&logs), naive_log_likelihood(&logs));
+            assert!((got - want).abs() <= 1e-5, "case {case}: {got} vs {want}");
+        }
+        // A tie for the maximum counts both terms; `-inf` lanes are free.
+        let tie = log_sum_exp(&[-3.0, -3.0, f32::NEG_INFINITY]);
+        assert!((tie - (-3.0 + 2.0f32.ln())).abs() < 1e-6, "{tie}");
+        assert_eq!(log_sum_exp(&[f32::NEG_INFINITY; 4]), f32::NEG_INFINITY);
+        assert_eq!(log_sum_exp(&[]), f32::NEG_INFINITY);
+    }
+
+    /// Past one lane group the SoA view pads to the next multiple of the
+    /// lane width; the padding must not leak into the score.
+    #[test]
+    fn soa_scoring_is_bit_identical_across_lane_groups() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for m in [7usize, 8, 9, 16, 17, 63, MAX_COMPONENTS] {
+            let dim = 5;
+            let means = (0..m * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let vars = (0..m * dim).map(|_| rng.gen_range(0.2f32..1.5)).collect();
+            let weights = (0..m).map(|_| rng.gen_range(0.1f32..1.0)).collect();
+            let g = Gmm::from_params(dim, means, vars, weights);
+            let soa = g.soa();
+            for _ in 0..16 {
+                let x: Vec<f32> = (0..dim).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+                assert_eq!(
+                    g.log_likelihood(&x).to_bits(),
+                    soa.log_likelihood(&x).to_bits(),
+                    "m {m}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn batch_scoring_matches_per_frame() {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let data: Vec<Vec<f32>> = (0..64)
             .map(|_| (0..6).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
             .collect();
-        let g = Gmm::fit(&data, 4, 2, &mut rng);
+        let g = Gmm::fit(&Frames::from_rows(&data), 4, 2, &mut rng);
         let soa = g.soa();
         let frames: Vec<Vec<f32>> = (0..23)
             .map(|_| (0..6).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
             .collect();
         let mut out = vec![0.0f32; frames.len()];
-        soa.log_likelihood_batch(&frames, &mut out);
+        soa.log_likelihood_batch(&Frames::from_rows(&frames), &mut out);
         for (t, frame) in frames.iter().enumerate() {
             assert_eq!(out[t].to_bits(), g.log_likelihood(frame).to_bits());
         }
@@ -553,7 +657,7 @@ mod soa_tests {
 
 #[cfg(test)]
 mod property_tests {
-    use super::Gmm;
+    use super::{Frames, Gmm};
     use rand::{Rng as _, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -567,7 +671,7 @@ mod property_tests {
             let data: Vec<Vec<f32>> = (0..40)
                 .map(|_| (0..4).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
                 .collect();
-            let g = Gmm::fit(&data, 3, 1, &mut rng);
+            let g = Gmm::fit(&Frames::from_rows(&data), 3, 1, &mut rng);
             let l = g.log_likelihood(&x);
             assert!(l.is_finite(), "seed {seed}");
             // Shifting the query far away must not increase likelihood.
@@ -584,7 +688,7 @@ mod property_tests {
         let data: Vec<Vec<f32>> = (0..30)
             .map(|_| (0..4).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
             .collect();
-        let g = Gmm::fit(&data, 2, 1, &mut rng);
+        let g = Gmm::fit(&Frames::from_rows(&data), 2, 1, &mut rng);
         for _ in 0..32 {
             let x: Vec<f32> = (0..4).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
             assert_eq!(g.log_likelihood(&x), g.log_likelihood(&x));

@@ -18,6 +18,7 @@
 //! by a remote [`WindowScorer`]).
 
 use crate::dnn::{Dnn, DnnPlan, DnnScratch};
+use crate::features::Frames;
 use crate::gmm::{Gmm, GmmSoa};
 use crate::lexicon::{Lexicon, NUM_STATES, SIL, STATES_PER_PHONE};
 use crate::lm::BigramLm;
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 pub trait AcousticScorer {
     /// Returns `scores[t][s]` = log-likelihood of frame `t` under tied state
     /// `s`, for the whole utterance at once (DNN scorers need frame context).
-    fn score_utterance(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>>;
+    fn score_utterance(&self, frames: &Frames) -> Vec<Vec<f32>>;
 
     /// Human-readable model name ("GMM" or "DNN").
     fn name(&self) -> &'static str;
@@ -118,7 +119,7 @@ pub struct LazyScoreStats {
 #[derive(Debug)]
 pub struct LazyGmmScores<'a> {
     soa: &'a [GmmSoa],
-    frames: &'a [Vec<f32>],
+    frames: &'a Frames,
     policy: ExecPolicy,
     values: Vec<f32>,
     stamp: Vec<u32>,
@@ -134,7 +135,7 @@ pub struct LazyGmmScores<'a> {
 const LAZY_PAR_MIN: usize = 48;
 
 impl<'a> LazyGmmScores<'a> {
-    fn new(soa: &'a [GmmSoa], frames: &'a [Vec<f32>], policy: ExecPolicy) -> Self {
+    fn new(soa: &'a [GmmSoa], frames: &'a Frames, policy: ExecPolicy) -> Self {
         Self {
             soa,
             frames,
@@ -184,7 +185,7 @@ impl FrameScores for LazyGmmScores<'_> {
                 self.missing.push(s);
             }
         }
-        let frame = &self.frames[self.t];
+        let frame = self.frames.row(self.t);
         if self.missing.len() >= LAZY_PAR_MIN && !self.policy.is_serial(self.missing.len()) {
             let soa = self.soa;
             let vals = self
@@ -210,7 +211,7 @@ impl FrameScores for LazyGmmScores<'_> {
             // Miss outside prepare (should not happen with a correct active
             // set, but stays correct if it does).
             let start = Instant::now();
-            self.values[s] = self.soa[s].log_likelihood(&self.frames[self.t]);
+            self.values[s] = self.soa[s].log_likelihood(self.frames.row(self.t));
             self.stamp[s] = self.epoch;
             self.stats.computed += 1;
             self.compute_time += start.elapsed();
@@ -252,7 +253,7 @@ struct BlockScratch {
 pub struct BlockDnnScores<'a> {
     scorer: &'a DnnScorer,
     remote: Option<&'a dyn WindowScorer>,
-    frames: &'a [Vec<f32>],
+    frames: &'a Frames,
     block: Vec<f32>,
     block_start: usize,
     block_len: usize,
@@ -381,7 +382,7 @@ impl GmmScorer {
     /// A lazily evaluating [`FrameScores`] provider over `frames` for
     /// [`Decoder::decode_lazy`]. Only beam-reachable `(frame, state)` cells
     /// are ever scored, each at most once.
-    pub fn lazy_scores<'a>(&'a self, frames: &'a [Vec<f32>]) -> LazyGmmScores<'a> {
+    pub fn lazy_scores<'a>(&'a self, frames: &'a Frames) -> LazyGmmScores<'a> {
         LazyGmmScores::new(&self.soa, frames, self.policy)
     }
 }
@@ -418,7 +419,7 @@ impl GmmScorer {
 }
 
 impl AcousticScorer for GmmScorer {
-    fn score_utterance(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    fn score_utterance(&self, frames: &Frames) -> Vec<Vec<f32>> {
         // State-major evaluation: stream one state's (small) parameter block
         // over all frames, so parameters stay in registers/L1 while the
         // frame data streams. Values are bit-identical to the frame-major
@@ -502,8 +503,8 @@ impl DnnScorer {
     }
 
     /// Builds the stacked context window for frame `t`.
-    pub fn context_window(frames: &[Vec<f32>], t: usize, context: usize) -> Vec<f32> {
-        let dim = frames[0].len();
+    pub fn context_window(frames: &Frames, t: usize, context: usize) -> Vec<f32> {
+        let dim = frames.dim();
         let mut x = vec![0.0f32; dim * (2 * context + 1)];
         Self::context_window_into(frames, t, context, &mut x);
         x
@@ -515,21 +516,21 @@ impl DnnScorer {
     /// # Panics
     ///
     /// Panics if `out.len() != dim * (2 * context + 1)` or `frames` is empty.
-    pub fn context_window_into(frames: &[Vec<f32>], t: usize, context: usize, out: &mut [f32]) {
-        let dim = frames[0].len();
+    pub fn context_window_into(frames: &Frames, t: usize, context: usize, out: &mut [f32]) {
+        let dim = frames.dim();
         assert_eq!(out.len(), dim * (2 * context + 1), "window width");
         let n = frames.len() as isize;
         for (i, off) in (-(context as isize)..=(context as isize)).enumerate() {
             let idx = (t as isize + off).clamp(0, n - 1) as usize;
-            out[i * dim..(i + 1) * dim].copy_from_slice(&frames[idx]);
+            out[i * dim..(i + 1) * dim].copy_from_slice(frames.row(idx));
         }
     }
 
     /// Stacks the context windows of frames `start..start + len` into `x`
     /// (row-major `len x width`) — the one place a block's GEMM input is
     /// built, whichever side then runs the forward pass.
-    fn stack_windows(&self, frames: &[Vec<f32>], start: usize, len: usize, x: &mut Vec<f32>) {
-        let width = frames[0].len() * (2 * self.context + 1);
+    fn stack_windows(&self, frames: &Frames, start: usize, len: usize, x: &mut Vec<f32>) {
+        let width = frames.dim() * (2 * self.context + 1);
         x.clear();
         x.resize(len * width, 0.0);
         for r in 0..len {
@@ -544,7 +545,7 @@ impl DnnScorer {
     /// [`AcousticScorer::score_utterance`].
     fn score_block(
         &self,
-        frames: &[Vec<f32>],
+        frames: &Frames,
         start: usize,
         len: usize,
         buf: &mut BlockScratch,
@@ -594,7 +595,7 @@ impl DnnScorer {
     /// [`WindowScorer`] (see [`DnnScorer::score_windows`]).
     pub fn lazy_scores<'a>(
         &'a self,
-        frames: &'a [Vec<f32>],
+        frames: &'a Frames,
         remote: Option<&'a dyn WindowScorer>,
     ) -> BlockDnnScores<'a> {
         BlockDnnScores {
@@ -681,7 +682,7 @@ impl DnnScorer {
 }
 
 impl AcousticScorer for DnnScorer {
-    fn score_utterance(&self, frames: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    fn score_utterance(&self, frames: &Frames) -> Vec<Vec<f32>> {
         // Frame-blocked GEMM forward: one matrix multiply per layer per
         // block instead of a matrix-vector product per frame per layer.
         // Rows are bit-identical to the scalar path (see
@@ -728,12 +729,20 @@ impl Default for DecoderConfig {
     }
 }
 
+/// One graph state, with everything the relax loop asks about it laid out
+/// next to its emission so an expansion touches one array.
 #[derive(Debug, Clone, Copy)]
 struct ChainState {
     /// Tied emission state id.
     emission: u16,
-    /// Word index, `u32::MAX` for the silence chain.
-    word: u32,
+    /// Tied emission of the next state of the chain (meaningful only when
+    /// `advances`).
+    next_emission: u16,
+    /// The last state of a word chain: exits into silence and new words.
+    word_end: bool,
+    /// Has a successor inside its chain (every state but a word's last and
+    /// the silence chain's last).
+    advances: bool,
 }
 
 /// The decoding result plus search statistics.
@@ -774,6 +783,9 @@ impl DecodeResult {
 pub struct Decoder {
     entries: Vec<ChainState>,
     word_first: Vec<usize>,
+    /// Tied emission of each word's first state (the word-entry relax reads
+    /// it once per word per frame).
+    word_first_emission: Vec<u16>,
     word_last: Vec<usize>,
     sil_first: usize,
     sil_last: usize,
@@ -791,32 +803,38 @@ impl Decoder {
     /// Panics if the lexicon is empty.
     pub fn new(lexicon: &Lexicon, config: DecoderConfig) -> Self {
         assert!(!lexicon.is_empty(), "decoder needs a non-empty lexicon");
-        let mut entries = Vec::new();
+        let mut emissions: Vec<u16> = Vec::new();
         let mut word_first = Vec::with_capacity(lexicon.len());
         let mut word_last = Vec::with_capacity(lexicon.len());
-        for (w, _, pron) in lexicon.iter() {
-            word_first.push(entries.len());
+        for (_, _, pron) in lexicon.iter() {
+            word_first.push(emissions.len());
             for phone in pron {
-                for s in 0..STATES_PER_PHONE {
-                    entries.push(ChainState {
-                        emission: (phone.first_state() + s) as u16,
-                        word: w as u32,
-                    });
-                }
+                emissions.extend((0..STATES_PER_PHONE).map(|s| (phone.first_state() + s) as u16));
             }
-            word_last.push(entries.len() - 1);
+            word_last.push(emissions.len() - 1);
         }
-        let sil_first = entries.len();
-        for s in 0..STATES_PER_PHONE {
-            entries.push(ChainState {
-                emission: (SIL.first_state() + s) as u16,
-                word: u32::MAX,
-            });
+        let sil_first = emissions.len();
+        emissions.extend((0..STATES_PER_PHONE).map(|s| (SIL.first_state() + s) as u16));
+        let sil_last = emissions.len() - 1;
+        let mut entries: Vec<ChainState> = emissions
+            .iter()
+            .enumerate()
+            .map(|(e, &emission)| ChainState {
+                emission,
+                next_emission: emissions.get(e + 1).copied().unwrap_or(emission),
+                word_end: false,
+                advances: e != sil_last,
+            })
+            .collect();
+        for &e in &word_last {
+            entries[e].word_end = true;
+            entries[e].advances = false;
         }
-        let sil_last = entries.len() - 1;
+        let word_first_emission = word_first.iter().map(|&e| emissions[e]).collect();
         Self {
             entries,
             word_first,
+            word_first_emission,
             word_last,
             sil_first,
             sil_last,
@@ -874,8 +892,7 @@ impl Decoder {
 
     /// Whether graph state `e` ends a word chain.
     pub fn is_word_end_state(&self, e: usize) -> bool {
-        let st = &self.entries[e];
-        st.word != u32::MAX && e == self.word_last[st.word as usize]
+        self.entries[e].word_end
     }
 
     /// Decodes pre-scored emissions `emis[t][tied_state]` into words.
@@ -926,32 +943,38 @@ impl Decoder {
     fn beam_init<S: FrameScores>(&self, st: &mut BeamState, scores: &mut S, lm: &BigramLm) {
         let wip = self.config.word_insertion_penalty;
         let lmw = self.config.lm_weight;
+        let sil_emission = self.entries[self.sil_first].emission;
         scores.begin_frame(0);
         if S::WANTS_ACTIVE_SET {
-            st.needed.push(self.entries[self.sil_first].emission);
-            st.needed_epoch += 1;
-            st.needed_stamp[self.entries[self.sil_first].emission as usize] = st.needed_epoch;
-            for w in 0..self.num_words {
-                let em = self.entries[self.word_first[w]].emission;
-                if st.needed_stamp[em as usize] != st.needed_epoch {
-                    st.needed_stamp[em as usize] = st.needed_epoch;
-                    st.needed.push(em);
-                }
+            st.needed.begin();
+            st.needed.mark(sil_emission);
+            for &em in &self.word_first_emission {
+                st.needed.mark(em);
             }
-            scores.prepare(&st.needed);
+            scores.prepare(&st.needed.list);
         }
-        st.cur[self.sil_first] = scores.get(self.entries[self.sil_first].emission as usize);
+        let sil = scores.get(sil_emission as usize);
+        st.cur[self.sil_first] = sil;
+        st.best = st.best.max(sil);
         for w in 0..self.num_words {
             let e = self.word_first[w];
             st.arena.push((w as u32, ROOT));
-            st.cur[e] = lmw * lm.log_start(w) + wip + scores.get(self.entries[e].emission as usize);
+            let s = lmw * lm.log_start(w) + wip + scores.get(self.word_first_emission[w] as usize);
+            st.cur[e] = s;
             st.cur_hist[e] = (st.arena.len() - 1) as u32;
+            st.best = st.best.max(s);
         }
     }
 
     /// Advances the beam through frame `t` (t >= 1). Returns `false` and
     /// marks the state dead if no token survives (a batch decode would
     /// return `None`).
+    ///
+    /// One dense pass compacts the beam survivors, in ascending state
+    /// order, into `st.survivors`; the active-set collection and the relax
+    /// loop then walk that list. Ascending order is what keeps ties going
+    /// to the same writer as a dense sweep would, so the result is exact
+    /// whether 200 states survive (GMM scores) or nearly all (DNN scores).
     fn beam_step<S: FrameScores>(
         &self,
         st: &mut BeamState,
@@ -959,101 +982,97 @@ impl Decoder {
         lm: &BigramLm,
         t: usize,
     ) -> bool {
-        let n = self.entries.len();
         let log_self = self.config.self_loop.ln();
         let log_adv = (1.0 - self.config.self_loop).ln();
         let wip = self.config.word_insertion_penalty;
         let lmw = self.config.lm_weight;
         let neg = f32::NEG_INFINITY;
+        let sil_emission = self.entries[self.sil_first].emission;
         let BeamState {
             cur,
             cur_hist,
             nxt,
             nxt_hist,
+            best,
+            survivors,
             arena,
             lm_rows,
             exit_best,
             exit_hist,
             needed,
-            needed_stamp,
-            needed_epoch,
             tokens_expanded,
             dead,
         } = st;
 
-        nxt.fill(neg);
-        let best = cur.iter().copied().fold(neg, f32::max);
-        if best == neg {
+        if *best == neg {
             *dead = true;
             return false;
         }
-        let threshold = best - self.config.beam;
+        let threshold = *best - self.config.beam;
+        // Branch-free compaction: always write the slot, keep it only if the
+        // state survives. `live <= e` throughout, so the write is in range.
+        let mut live = 0;
+        for (e, &s) in cur.iter().enumerate() {
+            survivors[live] = e as u32;
+            live += usize::from(s >= threshold);
+        }
+        let survivors = &survivors[..live];
+
         scores.begin_frame(t);
         if S::WANTS_ACTIVE_SET {
-            // Collection pass: emissions of every relax target reachable
-            // from a beam-surviving source, deduplicated by epoch stamp.
-            needed.clear();
-            *needed_epoch = needed_epoch.wrapping_add(1);
-            let epoch = *needed_epoch;
-            let mut mark = |em: u16, needed: &mut Vec<u16>| {
-                if needed_stamp[em as usize] != epoch {
-                    needed_stamp[em as usize] = epoch;
-                    needed.push(em);
-                }
-            };
+            // Emissions of every relax target reachable from a survivor.
+            needed.begin();
             let mut any_exit = false;
             let mut any_word_end = false;
-            for e in 0..n {
-                if cur[e] < threshold {
-                    continue;
+            for &e in survivors {
+                let state = self.entries[e as usize];
+                needed.mark(state.emission);
+                if state.advances {
+                    needed.mark(state.next_emission);
                 }
-                let st = self.entries[e];
-                mark(st.emission, &mut *needed);
-                let is_word_end = st.word != u32::MAX && e == self.word_last[st.word as usize];
-                if !is_word_end && e != self.sil_last {
-                    mark(self.entries[e + 1].emission, &mut *needed);
-                }
-                any_word_end |= is_word_end;
-                any_exit |= is_word_end || e >= self.sil_first;
+                any_word_end |= state.word_end;
+                any_exit |= state.word_end || e as usize >= self.sil_first;
             }
             if any_word_end {
-                mark(self.entries[self.sil_first].emission, &mut *needed);
+                needed.mark(sil_emission);
             }
             if any_exit {
-                for w in 0..self.num_words {
-                    mark(self.entries[self.word_first[w]].emission, &mut *needed);
+                for &em in &self.word_first_emission {
+                    needed.mark(em);
                 }
             }
-            scores.prepare(needed);
+            scores.prepare(&needed.list);
         }
-        let mut any_exit = false;
-        exit_best.fill(neg);
-        for e in 0..n {
-            let s = cur[e];
-            if s < threshold {
-                continue;
-            }
-            *tokens_expanded += 1;
-            let hist = cur_hist[e];
-            let st = self.entries[e];
-            // Self loop.
-            let cand = s + log_self + scores.get(st.emission as usize);
-            if cand > nxt[e] {
-                nxt[e] = cand;
-                nxt_hist[e] = hist;
-            }
-            let is_word_end = st.word != u32::MAX && e == self.word_last[st.word as usize];
-            let in_sil = e >= self.sil_first;
-            if !is_word_end && e != self.sil_last {
-                // Advance within the chain.
-                let target = e + 1;
-                let cand = s + log_adv + scores.get(self.entries[target].emission as usize);
-                if cand > nxt[target] {
-                    nxt[target] = cand;
-                    nxt_hist[target] = hist;
+
+        nxt.fill(neg);
+        // The maximum of the next front, carried out of the relax loop: every
+        // accepted candidate raises its slot, so the largest accepted
+        // candidate is the largest final slot.
+        let mut front_best = neg;
+        let mut relax = |target: usize, cand: f32, hist: u32| {
+            if cand > nxt[target] {
+                nxt[target] = cand;
+                nxt_hist[target] = hist;
+                if cand > front_best {
+                    front_best = cand;
                 }
             }
-            if !is_word_end && !in_sil {
+        };
+        let mut any_exit = false;
+        *tokens_expanded += live;
+        for &e in survivors {
+            let e = e as usize;
+            let s = cur[e];
+            let hist = cur_hist[e];
+            let state = self.entries[e];
+            // Self loop.
+            relax(e, s + log_self + scores.get(state.emission as usize), hist);
+            if state.advances {
+                // Advance within the chain.
+                let cand = s + log_adv + scores.get(state.next_emission as usize);
+                relax(e + 1, cand, hist);
+            }
+            if !state.word_end && e < self.sil_first {
                 continue;
             }
             // Exits: into silence (word ends only) and into new words.
@@ -1061,12 +1080,9 @@ impl Decoder {
             // state may exit into a word, so short pauses do not require
             // traversing the full 3-state chain.
             let exit_score = s + log_adv;
-            if is_word_end {
-                let cand = exit_score + scores.get(self.entries[self.sil_first].emission as usize);
-                if cand > nxt[self.sil_first] {
-                    nxt[self.sil_first] = cand;
-                    nxt_hist[self.sil_first] = hist;
-                }
+            if state.word_end {
+                let cand = exit_score + scores.get(sil_emission as usize);
+                relax(self.sil_first, cand, hist);
             }
             any_exit = true;
             let prev_word = if hist == ROOT {
@@ -1074,44 +1090,50 @@ impl Decoder {
             } else {
                 Some(arena[hist as usize].0 as usize)
             };
-            let row_idx = prev_word.map_or(0, |p| p + 1);
-            if lm_rows[row_idx].is_none() {
-                lm_rows[row_idx] = Some(
-                    (0..self.num_words)
-                        .map(|w| {
-                            lmw * match prev_word {
-                                Some(p) => lm.log_bigram(p, w),
-                                None => lm.log_start(w),
-                            }
-                        })
-                        .collect(),
-                );
-            }
-            let row = lm_rows[row_idx].as_deref().expect("row just built");
-            for (w, &lm_scaled) in row.iter().enumerate() {
-                // Same association as the direct form: ((exit + lmw*lm)
-                // + wip) + emission, so the winning score is bit-equal.
+            let row = lm_rows[prev_word.map_or(0, |p| p + 1)].get_or_insert_with(|| {
+                (0..self.num_words)
+                    .map(|w| {
+                        lmw * match prev_word {
+                            Some(p) => lm.log_bigram(p, w),
+                            None => lm.log_start(w),
+                        }
+                    })
+                    .collect()
+            });
+            // Same association as the direct form: ((exit + lmw*lm) + wip)
+            // + emission, so the winning score is bit-equal. Written as
+            // selects so the row vectorises.
+            for ((&lm_scaled, best_w), hist_w) in row
+                .iter()
+                .zip(exit_best.iter_mut())
+                .zip(exit_hist.iter_mut())
+            {
                 let part = exit_score + lm_scaled;
-                if part > exit_best[w] {
-                    exit_best[w] = part;
-                    exit_hist[w] = hist;
-                }
+                let better = part > *best_w;
+                *best_w = if better { part } else { *best_w };
+                *hist_w = if better { hist } else { *hist_w };
             }
         }
         if any_exit {
             for w in 0..self.num_words {
-                if exit_best[w] == neg {
+                // Consuming the slot resets it for the next frame.
+                let part = std::mem::replace(&mut exit_best[w], neg);
+                if part == neg {
                     continue;
                 }
                 let target = self.word_first[w];
-                let cand = exit_best[w] + wip + scores.get(self.entries[target].emission as usize);
+                let cand = part + wip + scores.get(self.word_first_emission[w] as usize);
                 if cand > nxt[target] {
                     arena.push((w as u32, exit_hist[w]));
                     nxt[target] = cand;
                     nxt_hist[target] = (arena.len() - 1) as u32;
+                    if cand > front_best {
+                        front_best = cand;
+                    }
                 }
             }
         }
+        *best = front_best;
         std::mem::swap(cur, nxt);
         std::mem::swap(cur_hist, nxt_hist);
         true
@@ -1233,6 +1255,11 @@ struct BeamState {
     cur_hist: Vec<u32>,
     nxt: Vec<f32>,
     nxt_hist: Vec<u32>,
+    /// Maximum of `cur`, carried out of the loop that wrote it.
+    best: f32,
+    /// Graph states of `cur` inside the beam, ascending; rebuilt each frame
+    /// in place (sized once, never cleared).
+    survivors: Vec<u32>,
     /// History arena: (word, previous entry index).
     arena: Vec<(u32, u32)>,
     /// Memoized scaled LM rows: lm_rows[p + 1][w] = lm_weight *
@@ -1242,17 +1269,37 @@ struct BeamState {
     lm_rows: Vec<Option<Box<[f32]>>>,
     /// Per-frame best word exit: highest (exit_score + scaled LM) per
     /// target word, so each improved target pushes one arena entry per
-    /// frame instead of one per improving source.
+    /// frame instead of one per improving source. All `-inf` between frames.
     exit_best: Vec<f32>,
     exit_hist: Vec<u32>,
     /// Deduplicated emission states reachable this frame, for
     /// `FrameScores::prepare` (only collected when the provider asks).
-    needed: Vec<u16>,
-    needed_stamp: [u32; NUM_STATES],
-    needed_epoch: u32,
+    needed: NeededSet,
     tokens_expanded: usize,
     /// Set when no token survived some frame (batch decode returns `None`).
     dead: bool,
+}
+
+/// A set of tied emission states, cleared in O(1) by an epoch stamp.
+#[derive(Debug)]
+struct NeededSet {
+    list: Vec<u16>,
+    stamp: [u32; NUM_STATES],
+    epoch: u32,
+}
+
+impl NeededSet {
+    fn begin(&mut self) {
+        self.list.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+    }
+
+    fn mark(&mut self, em: u16) {
+        if self.stamp[em as usize] != self.epoch {
+            self.stamp[em as usize] = self.epoch;
+            self.list.push(em);
+        }
+    }
 }
 
 impl BeamState {
@@ -1264,13 +1311,17 @@ impl BeamState {
             cur_hist: vec![ROOT; n],
             nxt: vec![neg; n],
             nxt_hist: vec![ROOT; n],
+            best: neg,
+            survivors: vec![0; n],
             arena: Vec::with_capacity(1024),
             lm_rows: vec![None; decoder.num_words + 1],
             exit_best: vec![neg; decoder.num_words],
             exit_hist: vec![ROOT; decoder.num_words],
-            needed: Vec::with_capacity(NUM_STATES),
-            needed_stamp: [0u32; NUM_STATES],
-            needed_epoch: 0,
+            needed: NeededSet {
+                list: Vec::with_capacity(NUM_STATES),
+                stamp: [0u32; NUM_STATES],
+                epoch: 0,
+            },
             tokens_expanded: 0,
             dead: false,
         }
@@ -1589,7 +1640,7 @@ mod scorer_tests {
 
     #[test]
     fn context_window_clamps_at_edges() {
-        let frames = vec![vec![1.0f32; 4], vec![2.0; 4], vec![3.0; 4]];
+        let frames = Frames::from_rows(&[[1.0f32; 4], [2.0; 4], [3.0; 4]]);
         let w = DnnScorer::context_window(&frames, 0, 1);
         assert_eq!(w.len(), 12);
         // Left context clamps to frame 0.
@@ -1605,7 +1656,7 @@ mod scorer_tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let net = Dnn::new(&[FEATURE_DIM * 3, 16, NUM_STATES], &mut rng);
         let scorer = DnnScorer::new(net, &vec![1.0; NUM_STATES], 1);
-        let frames = vec![vec![0.1f32; FEATURE_DIM]; 5];
+        let frames = Frames::from_rows(&[[0.1f32; FEATURE_DIM]; 5]);
         let scores = scorer.score_utterance(&frames);
         assert_eq!(scores.len(), 5);
         assert!(scores.iter().all(|r| r.len() == NUM_STATES));
@@ -1622,7 +1673,7 @@ mod scorer_tests {
         let mut priors = vec![1.0f32; NUM_STATES];
         priors[0] = 100.0;
         let skewed = DnnScorer::new(net, &priors, 1);
-        let frames = vec![vec![0.2f32; FEATURE_DIM]; 2];
+        let frames = Frames::from_rows(&[[0.2f32; FEATURE_DIM]; 2]);
         let u = uniform.score_utterance(&frames);
         let s = skewed.score_utterance(&frames);
         // Hybrid scoring divides by the prior: a larger prior for state 0
@@ -1650,7 +1701,7 @@ mod scorer_tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let net = Dnn::new(&[FEATURE_DIM * 3, 16, NUM_STATES], &mut rng);
         let scorer = DnnScorer::new(net, &vec![1.0; NUM_STATES], 1);
-        let frames = vec![vec![0.1f32; FEATURE_DIM]; 5];
+        let frames = Frames::from_rows(&[[0.1f32; FEATURE_DIM]; 5]);
         scorer.lazy_scores(&frames, Some(&ShortRows)).begin_frame(0);
     }
 }
@@ -1662,20 +1713,21 @@ mod exec_policy_tests {
     use rand_chacha::ChaCha8Rng;
     use sirius_par::Strategy;
 
-    fn frames(n: usize) -> Vec<Vec<f32>> {
-        (0..n)
-            .map(|t| vec![t as f32 * 0.2 - 1.0, (t % 5) as f32 * 0.3])
-            .collect()
+    fn frames(n: usize) -> Frames {
+        let rows: Vec<[f32; 2]> = (0..n)
+            .map(|t| [t as f32 * 0.2 - 1.0, (t % 5) as f32 * 0.3])
+            .collect();
+        Frames::from_rows(&rows)
     }
 
     fn gmm_scorer() -> GmmScorer {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let gmms: Vec<Gmm> = (0..NUM_STATES)
             .map(|s| {
-                let data: Vec<Vec<f32>> = (0..8)
-                    .map(|i| vec![s as f32 * 0.1 + i as f32 * 0.01, -(i as f32) * 0.2])
+                let data: Vec<[f32; 2]> = (0..8)
+                    .map(|i| [s as f32 * 0.1 + i as f32 * 0.01, -(i as f32) * 0.2])
                     .collect();
-                Gmm::fit(&data, 1, 1, &mut rng)
+                Gmm::fit(&Frames::from_rows(&data), 1, 1, &mut rng)
             })
             .collect();
         GmmScorer::new(gmms)
@@ -1703,6 +1755,41 @@ mod exec_policy_tests {
                     base,
                     "threads {threads} strategy {strategy}"
                 );
+            }
+        }
+    }
+
+    /// The three GMM scoring paths — the AoS triple loop, the eager matrix
+    /// (SoA, state-major) and the lazy provider (SoA, on demand) — end in
+    /// one log-sum-exp and must agree bit for bit, on multi-component
+    /// mixtures whose far components the log-sum-exp drops.
+    #[test]
+    fn aos_eager_and_lazy_gmm_scores_are_bit_equal() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let gmms: Vec<Gmm> = (0..NUM_STATES)
+            .map(|s| {
+                let data: Vec<[f32; 2]> = (0..48)
+                    .map(|i| {
+                        let cluster = (i % 3) as f32 * 6.0;
+                        [
+                            cluster + s as f32 * 0.05 + i as f32 * 0.01,
+                            -(i as f32) * 0.1,
+                        ]
+                    })
+                    .collect();
+                Gmm::fit(&Frames::from_rows(&data), 3, 1, &mut rng)
+            })
+            .collect();
+        let scorer = GmmScorer::new(gmms);
+        let frames = frames(23);
+        let eager = scorer.score_utterance(&frames);
+        let mut lazy = scorer.lazy_scores(&frames);
+        for (t, frame) in frames.rows().enumerate() {
+            lazy.begin_frame(t);
+            for (s, gmm) in scorer.models().iter().enumerate() {
+                let aos = gmm.log_likelihood(frame).to_bits();
+                assert_eq!(eager[t][s].to_bits(), aos, "eager frame {t} state {s}");
+                assert_eq!(lazy.get(s).to_bits(), aos, "lazy frame {t} state {s}");
             }
         }
     }

@@ -22,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use crate::asr::{Acoustic, AsrOutput, AsrSystem, AsrTiming};
-use crate::features::{delta_row, FrontendScratch, FRAME_HOP, FRAME_LEN};
+use crate::features::{Frames, FrontendScratch, FEATURE_DIM, FRAME_HOP, FRAME_LEN, NUM_CEPSTRA};
 use crate::hmm::StreamingDecoder;
 
 /// Typed failures of streaming audio ingestion.
@@ -81,8 +81,11 @@ pub struct StreamingRecognizer<'a> {
     acoustic: Acoustic<'a>,
     sdec: StreamingDecoder<'a>,
     samples: Vec<f32>,
-    cepstra: Vec<Vec<f32>>,
-    feats: Vec<Vec<f32>>,
+    /// Static cepstra of every frame the audio so far contains.
+    cepstra: Frames,
+    /// Feature rows whose delta half is final (see
+    /// [`Frames::push_delta_row`]); the providers read exactly these.
+    feats: Frames,
     scratch: FrontendScratch,
     committed: Vec<String>,
     feature_time: Duration,
@@ -110,8 +113,8 @@ impl<'a> StreamingRecognizer<'a> {
             acoustic,
             sdec: StreamingDecoder::new(asr.decoder(), asr.lm()),
             samples: Vec::new(),
-            cepstra: Vec::new(),
-            feats: Vec::new(),
+            cepstra: Frames::new(NUM_CEPSTRA),
+            feats: Frames::new(FEATURE_DIM),
             scratch: FrontendScratch::default(),
             committed: Vec::new(),
             feature_time: Duration::ZERO,
@@ -201,7 +204,7 @@ impl<'a> StreamingRecognizer<'a> {
         // Tail flush: the last rows' delta regressions clamp at the real
         // utterance end now, exactly as the batch pass computes them.
         while self.feats.len() < self.cepstra.len() {
-            self.feats.push(delta_row(&self.cepstra, self.feats.len()));
+            self.feats.push_delta_row(&self.cepstra, self.feats.len());
         }
         self.advance_to(self.feats.len());
         self.refresh_committed();
@@ -226,14 +229,15 @@ impl<'a> StreamingRecognizer<'a> {
         let t = Instant::now();
         while self.cepstra.len() * FRAME_HOP + FRAME_LEN <= self.samples.len() {
             let start = self.cepstra.len() * FRAME_HOP;
-            self.cepstra.push(self.asr.frontend().cepstra_frame(
+            self.asr.frontend().cepstra_frame(
                 &self.samples,
                 start,
                 &mut self.scratch,
-            ));
+                &mut self.cepstra,
+            );
         }
         while self.feats.len() < self.cepstra.len().saturating_sub(2) {
-            self.feats.push(delta_row(&self.cepstra, self.feats.len()));
+            self.feats.push_delta_row(&self.cepstra, self.feats.len());
         }
         self.feature_time += t.elapsed();
     }

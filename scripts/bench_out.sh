@@ -17,18 +17,41 @@ bench_run() {
     [ -s "$OUT" ] || { echo "$1 produced no output" >&2; exit 1; }
 }
 
-# bench_publish DEST — checks that $OUT parses as a JSON object, stamps it
-# with where and when it was taken (numbers from different core counts or
-# commits are not comparable; `-dirty` marks uncommitted changes on top of
-# the named commit) and moves it to DEST.
+# bench_publish DEST — checks that $OUT parses as a JSON object, prints
+# old -> new for every numeric leaf it shares with the DEST it is about to
+# replace (a speedup is claimed against the previous committed file, not
+# against memory), stamps it with where and when it was taken (numbers from
+# different core counts or commits are not comparable; `-dirty` marks
+# uncommitted changes on top of the named commit) and moves it to DEST.
 bench_publish() {
     CORES="$(nproc)" COMMIT="$(git describe --always --dirty)" DATE="$(date -u +%Y-%m-%d)" \
-    python3 - "$OUT" <<'PY'
+    python3 - "$OUT" "$1" <<'PY'
 import json, os, sys
-path = sys.argv[1]
+path, dest = sys.argv[1], sys.argv[2]
 with open(path) as f:
     text = f.read()
-assert isinstance(json.loads(text), dict), "bench output is not a JSON object"
+new = json.loads(text)
+assert isinstance(new, dict), "bench output is not a JSON object"
+
+def leaves(node, prefix=""):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from leaves(value, f"{prefix}{key}.")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield prefix[:-1], node
+
+try:
+    with open(dest) as f:
+        old = json.load(f)
+except (OSError, ValueError):
+    old = None
+if isinstance(old, dict):
+    was = dict(leaves(old))
+    print(f"==> {dest}: previous (stamp {json.dumps(old.get('stamp'))}) -> this run")
+    for name, value in leaves(new):
+        if name in was:
+            ratio = f"  x{value / was[name]:.2f}" if was[name] else ""
+            print(f"    {name}: {was[name]} -> {value}{ratio}")
 stamp = json.dumps({
     "cores": int(os.environ["CORES"]),
     "commit": os.environ["COMMIT"],
