@@ -39,8 +39,10 @@ fn bench_beam_width(c: &mut Criterion) {
     for beam in [250.0f32, 1000.0, 2500.0, 10_000.0] {
         let decoder = Decoder::new(
             asr.lexicon(),
+            // The beam axis alone: no cap on live tokens.
             DecoderConfig {
                 beam,
+                max_active: usize::MAX,
                 ..DecoderConfig::default()
             },
         );

@@ -10,6 +10,13 @@
 //! binary hand-rolls the one artifact the experiment recipe records
 //! (`BENCH_kernels.json`).
 //!
+//! The `pruning` section is the calibration of the decoder's two limits
+//! ([`DecoderConfig`]): over the 42 query texts at four synthesis seeds it
+//! finds the smallest score beam and the smallest `max_active` that still
+//! give every transcript of the exhaustive search, and the binary exits
+//! non-zero — so nothing is published — when the shipped default is less
+//! than twice either. These are counts, not timings: they repeat exactly.
+//!
 //! Usage: `bench_kernels [--reps N]` (default 5; medians over reps).
 
 use std::time::Instant;
@@ -18,11 +25,14 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use sirius::pipeline::{Sirius, SiriusConfig};
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
 use sirius_speech::dnn::{Dnn, DnnScratch};
 use sirius_speech::features::{Frames, FrontendScratch, FRAME_HOP, FRAME_LEN, NUM_CEPSTRA};
 use sirius_speech::gmm::Gmm;
+use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig, EagerScores};
 use sirius_speech::synth::{SynthConfig, Synthesizer};
+use sirius_speech::StreamingDecoder;
 
 const CORPUS: [&str; 6] = [
     "set my alarm",
@@ -260,6 +270,126 @@ fn bench_gmm_layout(reps: usize) -> (f64, f64, bool) {
     (median(&mut aos), median(&mut soa_ms), bit_identical)
 }
 
+/// Synthesis seeds of the calibration set: the benchmark's 9999 and three
+/// more, 42 query texts each.
+const PRUNING_SEEDS: [u64; 4] = [9999, 1, 2, 3];
+/// Candidate limits, widest first; each axis is walked down until a
+/// transcript changes, the other axis held at the exhaustive setting.
+const BEAM_GRID: [f32; 10] = [
+    400.0, 300.0, 200.0, 150.0, 100.0, 80.0, 60.0, 40.0, 30.0, 20.0,
+];
+const MAX_ACTIVE_GRID: [usize; 8] = [64, 48, 32, 24, 16, 12, 8, 4];
+/// The shipped limits must sit at least this far above the smallest ones
+/// that lose nothing.
+const MIN_MARGIN: f64 = 2.0;
+
+struct Pruning {
+    /// Tokens expanded per frame at the shipped defaults.
+    tokens_per_frame: f64,
+    /// Most tokens expanded in any one frame at the shipped defaults (above
+    /// `max_active` only through ties at the cut).
+    live_max: usize,
+    /// Transcripts at the shipped defaults that differ from the exhaustive
+    /// search's.
+    shipped_differ: usize,
+    lossless_beam: f32,
+    lossless_max_active: usize,
+}
+
+impl Pruning {
+    fn beam_margin(&self) -> f64 {
+        f64::from(DecoderConfig::default().beam / self.lossless_beam)
+    }
+
+    fn max_active_margin(&self) -> f64 {
+        DecoderConfig::default().max_active as f64 / self.lossless_max_active as f64
+    }
+
+    fn holds(&self) -> bool {
+        self.shipped_differ == 0
+            && self.beam_margin() >= MIN_MARGIN
+            && self.max_active_margin() >= MIN_MARGIN
+    }
+
+    fn json(&self, name: &str) -> String {
+        format!(
+            "    \"{}\": {{ \"tokens_per_frame\": {:.1}, \"live_max\": {}, \"shipped_differ\": {}, \"lossless_beam\": {}, \"lossless_max_active\": {}, \"beam_margin\": {:.2}, \"max_active_margin\": {:.2} }}",
+            name,
+            self.tokens_per_frame,
+            self.live_max,
+            self.shipped_differ,
+            self.lossless_beam,
+            self.lossless_max_active,
+            self.beam_margin(),
+            self.max_active_margin(),
+        )
+    }
+}
+
+/// Calibrates the two limits for one acoustic model over pre-scored
+/// emissions (`emis[utterance][frame][state]`).
+fn bench_pruning(asr: &AsrSystem, emis: &[Vec<Vec<f32>>]) -> Pruning {
+    let exhaustive = DecoderConfig {
+        beam: 2500.0,
+        max_active: usize::MAX,
+        ..DecoderConfig::default()
+    };
+    let words = |config: DecoderConfig| {
+        let decoder = Decoder::new(asr.lexicon(), config);
+        move |e: &Vec<Vec<f32>>| {
+            decoder
+                .decode_scores(e, asr.lm(), asr.lexicon())
+                .map(|r| r.words)
+        }
+    };
+    let reference: Vec<_> = emis.iter().map(words(exhaustive)).collect();
+    let lossless = |config: DecoderConfig| {
+        let decode = words(config);
+        emis.iter()
+            .zip(&reference)
+            .all(|(e, want)| decode(e) == *want)
+    };
+    let lossless_beam = BEAM_GRID
+        .into_iter()
+        .take_while(|&beam| lossless(DecoderConfig { beam, ..exhaustive }))
+        .last()
+        .unwrap_or(f32::INFINITY);
+    let lossless_max_active = MAX_ACTIVE_GRID
+        .into_iter()
+        .take_while(|&max_active| {
+            lossless(DecoderConfig {
+                max_active,
+                ..exhaustive
+            })
+        })
+        .last()
+        .unwrap_or(usize::MAX);
+
+    // The shipped defaults, one frame at a time, so the per-frame count can
+    // be read off the running total.
+    let shipped = Decoder::new(asr.lexicon(), DecoderConfig::default());
+    let (mut tokens, mut frames, mut live_max, mut shipped_differ) = (0, 0, 0, 0);
+    for (e, want) in emis.iter().zip(&reference) {
+        let mut sdec = StreamingDecoder::new(&shipped, asr.lm());
+        let mut scores = EagerScores::new(e);
+        for t in 1..=e.len() {
+            let before = sdec.tokens_expanded();
+            sdec.advance(&mut scores, t);
+            live_max = live_max.max(sdec.tokens_expanded() - before);
+        }
+        tokens += sdec.tokens_expanded();
+        frames += e.len();
+        shipped_differ += usize::from(sdec.finish(asr.lexicon()).map(|r| r.words) != *want);
+    }
+    Pruning {
+        tokens_per_frame: tokens as f64 / frames.max(1) as f64,
+        live_max,
+        shipped_differ,
+        lossless_beam,
+        lossless_max_active,
+    }
+}
+
 fn main() {
     let mut reps = 5usize;
     let mut args = std::env::args().skip(1);
@@ -294,6 +424,25 @@ fn main() {
     eprintln!("benchmarking GMM layout (AoS vs SoA)...");
     let (aos_ms, soa_ms, gmm_bits) = bench_gmm_layout(reps);
 
+    eprintln!("calibrating the decoder's pruning limits (full vocabulary)...");
+    let sirius = Sirius::build(SiriusConfig::default());
+    let full = sirius.asr();
+    let audio: Vec<Frames> = PRUNING_SEEDS
+        .iter()
+        .flat_map(|&seed| {
+            let mut synth = Synthesizer::new(seed, SynthConfig::default());
+            sirius::input_set()
+                .into_iter()
+                .map(move |spec| synth.say(spec.text).samples)
+        })
+        .map(|samples| full.frontend().extract(&samples))
+        .collect();
+    let score = |scorer: &dyn AcousticScorer| -> Vec<Vec<Vec<f32>>> {
+        audio.iter().map(|f| scorer.score_utterance(f)).collect()
+    };
+    let prune_gmm = bench_pruning(full, &score(full.gmm_scorer()));
+    let prune_dnn = bench_pruning(full, &score(full.dnn_scorer()));
+
     println!("{{");
     println!("  \"bench\": \"kernels\",");
     println!("  \"reps\": {reps},");
@@ -310,11 +459,29 @@ fn main() {
         dnn_bits
     );
     println!(
-        "  \"gmm_scoring\": {{ \"component_major_aos_ms\": {:.3}, \"dimension_major_soa_ms\": {:.3}, \"speedup\": {:.2}, \"bit_identical\": {} }}",
+        "  \"gmm_scoring\": {{ \"component_major_aos_ms\": {:.3}, \"dimension_major_soa_ms\": {:.3}, \"speedup\": {:.2}, \"bit_identical\": {} }},",
         aos_ms,
         soa_ms,
         aos_ms / soa_ms,
         gmm_bits
     );
+    let shipped = DecoderConfig::default();
+    println!("  \"pruning\": {{");
+    println!(
+        "    \"utterances\": {}, \"frames\": {}, \"beam\": {}, \"max_active\": {},",
+        audio.len(),
+        audio.iter().map(Frames::len).sum::<usize>(),
+        shipped.beam,
+        shipped.max_active
+    );
+    println!("{},", prune_gmm.json("gmm"));
+    println!("{}", prune_dnn.json("dnn"));
+    println!("  }}");
     println!("}}");
+    if !(prune_gmm.holds() && prune_dnn.holds()) {
+        eprintln!(
+            "pruning margin lost: a shipped limit is under {MIN_MARGIN} x the smallest lossless one, or changes a transcript"
+        );
+        std::process::exit(1);
+    }
 }

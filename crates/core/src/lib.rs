@@ -182,12 +182,26 @@ mod tests {
         let asr = profiler.asr_breakdown();
         let total: f64 = asr.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-9, "ASR shares sum to {total}");
-        // Scoring dominates ASR (paper Figure 9).
-        let scoring = asr
-            .iter()
-            .find(|(n, _)| *n == "scoring")
-            .map(|(_, s)| *s)
-            .expect("scoring present");
-        assert!(scoring > 0.3, "scoring share {scoring}");
+        // The serving path scores lazily, only what the beam reaches, so how
+        // large a share scoring takes there moves with the pruning: assert
+        // that the three phases are reported, not how they split.
+        for phase in ["feature extraction", "scoring", "HMM search"] {
+            let share = asr.iter().find(|(n, _)| *n == phase).map(|(_, s)| *s);
+            assert!(share.is_some_and(|s| s > 0.0), "{phase} share {share:?}");
+        }
+        // Scoring the full frames x states matrix dominates ASR (paper
+        // Figure 9): that is the eager reference mode.
+        use sirius_speech::asr::{AcousticModelKind, ScoringMode};
+        let (mut scoring, mut total) = (0.0, 0.0);
+        for p in prepared.iter().take(20) {
+            let out = sirius.asr().recognize_with_mode(
+                &p.utterance.samples,
+                AcousticModelKind::Gmm,
+                ScoringMode::Eager,
+            );
+            scoring += out.timing.scoring.as_secs_f64();
+            total += out.timing.total.as_secs_f64();
+        }
+        assert!(scoring > 0.3 * total, "scoring share {}", scoring / total);
     }
 }

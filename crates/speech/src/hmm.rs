@@ -706,10 +706,25 @@ impl AcousticScorer for DnnScorer {
 }
 
 /// Decoder tuning parameters.
+///
+/// Two limits prune the search each frame, and a token must pass both:
+/// `threshold = max(best - beam, score of the max_active-th best token)`,
+/// with every token *at* the threshold kept, so the survivors do not depend
+/// on the order tokens are visited in. The score beam alone does not
+/// transfer between acoustic models (400 log-units is 21 tokens a frame
+/// under GMM log-likelihoods and 1132 under DNN pseudo-likelihoods); the
+/// rank limit does not care about the score scale, which is why one
+/// configuration serves both. `beam: 2500.0, max_active: usize::MAX` is the
+/// exhaustive search the defaults were calibrated against
+/// (`bench_kernels`' `pruning` section, `tests/pruning_margin.rs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecoderConfig {
-    /// Log-domain pruning beam; larger is slower but more exact.
+    /// Log-domain pruning beam: a token scoring more than this below the
+    /// frame's best is dropped. Larger is slower but more exact.
     pub beam: f32,
+    /// Most tokens expanded per frame (more only on exact score ties at the
+    /// cut). At least 1.
+    pub max_active: usize,
     /// Additive penalty applied when entering a new word.
     pub word_insertion_penalty: f32,
     /// Weight on language-model log-probabilities.
@@ -721,7 +736,8 @@ pub struct DecoderConfig {
 impl Default for DecoderConfig {
     fn default() -> Self {
         Self {
-            beam: 2500.0,
+            beam: 400.0,
+            max_active: 64,
             word_insertion_penalty: -4.0,
             lm_weight: 3.0,
             self_loop: 0.6,
@@ -800,9 +816,10 @@ impl Decoder {
     ///
     /// # Panics
     ///
-    /// Panics if the lexicon is empty.
+    /// Panics if the lexicon is empty or `config.max_active` is zero.
     pub fn new(lexicon: &Lexicon, config: DecoderConfig) -> Self {
         assert!(!lexicon.is_empty(), "decoder needs a non-empty lexicon");
+        assert!(config.max_active > 0, "max_active must be at least 1");
         let mut emissions: Vec<u16> = Vec::new();
         let mut word_first = Vec::with_capacity(lexicon.len());
         let mut word_last = Vec::with_capacity(lexicon.len());
@@ -939,7 +956,8 @@ impl Decoder {
         self.beam_finish(&st, lexicon)
     }
 
-    /// Consumes frame 0: silence or any word start.
+    /// Consumes frame 0: silence or any word start. A start whose score is
+    /// NaN or `-inf` is not a token; with none left the decode is dead.
     fn beam_init<S: FrameScores>(&self, st: &mut BeamState, scores: &mut S, lm: &BigramLm) {
         let wip = self.config.word_insertion_penalty;
         let lmw = self.config.lm_weight;
@@ -953,28 +971,36 @@ impl Decoder {
             }
             scores.prepare(&st.needed.list);
         }
-        let sil = scores.get(sil_emission as usize);
-        st.cur[self.sil_first] = sil;
-        st.best = st.best.max(sil);
+        let mut seed = |e: usize, s: f32, hist: u32| {
+            if s > f32::NEG_INFINITY {
+                st.cur[e] = s;
+                st.cur_hist[e] = hist;
+                mark(&mut st.touched, e);
+                st.best = st.best.max(s);
+            }
+        };
+        seed(self.sil_first, scores.get(sil_emission as usize), ROOT);
         for w in 0..self.num_words {
-            let e = self.word_first[w];
             st.arena.push((w as u32, ROOT));
             let s = lmw * lm.log_start(w) + wip + scores.get(self.word_first_emission[w] as usize);
-            st.cur[e] = s;
-            st.cur_hist[e] = (st.arena.len() - 1) as u32;
-            st.best = st.best.max(s);
+            seed(self.word_first[w], s, (st.arena.len() - 1) as u32);
         }
+        drain_touched(&mut st.touched, &mut st.front);
+        st.dead = st.front.is_empty();
     }
 
     /// Advances the beam through frame `t` (t >= 1). Returns `false` and
-    /// marks the state dead if no token survives (a batch decode would
-    /// return `None`).
+    /// marks the state dead if no token is left after it (a batch decode
+    /// returns `None`).
     ///
-    /// One dense pass compacts the beam survivors, in ascending state
-    /// order, into `st.survivors`; the active-set collection and the relax
-    /// loop then walk that list. Ascending order is what keeps ties going
-    /// to the same writer as a dense sweep would, so the result is exact
-    /// whether 200 states survive (GMM scores) or nearly all (DNN scores).
+    /// The work follows the number of live tokens, not the size of the
+    /// graph. `st.front` lists, ascending, the states of `cur` that hold a
+    /// token; the two limits of [`DecoderConfig`] cut it down to
+    /// `st.survivors`; the active-set collection and the relax loop walk
+    /// that; the slots the relax loop wrote are recorded in a bitmap, which
+    /// read in order is the next front. Ascending order throughout is what
+    /// sends a tie between two writers of one slot to the same writer a
+    /// dense sweep over every state would pick.
     fn beam_step<S: FrameScores>(
         &self,
         st: &mut BeamState,
@@ -994,7 +1020,10 @@ impl Decoder {
             nxt,
             nxt_hist,
             best,
+            front,
             survivors,
+            rank,
+            touched,
             arena,
             lm_rows,
             exit_best,
@@ -1004,17 +1033,19 @@ impl Decoder {
             dead,
         } = st;
 
-        if *best == neg {
-            *dead = true;
-            return false;
-        }
-        let threshold = *best - self.config.beam;
-        // Branch-free compaction: always write the slot, keep it only if the
-        // state survives. `live <= e` throughout, so the write is in range.
-        let mut live = 0;
-        for (e, &s) in cur.iter().enumerate() {
-            survivors[live] = e as u32;
-            live += usize::from(s >= threshold);
+        // The score beam, then the rank limit over what it left. Everything
+        // in `rank` already reaches the beam threshold, so the max_active-th
+        // best of it is the larger of the two limits.
+        let mut threshold = *best - self.config.beam;
+        survivors[..front.len()].copy_from_slice(front);
+        let mut live = keep_reaching(survivors, front.len(), cur, threshold);
+        if live > self.config.max_active {
+            rank.clear();
+            rank.extend(survivors[..live].iter().map(|&e| cur[e as usize]));
+            let (_, kth, _) =
+                rank.select_nth_unstable_by(self.config.max_active - 1, |a, b| b.total_cmp(a));
+            threshold = *kth;
+            live = keep_reaching(survivors, live, cur, threshold);
         }
         let survivors = &survivors[..live];
 
@@ -1044,15 +1075,17 @@ impl Decoder {
             scores.prepare(&needed.list);
         }
 
-        nxt.fill(neg);
-        // The maximum of the next front, carried out of the relax loop: every
-        // accepted candidate raises its slot, so the largest accepted
-        // candidate is the largest final slot.
+        // `nxt` is all `-inf` here. A NaN candidate loses every comparison,
+        // so it is never written and never becomes a token. The maximum of
+        // the next front is carried out of the relax loop: every accepted
+        // candidate raises its slot, so the largest accepted candidate is
+        // the largest final slot.
         let mut front_best = neg;
         let mut relax = |target: usize, cand: f32, hist: u32| {
             if cand > nxt[target] {
                 nxt[target] = cand;
                 nxt_hist[target] = hist;
+                mark(touched, target);
                 if cand > front_best {
                     front_best = cand;
                 }
@@ -1127,41 +1160,44 @@ impl Decoder {
                     arena.push((w as u32, exit_hist[w]));
                     nxt[target] = cand;
                     nxt_hist[target] = (arena.len() - 1) as u32;
+                    mark(touched, target);
                     if cand > front_best {
                         front_best = cand;
                     }
                 }
             }
         }
+        // Empty the slots the old front owned, pruned ones included, so the
+        // buffer is all `-inf` when it comes back as `nxt`.
+        for &e in front.iter() {
+            cur[e as usize] = neg;
+        }
+        drain_touched(touched, front);
         *best = front_best;
         std::mem::swap(cur, nxt);
         std::mem::swap(cur_hist, nxt_hist);
-        true
+        *dead = front.is_empty();
+        !*dead
     }
 
     /// Acceptance scan + backtrace over the final beam front.
     fn beam_finish(&self, st: &BeamState, lexicon: &Lexicon) -> Option<DecodeResult> {
-        let neg = f32::NEG_INFINITY;
-        let n = self.entries.len();
-        let cur = &st.cur;
-        let cur_hist = &st.cur_hist;
         // Accept at word ends or anywhere in the (flexible-length) silence.
+        // The front is ascending — word ends in word order, the silence
+        // chain last — and the first of equal scores wins.
         let mut best: Option<(f32, u32)> = None;
+        let mut fallback: Option<(f32, u32)> = None;
         let mut accept: Vec<(f32, u32)> = Vec::new();
-        for w in 0..self.num_words {
-            let e = self.word_last[w];
-            if cur[e] > neg {
-                accept.push((cur[e], cur_hist[e]));
-                if best.is_none_or(|(b, _)| cur[e] > b) {
-                    best = Some((cur[e], cur_hist[e]));
-                }
+        for &e in &st.front {
+            let e = e as usize;
+            let token = (st.cur[e], st.cur_hist[e]);
+            if fallback.is_none_or(|(b, _)| token.0 > b) {
+                fallback = Some(token);
             }
-        }
-        for e in self.sil_first..=self.sil_last {
-            if cur[e] > neg {
-                accept.push((cur[e], cur_hist[e]));
-                if best.is_none_or(|(b, _)| cur[e] > b) {
-                    best = Some((cur[e], cur_hist[e]));
+            if self.entries[e].word_end || e >= self.sil_first {
+                accept.push(token);
+                if best.is_none_or(|(b, _)| token.0 > b) {
+                    best = Some(token);
                 }
             }
         }
@@ -1169,14 +1205,7 @@ impl Decoder {
         // beams on hard utterances), accept the best surviving token so the
         // caller still gets the words recognized so far.
         let complete = best.is_some();
-        if best.is_none() {
-            for e in 0..n {
-                if cur[e] > neg && best.is_none_or(|(b, _)| cur[e] > b) {
-                    best = Some((cur[e], cur_hist[e]));
-                }
-            }
-        }
-        let (score, best_hist) = best?;
+        let (score, best_hist) = best.or(fallback)?;
         // Runner-up: the best acceptance with a different word history.
         let runner_up_score = accept
             .iter()
@@ -1209,11 +1238,7 @@ impl Decoder {
     /// so the prefix is monotone (never retracted) and is always a prefix
     /// of the final backtrace.
     fn committed_words(&self, st: &BeamState) -> Vec<u32> {
-        let neg = f32::NEG_INFINITY;
-        let mut hists: Vec<u32> = (0..self.entries.len())
-            .filter(|&e| st.cur[e] > neg)
-            .map(|e| st.cur_hist[e])
-            .collect();
+        let mut hists: Vec<u32> = st.front.iter().map(|&e| st.cur_hist[e as usize]).collect();
         hists.sort_unstable();
         hists.dedup();
         let mut chains: Vec<Vec<u32>> = Vec::with_capacity(hists.len());
@@ -1257,9 +1282,18 @@ struct BeamState {
     nxt_hist: Vec<u32>,
     /// Maximum of `cur`, carried out of the loop that wrote it.
     best: f32,
-    /// Graph states of `cur` inside the beam, ascending; rebuilt each frame
-    /// in place (sized once, never cleared).
+    /// The active list: graph states holding a token in `cur`, ascending.
+    /// Every other `cur` slot, and between frames every `nxt` slot, is
+    /// `-inf`, so nothing per frame has to visit the whole graph.
+    front: Vec<u32>,
+    /// Members of `front` inside both pruning limits, ascending; rebuilt
+    /// each frame in place (sized once, never cleared).
     survivors: Vec<u32>,
+    /// Scores the rank limit selects over; reused, at most a front long.
+    rank: Vec<f32>,
+    /// One bit per graph state, set where the relax loop wrote `nxt`;
+    /// drained in order into the next `front`. All zero between frames.
+    touched: Vec<u64>,
     /// History arena: (word, previous entry index).
     arena: Vec<(u32, u32)>,
     /// Memoized scaled LM rows: lm_rows[p + 1][w] = lm_weight *
@@ -1302,6 +1336,37 @@ impl NeededSet {
     }
 }
 
+/// Keeps, in order, those of `ids[..len]` whose score reaches `threshold`
+/// and returns how many. Branch-free: always write the slot, keep it only
+/// if the state stays; `kept <= i` throughout, so the write is in range.
+fn keep_reaching(ids: &mut [u32], len: usize, scores: &[f32], threshold: f32) -> usize {
+    let mut kept = 0;
+    for i in 0..len {
+        let e = ids[i];
+        ids[kept] = e;
+        kept += usize::from(scores[e as usize] >= threshold);
+    }
+    kept
+}
+
+/// Sets the bit of graph state `e`.
+fn mark(touched: &mut [u64], e: usize) {
+    touched[e >> 6] |= 1 << (e & 63);
+}
+
+/// Replaces `front` with the set bits of `touched`, ascending, and zeroes
+/// them.
+fn drain_touched(touched: &mut [u64], front: &mut Vec<u32>) {
+    front.clear();
+    for (i, word) in touched.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            front.push(i as u32 * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+}
+
 impl BeamState {
     fn new(decoder: &Decoder) -> Self {
         let n = decoder.entries.len();
@@ -1312,7 +1377,10 @@ impl BeamState {
             nxt: vec![neg; n],
             nxt_hist: vec![ROOT; n],
             best: neg,
+            front: Vec::with_capacity(n),
             survivors: vec![0; n],
+            rank: Vec::with_capacity(n),
+            touched: vec![0; n.div_ceil(64)],
             arena: Vec::with_capacity(1024),
             lm_rows: vec![None; decoder.num_words + 1],
             exit_best: vec![neg; decoder.num_words],
@@ -1568,6 +1636,84 @@ mod tests {
         .decode_scores(&emis, &lm, &lex)
         .expect("narrow decode");
         assert!(narrow.tokens_expanded <= wide.tokens_expanded);
+    }
+
+    /// Tokens that tie at the rank cut are all kept, so the survivors do
+    /// not depend on visiting order. "go" and "got" share a phone prefix
+    /// and an LM start score, so their chains carry identical scores frame
+    /// after frame: a cap of one token keeps the pair.
+    #[test]
+    fn ties_at_the_rank_threshold_are_all_kept() {
+        let lex = Lexicon::from_texts(["go", "got"]);
+        let lm = BigramLm::train(["go", "got"], &lex);
+        let phones: Vec<(usize, usize)> = "go"
+            .chars()
+            .flat_map(|c| (0..3).map(move |s| (phone_id(c), s)))
+            .collect();
+        let emis = emissions_for(&phones, 3);
+        let config = |max_active| DecoderConfig {
+            max_active,
+            ..DecoderConfig::default()
+        };
+        let capped = Decoder::new(&lex, config(1));
+        let mut sdec = StreamingDecoder::new(&capped, &lm);
+        let mut scores = EagerScores::new(&emis);
+        for t in 1..emis.len() {
+            assert!(sdec.advance(&mut scores, t + 1));
+            assert_eq!(sdec.tokens_expanded(), 2 * t, "frame {t}: the tie was cut");
+        }
+        let out = sdec.finish(&lex).expect("capped decode");
+        let wide = Decoder::new(&lex, config(usize::MAX))
+            .decode_scores(&emis, &lm, &lex)
+            .expect("uncapped decode");
+        assert_eq!(out.words, vec!["go"]);
+        assert_eq!(out.score.to_bits(), wide.score.to_bits());
+    }
+
+    /// A frame with no usable score — all NaN or all `-inf`, first frame or
+    /// later — ends the decode as dead: `None` from the batch entry,
+    /// `is_dead()` from the streaming one, never a panic and never a NaN
+    /// token in the rank selection.
+    #[test]
+    fn a_frame_without_finite_scores_kills_the_decode() {
+        let lex = tiny_lexicon();
+        let lm = BigramLm::train(["go on", "no go"], &lex);
+        // A cap below the front size, so the rank selection runs.
+        let dec = Decoder::new(
+            &lex,
+            DecoderConfig {
+                max_active: 2,
+                ..DecoderConfig::default()
+            },
+        );
+        let phones: Vec<(usize, usize)> = "go"
+            .chars()
+            .flat_map(|c| (0..3).map(move |s| (phone_id(c), s)))
+            .collect();
+        let clean = emissions_for(&phones, 3);
+        assert!(dec.decode_scores(&clean, &lm, &lex).is_some());
+        for bad in [f32::NAN, f32::NEG_INFINITY] {
+            for at in [0, 4, clean.len() - 1] {
+                let mut emis = clean.clone();
+                emis[at] = vec![bad; NUM_STATES];
+                assert!(
+                    dec.decode_scores(&emis, &lm, &lex).is_none(),
+                    "{bad} at frame {at}"
+                );
+                let mut sdec = StreamingDecoder::new(&dec, &lm);
+                let mut scores = EagerScores::new(&emis);
+                assert!(!sdec.advance(&mut scores, emis.len()));
+                assert!(sdec.is_dead(), "{bad} at frame {at}");
+                assert_eq!(sdec.frames_consumed(), at + 1);
+                assert!(sdec.finish(&lex).is_none());
+            }
+        }
+        // One NaN among finite scores costs only the tokens that read it.
+        let mut emis = clean.clone();
+        emis[4][phone_id('n') * STATES_PER_PHONE] = f32::NAN;
+        let out = dec.decode_scores(&emis, &lm, &lex).expect("decode");
+        assert_eq!(out.words, vec!["go"]);
+        assert!(out.score.is_finite());
     }
 
     /// Chunked streaming decodes must match the batch decode bit-for-bit

@@ -37,12 +37,20 @@ const ROOT: u32 = u32::MAX;
 /// How many tokens each graph state retains during N-best search.
 pub const TOKENS_PER_STATE: usize = 4;
 
+/// Score beam of the N-best pass. Deliberately not [`DecoderConfig::beam`]:
+/// that width is sized to keep the one best path and little else, and this
+/// pass exists to keep the alternatives alive for [`rescore`]. 2500 is the
+/// exhaustive width the one-best defaults were calibrated against.
+pub const NBEST_BEAM: f32 = 2500.0;
+
 impl Decoder {
     /// Decodes the `n` best distinct word sequences.
     ///
     /// Runs token passing like [`Decoder::decode_scores`] but keeps up to
     /// [`TOKENS_PER_STATE`] tokens with distinct word histories per graph
-    /// state, then collects distinct acceptance hypotheses.
+    /// state, then collects distinct acceptance hypotheses. Prunes by
+    /// [`NBEST_BEAM`] alone; the decoder's own `beam` and `max_active` do
+    /// not apply.
     ///
     /// Returns an empty vector when no path survives.
     pub fn decode_nbest(
@@ -119,7 +127,7 @@ impl Decoder {
             if best == f32::NEG_INFINITY {
                 return Vec::new();
             }
-            let threshold = best - self.config().beam;
+            let threshold = best - NBEST_BEAM;
             let frame = &emis[t];
             for e in 0..num_states {
                 if cur[e].is_empty() {

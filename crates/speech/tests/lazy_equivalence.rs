@@ -253,3 +253,52 @@ fn narrow_beam_skips_scoring_work() {
         "narrow beam computed the dense matrix"
     );
 }
+
+/// The cap axis: eager and lazy decodes must stay bit-identical — words,
+/// score bits, search effort — when the rank limit, not the score beam, is
+/// what prunes: `max_active` 8 and 64 each cut below what the beam leaves
+/// (asserted at the end), `usize::MAX` never does.
+#[test]
+fn lazy_decode_is_bit_identical_to_eager_when_the_cap_binds() {
+    let asr = system();
+    let mut synth = Synthesizer::new(321, SynthConfig::default());
+    let utts: Vec<Vec<f32>> = CORPUS.iter().map(|t| synth.say(t).samples).collect();
+    let mut effort = Vec::new();
+    for max_active in [8usize, 64, usize::MAX] {
+        let decoder = Decoder::new(
+            asr.lexicon(),
+            DecoderConfig {
+                max_active,
+                ..DecoderConfig::default()
+            },
+        );
+        let mut tokens = 0;
+        for samples in &utts {
+            let frames = asr.frontend().extract(samples);
+            let emis = asr.gmm_scorer().score_utterance(&frames);
+            let eager = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
+            let mut lazy_scores = asr.gmm_scorer().lazy_scores(&frames);
+            let lazy = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
+            let emis = asr.dnn_scorer().score_utterance(&frames);
+            let eager_dnn = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
+            let mut lazy_scores = asr.dnn_scorer().lazy_scores(&frames, None);
+            let lazy_dnn = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
+            for (model, eager, lazy) in [("GMM", eager, lazy), ("DNN", eager_dnn, lazy_dnn)] {
+                let (a, b) = (eager.expect("eager decode"), lazy.expect("lazy decode"));
+                assert_eq!(a.words, b.words, "{model} words cap={max_active}");
+                assert_eq!(
+                    a.score.to_bits(),
+                    b.score.to_bits(),
+                    "{model} score cap={max_active}"
+                );
+                assert_eq!(a.tokens_expanded, b.tokens_expanded, "{model}");
+                assert_eq!(a.runner_up_score, b.runner_up_score, "{model}");
+                assert_eq!(a.complete, b.complete, "{model}");
+                tokens += a.tokens_expanded;
+            }
+        }
+        effort.push(tokens);
+    }
+    // The axis is exercised: each tighter cap really pruned more.
+    assert!(effort[0] < effort[1] && effort[1] < effort[2], "{effort:?}");
+}

@@ -228,3 +228,65 @@ fn streaming_edge_cases_are_typed_and_batch_consistent() {
         assert_eq!(out.tokens_expanded, batch.tokens_expanded);
     }
 }
+
+/// The cap axis: with the rank limit binding (`max_active` 8 and 64; see
+/// the effort check in `lazy_equivalence.rs`) and without it
+/// (`usize::MAX`), a [`StreamingDecoder`] fed uneven chunks must
+/// still finish bit-identical to the batch decode, and its committed prefix
+/// must still only ever extend and end as a prefix of the final words.
+#[test]
+fn streaming_decoder_matches_batch_when_the_cap_binds() {
+    let asr = system();
+    let lexicon = asr.lexicon();
+    let mut synth = Synthesizer::new(321, SynthConfig::default());
+    let utts: Vec<Vec<f32>> = CORPUS.iter().map(|t| synth.say(t).samples).collect();
+    for max_active in [8usize, 64, usize::MAX] {
+        let decoder = Decoder::new(
+            lexicon,
+            DecoderConfig {
+                max_active,
+                ..DecoderConfig::default()
+            },
+        );
+        for samples in &utts {
+            let frames = asr.frontend().extract(samples);
+            for model in [AcousticModelKind::Gmm, AcousticModelKind::Dnn] {
+                let emis = match model {
+                    AcousticModelKind::Gmm => asr.gmm_scorer().score_utterance(&frames),
+                    AcousticModelKind::Dnn => asr.dnn_scorer().score_utterance(&frames),
+                };
+                let batch = decoder
+                    .decode_scores(&emis, asr.lm(), lexicon)
+                    .expect("batch decode");
+                for step in [1usize, 3, 17] {
+                    let mut sdec = StreamingDecoder::new(&decoder, asr.lm());
+                    let mut prev: Vec<u32> = Vec::new();
+                    let mut horizon = 0usize;
+                    while horizon < emis.len() {
+                        horizon = (horizon + step).min(emis.len());
+                        let mut scores = EagerScores::new(&emis[..horizon]);
+                        assert!(sdec.advance(&mut scores, horizon), "beam died");
+                        let committed = sdec.committed().to_vec();
+                        assert!(
+                            committed.starts_with(&prev),
+                            "retraction at cap={max_active} {model} step={step}"
+                        );
+                        prev = committed;
+                    }
+                    let streamed = sdec.finish(lexicon).expect("streaming decode");
+                    assert_eq!(streamed, batch, "cap={max_active} {model} step={step}");
+                    assert_eq!(streamed.score.to_bits(), batch.score.to_bits());
+                    let final_ids: Vec<u32> = streamed
+                        .words
+                        .iter()
+                        .map(|w| lexicon.word_index(w).unwrap() as u32)
+                        .collect();
+                    assert!(
+                        final_ids.starts_with(&prev),
+                        "committed not a prefix, cap={max_active} {model}"
+                    );
+                }
+            }
+        }
+    }
+}
