@@ -3,7 +3,6 @@
 //! * Viterbi beam width (accuracy/latency trade-off in the decoder).
 //! * SURF tile size for the multicore FE port (the paper fixes a 50x50
 //!   minimum).
-//! * ANN search budget (exact vs bounded best-bin-first).
 //! * Stemmer scheduling: chunked vs interleaved vs work-queue (the paper's
 //!   Phi finding).
 //! * CRF decoding: Viterbi vs posterior (forward-backward).
@@ -21,7 +20,6 @@ use sirius_suite::kernels::fe::FeKernel;
 use sirius_suite::kernels::gmm::GmmKernel;
 use sirius_suite::kernels::stemmer::StemmerKernel;
 use sirius_suite::Kernel;
-use sirius_vision::ann::{KdTree, SearchBudget};
 use sirius_vision::synth as vsynth;
 
 fn bench_beam_width(c: &mut Criterion) {
@@ -61,41 +59,6 @@ fn bench_tile_size(c: &mut Criterion) {
         let kernel = FeKernel::with_tile_size(image.clone(), tile);
         group.bench_function(BenchmarkId::new("tiled_x4", tile), |b| {
             b.iter(|| black_box(kernel.run_parallel(4)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_ann_budget(c: &mut Criterion) {
-    use rand::Rng;
-    use rand::SeedableRng;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
-    let points: Vec<(Vec<f32>, u32)> = (0..4000)
-        .map(|i| {
-            (
-                (0..64).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
-                i as u32,
-            )
-        })
-        .collect();
-    let queries: Vec<Vec<f32>> = (0..64)
-        .map(|_| (0..64).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
-        .collect();
-    let tree = KdTree::build(points);
-    let mut group = c.benchmark_group("ablation_ann");
-    group.sample_size(10);
-    for (name, budget) in [
-        ("checks_32", SearchBudget::MaxChecks(32)),
-        ("checks_128", SearchBudget::MaxChecks(128)),
-        ("checks_512", SearchBudget::MaxChecks(512)),
-        ("exact", SearchBudget::Exact),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(tree.nearest2(q, budget));
-                }
-            })
         });
     }
     group.finish();
@@ -175,7 +138,6 @@ criterion_group!(
     benches,
     bench_beam_width,
     bench_tile_size,
-    bench_ann_budget,
     bench_stemmer_scheduling,
     bench_crf_decoding,
     bench_asr_models,

@@ -17,7 +17,6 @@ use sirius_par::ExecPolicy;
 use sirius_search::corpus::{CorpusConfig, FactCorpus, FactKind};
 use sirius_search::SearchEngine;
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTiming, AsrTrainConfig};
-use sirius_vision::ann::SearchBudget;
 use sirius_vision::db::{ImageDatabase, ImmTiming, MatchConfig};
 use sirius_vision::image::GrayImage;
 use sirius_vision::surf::SurfConfig;
@@ -122,7 +121,7 @@ pub struct SiriusInput {
 ///
 /// Replicas hold this behind an [`Arc`]; a replica's QA retrieval and IMM
 /// candidate search *scatter* across all entries and merge deterministically
-/// (`sirius_search::merge_hits`, [`ImageDatabase::merge_partials`]), while
+/// (`sirius_search::merge_hits`, [`ImageDatabase::match_across`]), while
 /// everything else in the pipeline runs on the replica's own engines. In a
 /// real deployment each entry would live on a different machine; in this
 /// single-box cluster the fan-out is an in-memory call, which keeps the
@@ -150,7 +149,8 @@ pub struct Sirius {
     venues: Vec<String>,
     config: SiriusConfig,
     /// `Some` on a cluster replica: this instance's QA/IMM engines hold one
-    /// shard, and queries scatter-gather across the shared directory.
+    /// shard, and queries scatter-gather across the shared directory. `None`
+    /// on an unsharded instance, whose own engines are the one shard.
     shards: Option<(u32, Arc<ShardDirectory>)>,
 }
 
@@ -219,14 +219,10 @@ impl Sirius {
     /// descriptor index ([`ImageDatabase::shard`]). All replicas share one
     /// [`ShardDirectory`] holding every shard, so any replica can serve any
     /// query: retrieval and descriptor search scatter across the directory
-    /// and merge under the shared deterministic orders, making every
-    /// replica's response to a given query identical. It is also identical
-    /// to this unsharded instance's **on the 42-query input set**, which
-    /// is what the cluster equivalence gate asserts — not on every
-    /// possible image: replicas search descriptors exactly
-    /// (`KdTree::nearest2_deterministic`), this instance under a budget
-    /// (`KdTree::nearest2`), and on a view whose true nearest descriptor
-    /// lies outside that budget the two can match different venues.
+    /// and merge under the shared total orders, making every replica's
+    /// response to a given query identical — to each other and to this
+    /// unsharded instance's, which runs the same scatter-gather over one
+    /// shard.
     ///
     /// # Errors
     ///
@@ -324,7 +320,7 @@ impl Sirius {
     /// training. The execution policy is a runtime knob and is not saved.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = sirius_codec::Encoder::new();
-        e.tag("sirius_v2");
+        e.tag("sirius_v3");
         e.u64(self.config.seed);
         e.u32(self.config.image_size.0 as u32);
         e.u32(self.config.image_size.1 as u32);
@@ -347,10 +343,12 @@ impl Sirius {
     ///
     /// # Errors
     ///
-    /// Fails on malformed, truncated or inconsistent bytes.
+    /// Fails on malformed, truncated or inconsistent bytes, and on files
+    /// written in an older format (`sirius_v2` carried an image-search
+    /// budget this version no longer has).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, sirius_codec::DecodeError> {
         let mut d = sirius_codec::Decoder::new(bytes);
-        d.tag("sirius_v2")?;
+        d.tag("sirius_v3")?;
         let seed = d.u64()?;
         let w = d.u32()? as usize;
         let h = d.u32()? as usize;
@@ -479,6 +477,19 @@ impl Sirius {
         })
     }
 
+    /// The shards QA retrieval and the IMM candidate search scatter across:
+    /// the cluster directory on a replica, this instance's own whole
+    /// engines — one shard — on an unsharded instance.
+    fn data_plane(&self) -> (&[SearchEngine], &[ImageDatabase]) {
+        match &self.shards {
+            Some((_, directory)) => (&directory.search, &directory.imm),
+            None => (
+                std::slice::from_ref(self.qa.search_engine()),
+                std::slice::from_ref(&self.imm),
+            ),
+        }
+    }
+
     /// Stage 1: speech recognition.
     pub fn stage_asr(&self, req: AsrRequest) -> Result<AsrResponse, SiriusError> {
         Ok(self.asr.recognize(&req.audio, req.acoustic).into())
@@ -514,21 +525,8 @@ impl Sirius {
         let mut timing = None;
         let mut matched_venue = None;
         if let Some(image) = &image {
-            let result = match &self.shards {
-                // Unsharded: one budgeted ANN search over the whole index.
-                None => self.imm.match_image(image),
-                // Replica: extract features once, scatter the candidate
-                // search across every shard, merge deterministically.
-                Some((_, directory)) => {
-                    let features = self.imm.extract_query(image);
-                    let partials: Vec<_> = directory
-                        .imm
-                        .iter()
-                        .map(|shard| shard.match_partial(&features))
-                        .collect();
-                    self.imm.merge_partials(&features, &partials)
-                }
-            };
+            let (_, imm_shards) = self.data_plane();
+            let result = self.imm.match_across(image, imm_shards);
             timing = Some(result.timing);
             if let Some(id) = result.best {
                 let venue = self
@@ -552,20 +550,13 @@ impl Sirius {
 
     /// Stage 4: question answering.
     pub fn stage_qa(&self, req: QaRequest) -> Result<QaResponse, SiriusError> {
-        let result = match &self.shards {
-            // Unsharded: retrieval runs on the local full index.
-            None => self.qa.answer(&req.question),
-            // Replica: analysis, filters and extraction run locally, but
-            // retrieval scatters to every shard's posting lists and merges
-            // under the shared (score, doc) total order — bit-identical to
-            // the unsharded search at any shard count.
-            Some((_, directory)) => self.qa.answer_with_retrieval(&req.question, |query, k| {
-                sirius_search::merge_hits(
-                    directory.search.iter().map(|shard| shard.search(query, k)),
-                    k,
-                )
-            }),
-        };
+        // Analysis, filters and extraction run locally; retrieval scatters
+        // to every shard's posting lists and merges under the shared
+        // (score, doc) total order.
+        let (search_shards, _) = self.data_plane();
+        let result = self.qa.answer_with_retrieval(&req.question, |query, k| {
+            sirius_search::merge_hits(search_shards.iter().map(|shard| shard.search(query, k)), k)
+        });
         Ok(QaResponse {
             answer: result.answer,
             breakdown: result.breakdown,
@@ -621,10 +612,6 @@ fn encode_match_config(e: &mut sirius_codec::Encoder, c: &MatchConfig) {
     e.u32(c.surf.init_step as u32);
     e.bool(c.surf.upright);
     e.f32(c.ratio);
-    match c.budget {
-        SearchBudget::Exact => e.u32(0),
-        SearchBudget::MaxChecks(n) => e.u32(n as u32),
-    };
 }
 
 fn decode_match_config(
@@ -637,15 +624,9 @@ fn decode_match_config(
         upright: d.bool()?,
         ..SurfConfig::default()
     };
-    let ratio = d.f32()?;
-    let budget = match d.u32()? {
-        0 => SearchBudget::Exact,
-        n => SearchBudget::MaxChecks(n as usize),
-    };
     Ok(MatchConfig {
         surf,
-        ratio,
-        budget,
+        ratio: d.f32()?,
     })
 }
 
@@ -694,5 +675,24 @@ mod tests {
             rewrite_deictic("when does the kitchen close", "Harbor Grill"),
             "when does the kitchen close Harbor Grill"
         );
+    }
+
+    #[test]
+    fn v2_model_bytes_are_rejected_with_a_typed_error() {
+        // The head of a `sirius_v2` file: its match config carried a search
+        // budget after the ratio, which this version must not misread.
+        let config = SiriusConfig::default();
+        let mut e = sirius_codec::Encoder::new();
+        e.tag("sirius_v2");
+        e.u64(config.seed);
+        e.u32(config.image_size.0 as u32);
+        e.u32(config.image_size.1 as u32);
+        encode_corpus_config(&mut e, &config.corpus);
+        encode_asr_config(&mut e, &config.asr);
+        e.u32(config.qa.top_k as u32);
+        encode_match_config(&mut e, &config.imm);
+        e.u32(96);
+        let err = Sirius::from_bytes(&e.into_bytes()).expect_err("v2 must not decode");
+        assert!(err.message.contains("sirius_v3"), "{}", err.message);
     }
 }

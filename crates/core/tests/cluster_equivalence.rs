@@ -5,16 +5,18 @@
 //! This is the property the whole cluster refactor stands on. QA retrieval
 //! shards merge under the (score desc, doc asc) total order with global
 //! collection statistics injected, so merged hits equal unsharded hits by
-//! construction; the IMM scatter uses the deterministic exact descriptor
-//! search, whose merged best-2 equals the whole-tree answer at any shard
-//! count. The remaining question — does the exact scatter agree with the
-//! budgeted single-index search on real pipeline traffic — is what this
-//! file measures, on all 42 queries.
+//! construction; the IMM scatter uses the exact descriptor search, whose
+//! merged best-2 equals the whole-tree answer at any shard count, and an
+//! unsharded instance runs that same scatter over one shard. The gates
+//! below hold that on all 42 queries and on seeded random views of every
+//! venue.
 
 use std::sync::OnceLock;
 
-use sirius::pipeline::{Sirius, SiriusConfig, SiriusResponse};
+use sirius::pipeline::{Sirius, SiriusConfig, SiriusInput, SiriusResponse};
+use sirius::stage::ImmRequest;
 use sirius::{prepare_input_set, ClusterError, PreparedQuery};
+use sirius_vision::synth::random_view;
 
 fn shared() -> &'static Sirius {
     static SIRIUS: OnceLock<Sirius> = OnceLock::new();
@@ -141,6 +143,66 @@ fn scattered_imm_match_agrees_with_unsharded_match_on_query_views() {
                     merged.best, direct.best,
                     "venue {venue} seed {seed} shards {n}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn unsharded_instance_matches_replicas_on_seeded_random_views() {
+    let sirius = shared();
+    let replicas: Vec<(u32, Vec<Sirius>)> = [1u32, 2, 4, 8]
+        .into_iter()
+        .map(|n| (n, sirius.shard_replicas(n).expect("shard")))
+        .collect();
+
+    // A view on which a budgeted whole-index search and the exact sharded
+    // one once crowned different venues: the full pipeline must agree.
+    let spoken = inputs()
+        .iter()
+        .find(|q| q.spec.text == "When does this restaurant close")
+        .expect("a VIQ query");
+    let input = SiriusInput {
+        audio: spoken.utterance.samples.clone(),
+        image: Some(random_view(&sirius.venue_scene(8), 6896045811037514854)),
+    };
+    let expect = sirius.process(&input);
+    let expect = (expect.matched_venue, expect.outcome);
+    for (n, replicas) in &replicas {
+        for (i, replica) in replicas.iter().enumerate() {
+            let got = replica.process(&input);
+            assert_eq!(
+                (got.matched_venue, got.outcome),
+                expect,
+                "pinned view, {n}-shard replica {i}"
+            );
+        }
+    }
+
+    // Seeded sweep: the IMM stage alone, every venue, 20 views each.
+    let imm = |s: &Sirius, image: &sirius_vision::image::GrayImage| {
+        let r = s
+            .stage_imm(ImmRequest {
+                question: "when does this place close".to_owned(),
+                image: Some(image.clone()),
+            })
+            .expect("stage_imm");
+        (r.matched_venue, r.question)
+    };
+    for venue in 0..sirius.venues().len() {
+        let scene = sirius.venue_scene(venue);
+        for k in 0..20u64 {
+            let seed = 0x5eed_0000 + k * 7919 + venue as u64 * 104_729;
+            let view = random_view(&scene, seed);
+            let expect = imm(sirius, &view);
+            for (n, replicas) in &replicas {
+                for (i, replica) in replicas.iter().enumerate() {
+                    assert_eq!(
+                        imm(replica, &view),
+                        expect,
+                        "venue {venue} seed {seed}, {n}-shard replica {i}"
+                    );
+                }
             }
         }
     }

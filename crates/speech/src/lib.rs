@@ -42,7 +42,6 @@ pub mod lm;
 pub mod nbest;
 pub mod streaming;
 pub mod synth;
-pub mod vad;
 
 pub use asr::{Acoustic, AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig, ScoringMode};
 pub use hmm::{StreamingDecoder, WindowScorer};

@@ -1,14 +1,15 @@
-//! Approximate nearest-neighbour search over SURF descriptors.
+//! Nearest-neighbour search over SURF descriptors.
 //!
 //! The paper matches query descriptors "to pre-clustered descriptors
 //! representing the database images by using an approximate nearest neighbor
-//! (ANN) search" (Section 2.3.2). This module implements a k-d tree with a
-//! bounded-leaf best-bin-first search: `max_checks` limits how many leaf
-//! points are examined, trading exactness for speed (the `exact` mode visits
-//! everything and is used as the oracle in property tests and the ANN
-//! ablation bench).
-
-use crate::surf::Descriptor;
+//! (ANN) search" (Section 2.3.2). This module's k-d tree search is *exact*
+//! under the total [`neighbor_order`] (distance, then payload): the image
+//! database is sharded for scatter-gather, and per-shard best-2 candidates
+//! merge into the whole-index answer only if every shard's answer is a pure
+//! function of its point set. A bounded best-bin-first search is not — its
+//! answer depends on tree shape — so there is one search and it is exact
+//! (DESIGN.md records this as a divergence from the paper's approximate
+//! search).
 
 /// A payload-carrying point in the index.
 #[derive(Debug, Clone)]
@@ -49,15 +50,6 @@ pub struct KdTree {
     dim: usize,
 }
 
-/// Search budget: how many leaf points may be examined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchBudget {
-    /// Visit every candidate reachable by exact backtracking (exact NN).
-    Exact,
-    /// Examine at most this many leaf points (approximate NN).
-    MaxChecks(usize),
-}
-
 const LEAF_SIZE: usize = 12;
 
 /// Squared Euclidean distance between two equal-length vectors — the single
@@ -87,22 +79,6 @@ impl KdTree {
         let mut idxs: Vec<u32> = (0..entries.len() as u32).collect();
         let root = Self::build_node(&entries, &mut idxs, dim);
         Self { entries, root, dim }
-    }
-
-    /// Builds a tree over descriptors with their index as payload.
-    pub fn from_descriptors<'a, I>(descriptors: I) -> Option<Self>
-    where
-        I: IntoIterator<Item = (&'a Descriptor, u32)>,
-    {
-        let pts: Vec<(Vec<f32>, u32)> = descriptors
-            .into_iter()
-            .map(|(d, p)| (d.0.clone(), p))
-            .collect();
-        if pts.is_empty() {
-            None
-        } else {
-            Some(Self::build(pts))
-        }
     }
 
     fn build_node(entries: &[Entry], idxs: &mut [u32], dim: usize) -> Node {
@@ -166,42 +142,14 @@ impl KdTree {
             .map(|e| (e.vector.as_slice(), e.payload))
     }
 
-    /// Finds the two nearest neighbours of `query` (for the ratio test).
-    ///
-    /// Returns `(best, second)`; `second` is `None` if only one point exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `query` has the wrong dimension.
-    pub fn nearest2(&self, query: &[f32], budget: SearchBudget) -> (Neighbor, Option<Neighbor>) {
-        assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut state = SearchState {
-            best: [None, None],
-            worst: f32::INFINITY,
-            checks: 0,
-            max_checks: match budget {
-                SearchBudget::Exact => usize::MAX,
-                SearchBudget::MaxChecks(c) => c.max(1),
-            },
-        };
-        self.search_node(&self.root, query, &mut state);
-        let best = state.best[0].expect("tree is non-empty");
-        (best, state.best[1])
-    }
-
-    /// Finds the single nearest neighbour.
-    pub fn nearest(&self, query: &[f32], budget: SearchBudget) -> Neighbor {
-        self.nearest2(query, budget).0
-    }
-
     /// Finds the two smallest neighbours of `query` under the *total*
-    /// [`neighbor_order`] — distance first, payload breaking exact ties.
+    /// [`neighbor_order`] — distance first, payload breaking exact ties —
+    /// for the ratio test. Returns `(best, second)`; `second` is `None` if
+    /// only one point exists.
     ///
-    /// Unlike [`nearest2`](Self::nearest2) with [`SearchBudget::Exact`]
-    /// (where equal-distance winners depend on leaf visit order, i.e. on
-    /// tree shape), this answer is a pure function of the indexed point
-    /// *set*: the far half-space is pruned only when every point there is
-    /// *strictly* farther than the retained worst, so equal-distance
+    /// The answer is a pure function of the indexed point *set*, not of
+    /// tree shape: the far half-space is pruned only when every point there
+    /// is *strictly* farther than the retained worst, so equal-distance
     /// candidates elsewhere in the tree are always visited and the payload
     /// tie-break applies. That makes per-shard best-2 candidates merge into
     /// exactly the whole-tree answer at any shard count — the property the
@@ -210,18 +158,18 @@ impl KdTree {
     /// # Panics
     ///
     /// Panics if `query` has the wrong dimension.
-    pub fn nearest2_deterministic(&self, query: &[f32]) -> (Neighbor, Option<Neighbor>) {
+    pub fn nearest2(&self, query: &[f32]) -> (Neighbor, Option<Neighbor>) {
         assert_eq!(query.len(), self.dim, "query dimension mismatch");
-        let mut state = DetState {
+        let mut state = Best2 {
             best: [None, None],
             worst: f32::INFINITY,
         };
-        self.search_det(&self.root, query, &mut state);
+        self.search(&self.root, query, &mut state);
         let best = state.best[0].expect("tree is non-empty");
         (best, state.best[1])
     }
 
-    fn search_det(&self, node: &Node, query: &[f32], state: &mut DetState) {
+    fn search(&self, node: &Node, query: &[f32], state: &mut Best2) {
         match node {
             Node::Leaf { points } => {
                 for &i in points {
@@ -244,53 +192,12 @@ impl KdTree {
                 } else {
                     (right, left)
                 };
-                self.search_det(near, query, state);
+                self.search(near, query, state);
                 // Prune only when the far half-space is *strictly* beyond
                 // the retained worst: a point at exactly `worst` distance
                 // may still win on the payload tie-break.
                 if diff * diff <= state.worst {
-                    self.search_det(far, query, state);
-                }
-            }
-        }
-    }
-
-    fn search_node(&self, node: &Node, query: &[f32], state: &mut SearchState) {
-        match node {
-            Node::Leaf { points } => {
-                for &i in points {
-                    if state.checks >= state.max_checks {
-                        return;
-                    }
-                    state.checks += 1;
-                    let e = &self.entries[i as usize];
-                    state.offer(Neighbor {
-                        distance_sq: dist_sq(&e.vector, query),
-                        payload: e.payload,
-                    });
-                }
-            }
-            Node::Split {
-                dim,
-                value,
-                left,
-                right,
-            } => {
-                let diff = query[*dim] - value;
-                let (near, far) = if diff < 0.0 {
-                    (left, right)
-                } else {
-                    (right, left)
-                };
-                self.search_node(near, query, state);
-                if state.checks >= state.max_checks {
-                    return;
-                }
-                // Backtrack only if the splitting plane is closer than the
-                // current worst of the two best (maintained incrementally
-                // by `offer`, not re-derived per split).
-                if diff * diff < state.worst {
-                    self.search_node(far, query, state);
+                    self.search(far, query, state);
                 }
             }
         }
@@ -300,7 +207,7 @@ impl KdTree {
 /// The deterministic neighbour ordering: squared distance first
 /// (`total_cmp`), payload ascending as the tie-break. A total order, so any
 /// candidate set has exactly one sorted arrangement — what
-/// [`KdTree::nearest2_deterministic`] returns the first two of, and what a
+/// [`KdTree::nearest2`] returns the first two of, and what a
 /// scatter-gather merge of per-shard candidates must sort by to reproduce
 /// the unsharded answer.
 pub fn neighbor_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
@@ -309,9 +216,8 @@ pub fn neighbor_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
         .then(a.payload.cmp(&b.payload))
 }
 
-/// Best-2 state for the deterministic search: like `SearchState` but
-/// unbudgeted and ordered by [`neighbor_order`] instead of raw distance.
-struct DetState {
+/// Best-2 state of a search, ordered by [`neighbor_order`].
+struct Best2 {
     best: [Option<Neighbor>; 2],
     /// Pruning bound: distance of the worst retained neighbour. Pruning
     /// decisions only ever fire once both slots are full (every split child
@@ -320,7 +226,7 @@ struct DetState {
     worst: f32,
 }
 
-impl DetState {
+impl Best2 {
     fn offer(&mut self, n: Neighbor) {
         match self.best[0] {
             None => self.best[0] = Some(n),
@@ -340,37 +246,7 @@ impl DetState {
     }
 }
 
-struct SearchState {
-    best: [Option<Neighbor>; 2],
-    /// Pruning bound: distance of the worst retained neighbour (the second
-    /// best once two are known, else the best, else infinity). Kept up to
-    /// date by `offer` so split nodes test it directly.
-    worst: f32,
-    checks: usize,
-    max_checks: usize,
-}
-
-impl SearchState {
-    fn offer(&mut self, n: Neighbor) {
-        match self.best[0] {
-            None => self.best[0] = Some(n),
-            Some(b0) if n.distance_sq < b0.distance_sq => {
-                self.best[1] = self.best[0];
-                self.best[0] = Some(n);
-            }
-            Some(_) => match self.best[1] {
-                None => self.best[1] = Some(n),
-                Some(b1) if n.distance_sq < b1.distance_sq => self.best[1] = Some(n),
-                Some(_) => return,
-            },
-        }
-        self.worst = self.best[1]
-            .or(self.best[0])
-            .map_or(f32::INFINITY, |x| x.distance_sq);
-    }
-}
-
-/// Linear-scan exact nearest neighbour, the oracle for tests and ablations.
+/// Linear-scan exact nearest neighbour, the oracle for property tests.
 pub fn linear_nearest(points: &[(Vec<f32>, u32)], query: &[f32]) -> Option<Neighbor> {
     points
         .iter()
@@ -408,36 +284,10 @@ mod tests {
         for _ in 0..50 {
             let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let expect = linear_nearest(&pts, &q).expect("non-empty");
-            let got = tree.nearest(&q, SearchBudget::Exact);
+            let got = tree.nearest2(&q).0;
             assert_eq!(got.payload, expect.payload);
             assert!((got.distance_sq - expect.distance_sq).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn approximate_search_is_close() {
-        let pts = random_points(2000, 16, 3);
-        let tree = KdTree::build(pts.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut hits_small = 0;
-        let mut hits_large = 0;
-        for _ in 0..100 {
-            let q: Vec<f32> = (0..16).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let expect = linear_nearest(&pts, &q).expect("non-empty");
-            let small = tree.nearest(&q, SearchBudget::MaxChecks(64));
-            let large = tree.nearest(&q, SearchBudget::MaxChecks(512));
-            hits_small += usize::from(small.payload == expect.payload);
-            hits_large += usize::from(large.payload == expect.payload);
-            // Even when approximate, the answer must not be wildly off.
-            assert!(small.distance_sq <= expect.distance_sq * 4.0 + 1e-6);
-        }
-        // Recall improves with budget; a generous budget is near-exact.
-        assert!(hits_large >= hits_small, "{hits_large} < {hits_small}");
-        assert!(
-            hits_large >= 70,
-            "only {hits_large}/100 exact at 512 checks"
-        );
-        assert!(hits_small >= 15, "only {hits_small}/100 exact at 64 checks");
     }
 
     #[test]
@@ -448,7 +298,7 @@ mod tests {
             (vec![5.0, 5.0], 2),
         ];
         let tree = KdTree::build(pts);
-        let (a, b) = tree.nearest2(&[0.1, 0.0], SearchBudget::Exact);
+        let (a, b) = tree.nearest2(&[0.1, 0.0]);
         assert_eq!(a.payload, 0);
         assert_eq!(b.expect("second").payload, 1);
         assert!(a.distance_sq <= b.expect("second").distance_sq);
@@ -457,7 +307,7 @@ mod tests {
     #[test]
     fn single_point_tree() {
         let tree = KdTree::build(vec![(vec![1.0, 2.0], 7)]);
-        let (a, b) = tree.nearest2(&[0.0, 0.0], SearchBudget::Exact);
+        let (a, b) = tree.nearest2(&[0.0, 0.0]);
         assert_eq!(a.payload, 7);
         assert!(b.is_none());
         assert_eq!(tree.len(), 1);
@@ -467,7 +317,7 @@ mod tests {
     fn duplicate_points_are_handled() {
         let pts = vec![(vec![1.0, 1.0], 0); 40];
         let tree = KdTree::build(pts);
-        let n = tree.nearest(&[1.0, 1.0], SearchBudget::Exact);
+        let n = tree.nearest2(&[1.0, 1.0]).0;
         assert_eq!(n.distance_sq, 0.0);
     }
 
@@ -492,7 +342,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
         for _ in 0..60 {
             let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let (b, s) = tree.nearest2_deterministic(&q);
+            let (b, s) = tree.nearest2(&q);
             let (eb, es) = det_oracle(&pts, &q);
             assert_eq!(
                 (b.payload, b.distance_sq.to_bits()),
@@ -514,7 +364,7 @@ mod tests {
             pts[i] = (vec![0.25, 0.25, 0.25, 0.25], payload);
         }
         let tree = KdTree::build(pts);
-        let (b, s) = tree.nearest2_deterministic(&[0.25, 0.25, 0.25, 0.25]);
+        let (b, s) = tree.nearest2(&[0.25, 0.25, 0.25, 0.25]);
         assert_eq!((b.distance_sq, b.payload), (0.0, 2));
         let s = s.expect("second");
         assert_eq!((s.distance_sq, s.payload), (0.0, 5));
@@ -543,12 +393,12 @@ mod tests {
                 let q: Vec<f32> = (0..6).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
                 let mut candidates: Vec<Neighbor> = Vec::new();
                 for shard in &shards {
-                    let (b, s) = shard.nearest2_deterministic(&q);
+                    let (b, s) = shard.nearest2(&q);
                     candidates.push(b);
                     candidates.extend(s);
                 }
                 candidates.sort_by(neighbor_order);
-                let (b, s) = full.nearest2_deterministic(&q);
+                let (b, s) = full.nearest2(&q);
                 assert_eq!(candidates[0], b, "shards={n}");
                 assert_eq!(candidates.get(1).copied(), s, "shards={n}");
             }
@@ -565,6 +415,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_query_dim_panics() {
         let tree = KdTree::build(vec![(vec![0.0, 0.0], 0)]);
-        let _ = tree.nearest(&[0.0], SearchBudget::Exact);
+        let _ = tree.nearest2(&[0.0]);
     }
 }

@@ -1,13 +1,18 @@
 //! Image database and matching: the IMM service back-end.
 //!
 //! Mirrors the paper's image-matching flow (Section 2.3.2): descriptors from
-//! the input image are matched against the database descriptors with an ANN
-//! search and a ratio test; "the database image with the highest number of
-//! matches is returned".
+//! the input image are matched against the database descriptors with a
+//! nearest-neighbour search and a ratio test; "the database image with the
+//! highest number of matches is returned". There is one matcher,
+//! [`ImageDatabase::match_across`]: a scatter-gather over a list of shards
+//! ([`ImageDatabase::match_partial`] then
+//! [`ImageDatabase::merge_partials`]). A whole database is matched as its
+//! own only shard, so an unsharded match and a sharded one are the same
+//! computation.
 
 use std::time::{Duration, Instant};
 
-use crate::ann::{neighbor_order, KdTree, Neighbor, SearchBudget};
+use crate::ann::{neighbor_order, KdTree, Neighbor};
 use crate::image::GrayImage;
 use crate::integral::IntegralImage;
 use crate::surf::{self, Descriptor, KeyPoint, SurfConfig};
@@ -24,8 +29,6 @@ pub struct MatchConfig {
     pub surf: SurfConfig,
     /// Lowe ratio test threshold (best/second distance).
     pub ratio: f32,
-    /// ANN search budget.
-    pub budget: SearchBudget,
 }
 
 impl Default for MatchConfig {
@@ -33,7 +36,6 @@ impl Default for MatchConfig {
         Self {
             surf: SurfConfig::default(),
             ratio: 0.75,
-            budget: SearchBudget::MaxChecks(96),
         }
     }
 }
@@ -76,10 +78,9 @@ impl QueryFeatures {
 
 /// One shard's contribution to a scatter-gather match: for every query
 /// keypoint, the shard's best two database descriptors under the
-/// deterministic [`neighbor_order`] (distance, then global descriptor id).
+/// total [`neighbor_order`] (distance, then global descriptor id).
 /// Payloads are *global* descriptor indices, so candidates from different
-/// shards merge under the same total order the unsharded deterministic
-/// search uses.
+/// shards merge under the same total order a whole-index search uses.
 #[derive(Debug, Clone)]
 pub struct PartialMatch {
     candidates: Vec<[Option<Neighbor>; 2]>,
@@ -208,13 +209,9 @@ impl ImageDatabase {
     /// k-d tree is rebuilt on load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = sirius_codec::Encoder::new();
-        e.tag("sirius_imm_v1");
+        e.tag("sirius_imm_v2");
         e.u32(self.num_images);
         e.f32(self.config.ratio);
-        match self.config.budget {
-            SearchBudget::Exact => e.u32(0),
-            SearchBudget::MaxChecks(c) => e.u32(c as u32),
-        };
         e.u32(self.config.surf.octaves as u32);
         e.f32(self.config.surf.threshold);
         e.u32(self.config.surf.init_step as u32);
@@ -244,16 +241,14 @@ impl ImageDatabase {
     ///
     /// # Errors
     ///
-    /// Fails on malformed, truncated or inconsistent bytes.
+    /// Fails on malformed, truncated or inconsistent bytes, and on files
+    /// written in an older format (`sirius_imm_v1` carried a search budget
+    /// this version no longer has).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, sirius_codec::DecodeError> {
         let mut d = sirius_codec::Decoder::new(bytes);
-        d.tag("sirius_imm_v1")?;
+        d.tag("sirius_imm_v2")?;
         let num_images = d.u32()?;
         let ratio = d.f32()?;
-        let budget = match d.u32()? {
-            0 => SearchBudget::Exact,
-            c => SearchBudget::MaxChecks(c as usize),
-        };
         let config = MatchConfig {
             surf: SurfConfig {
                 octaves: d.u32()? as usize,
@@ -264,7 +259,6 @@ impl ImageDatabase {
                 ..SurfConfig::default()
             },
             ratio,
-            budget,
         };
         let n = d.u32()? as usize;
         let mut points = Vec::with_capacity(n);
@@ -318,8 +312,8 @@ impl ImageDatabase {
     }
 
     /// Applies a multicore execution policy to query-side SURF extraction,
-    /// description and ANN voting. Results are bit-identical to the serial
-    /// path at every thread count and strategy.
+    /// description and descriptor search. Results are bit-identical to the
+    /// serial path at every thread count and strategy.
     pub fn set_exec_policy(&mut self, policy: sirius_par::ExecPolicy) {
         self.config.surf.exec = policy;
     }
@@ -329,8 +323,8 @@ impl ImageDatabase {
     /// database image's descriptors live on exactly one shard, while the
     /// global descriptor→image and descriptor→position tables (and the
     /// image count) are carried whole. Tree payloads stay *global*
-    /// descriptor indices, which keeps the deterministic
-    /// (distance, payload) candidate order consistent across shards — the
+    /// descriptor indices, which keeps the total (distance, payload)
+    /// candidate order consistent across shards — the
     /// property [`merge_partials`](Self::merge_partials) needs to
     /// reproduce the whole-database answer exactly.
     ///
@@ -384,10 +378,10 @@ impl ImageDatabase {
     }
 
     /// Runs this shard's half of a scatter-gather match: for every query
-    /// keypoint, the shard's best two descriptors under the deterministic
-    /// exact search ([`KdTree::nearest2_deterministic`]). Exactness is what
-    /// makes the merge shard-count invariant: the union of per-shard best-2
-    /// always contains the global best-2.
+    /// keypoint, the shard's best two descriptors under the exact search
+    /// ([`KdTree::nearest2`]). Exactness is what makes the merge
+    /// shard-count invariant: the union of per-shard best-2 always contains
+    /// the global best-2.
     pub fn match_partial(&self, features: &QueryFeatures) -> PartialMatch {
         let t = Instant::now();
         let candidates = match &self.tree {
@@ -397,7 +391,7 @@ impl ImageDatabase {
                 .surf
                 .exec
                 .map_collect(features.descriptors.len(), |i| {
-                    let (best, second) = tree.nearest2_deterministic(&features.descriptors[i].0);
+                    let (best, second) = tree.nearest2(&features.descriptors[i].0);
                     [Some(best), second]
                 }),
         };
@@ -409,14 +403,13 @@ impl ImageDatabase {
 
     /// Merges per-shard [`PartialMatch`]es into a [`MatchResult`]: each
     /// keypoint's global best-2 is the first two of the candidate union
-    /// under [`neighbor_order`], then the same ratio test and
-    /// vote-count/image-id ordering as [`match_image`](Self::match_image)
-    /// decide the winner. The output is a pure function of the query and
-    /// the *union* of the shards' descriptors — identical for every shard
-    /// count, including one. Geometric verification is not performed
-    /// (`verification` is `None`); the merged `ann_search` timing charges
-    /// the slowest shard (shards run concurrently in a cluster) plus the
-    /// merge itself.
+    /// under [`neighbor_order`], then a ratio test and the vote-count /
+    /// image-id ordering decide the winner. The output is a pure function of
+    /// the query and the *union* of the shards' descriptors — identical for
+    /// every shard count, including one. Geometric verification is not
+    /// performed (`verification` is `None`); the merged `ann_search` timing
+    /// charges the slowest shard (shards run concurrently in a cluster) plus
+    /// the merge itself.
     ///
     /// # Panics
     ///
@@ -432,122 +425,45 @@ impl ImageDatabase {
             .map(|p| p.ann_search)
             .max()
             .unwrap_or_default();
-        let mut counts = vec![0usize; self.num_images as usize];
-        for i in 0..features.keypoints.len() {
-            let mut union: Vec<Neighbor> = Vec::with_capacity(2 * partials.len());
-            for partial in partials {
-                assert_eq!(
-                    partial.candidates.len(),
-                    features.keypoints.len(),
-                    "partial match from different query features"
-                );
-                union.extend(partial.candidates[i].into_iter().flatten());
-            }
-            union.sort_by(neighbor_order);
-            let Some(&best) = union.first() else { continue };
-            let best_image = self.desc_image[best.payload as usize];
-            let passes = match union.get(1) {
-                Some(s) if self.desc_image[s.payload as usize] != best_image => {
-                    best.distance_sq < self.config.ratio * self.config.ratio * s.distance_sq
-                }
-                // Second neighbour from the same image (or absent) means
-                // the match is unambiguous between images.
-                _ => true,
-            };
-            if passes {
-                counts[best_image as usize] += 1;
-            }
-        }
-        let mut votes: Vec<(ImageId, usize)> = counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (ImageId(i as u32), c))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let ann_search = shard_time + t_merge.elapsed();
-        MatchResult {
-            best: votes.first().map(|&(id, _)| id),
-            votes,
-            query_keypoints: features.keypoints.len(),
-            verification: None,
-            timing: ImmTiming {
-                feature_extraction: features.feature_extraction,
-                feature_description: features.feature_description,
-                ann_search,
-                total: features.feature_extraction + features.feature_description + ann_search,
-            },
-        }
+        let (votes, _) = self.vote(features, partials);
+        Self::result(features, votes, None, shard_time + t_merge.elapsed())
     }
 
-    /// Matches a query image, reporting votes and per-stage timing.
+    /// Matches a query image, reporting votes and per-stage timing: the
+    /// scatter-gather match over this database as its only shard.
     pub fn match_image(&self, query: &GrayImage) -> MatchResult {
-        self.match_internal(query, false)
+        self.match_across(query, std::slice::from_ref(self))
+    }
+
+    /// Matches a query image against `shards` (the shards of this database,
+    /// or this database alone): features are extracted once, every shard
+    /// searches them ([`match_partial`](Self::match_partial)) and this
+    /// database's global tables merge the candidates
+    /// ([`merge_partials`](Self::merge_partials)).
+    pub fn match_across(&self, query: &GrayImage, shards: &[ImageDatabase]) -> MatchResult {
+        let (features, partials) = self.scatter(query, shards);
+        self.merge_partials(&features, &partials)
     }
 
     /// Matches a query image and geometrically verifies the candidates:
-    /// putative correspondences must agree on a similarity transform
-    /// (RANSAC), and candidates are re-ranked by inlier count.
+    /// the correspondences behind each image's votes must agree on a
+    /// similarity transform (RANSAC), and the top candidates are re-ranked
+    /// by inlier count.
     pub fn match_image_verified(&self, query: &GrayImage) -> MatchResult {
-        self.match_internal(query, true)
-    }
-
-    fn match_internal(&self, query: &GrayImage, verify: bool) -> MatchResult {
-        let t_total = Instant::now();
+        let (features, partials) = self.scatter(query, std::slice::from_ref(self));
         let t = Instant::now();
-        let ii = IntegralImage::new(query);
-        let kps = surf::detect_on_integral(&ii, &self.config.surf);
-        let feature_extraction = t.elapsed();
-
-        let t = Instant::now();
-        let (_, descs) = surf::describe_on_integral(&ii, &kps, &self.config.surf);
-        let feature_description = t.elapsed();
-
-        let t = Instant::now();
-        let mut counts = vec![0usize; self.num_images as usize];
+        let (mut votes, winners) = self.vote(&features, &partials);
         // Per-image correspondences: (query position, database position).
         let mut correspondences: Vec<Vec<Correspondence>> =
             vec![Vec::new(); self.num_images as usize];
-        if let Some(tree) = &self.tree {
-            // Each keypoint votes independently; the serial accumulation
-            // below keeps vote and correspondence order deterministic.
-            let matches: Vec<Option<(u32, Correspondence)>> =
-                self.config.surf.exec.map_collect(kps.len(), |i| {
-                    let (kp, d) = (&kps[i], &descs[i]);
-                    let (best, second) = tree.nearest2(&d.0, self.config.budget);
-                    let best_image = self.desc_image[best.payload as usize];
-                    let passes = match second {
-                        Some(s) if self.desc_image[s.payload as usize] != best_image => {
-                            best.distance_sq < self.config.ratio * self.config.ratio * s.distance_sq
-                        }
-                        // Second neighbour from the same image (or absent) means
-                        // the match is unambiguous between images.
-                        _ => true,
-                    };
-                    passes.then(|| {
-                        (
-                            best_image,
-                            ((kp.x, kp.y), self.desc_pos[best.payload as usize]),
-                        )
-                    })
-                });
-            for (best_image, corr) in matches.into_iter().flatten() {
-                counts[best_image as usize] += 1;
-                if verify {
-                    correspondences[best_image as usize].push(corr);
-                }
+        for (kp, winner) in features.keypoints.iter().zip(winners) {
+            if let Some(desc) = winner {
+                correspondences[self.desc_image[desc as usize] as usize]
+                    .push(((kp.x, kp.y), self.desc_pos[desc as usize]));
             }
         }
-        let mut votes: Vec<(ImageId, usize)> = counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, c)| (ImageId(i as u32), c))
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
         let mut verification = None;
-        if verify && !votes.is_empty() {
+        if !votes.is_empty() {
             // Verify the top candidates and re-rank by inlier count.
             let ransac = RansacConfig::default();
             let mut verified: Vec<(ImageId, usize, Option<Verification>)> = votes
@@ -569,18 +485,94 @@ impl ImageDatabase {
                 verification = ver;
             }
         }
-        let ann_search = t.elapsed();
+        Self::result(
+            &features,
+            votes,
+            verification,
+            partials[0].ann_search + t.elapsed(),
+        )
+    }
 
+    /// Extracts the query's features and runs every shard's half of the
+    /// match on them.
+    fn scatter(
+        &self,
+        query: &GrayImage,
+        shards: &[ImageDatabase],
+    ) -> (QueryFeatures, Vec<PartialMatch>) {
+        let features = self.extract_query(query);
+        let partials = shards
+            .iter()
+            .map(|shard| shard.match_partial(&features))
+            .collect();
+        (features, partials)
+    }
+
+    /// The ratio-test vote over merged candidates: votes per image (sorted
+    /// by count descending, image id ascending) and, per query keypoint, the
+    /// global id of the descriptor it voted through (`None` when it failed
+    /// the ratio test or found no candidate).
+    fn vote(
+        &self,
+        features: &QueryFeatures,
+        partials: &[PartialMatch],
+    ) -> (Vec<(ImageId, usize)>, Vec<Option<u32>>) {
+        let winners: Vec<Option<u32>> = (0..features.keypoints.len())
+            .map(|i| {
+                let mut union: Vec<Neighbor> = Vec::with_capacity(2 * partials.len());
+                for partial in partials {
+                    assert_eq!(
+                        partial.candidates.len(),
+                        features.keypoints.len(),
+                        "partial match from different query features"
+                    );
+                    union.extend(partial.candidates[i].into_iter().flatten());
+                }
+                union.sort_by(neighbor_order);
+                let best = *union.first()?;
+                let best_image = self.desc_image[best.payload as usize];
+                let passes = match union.get(1) {
+                    Some(s) if self.desc_image[s.payload as usize] != best_image => {
+                        best.distance_sq < self.config.ratio * self.config.ratio * s.distance_sq
+                    }
+                    // Second neighbour from the same image (or absent) means
+                    // the match is unambiguous between images.
+                    _ => true,
+                };
+                passes.then_some(best.payload)
+            })
+            .collect();
+        let mut counts = vec![0usize; self.num_images as usize];
+        for &desc in winners.iter().flatten() {
+            counts[self.desc_image[desc as usize] as usize] += 1;
+        }
+        let mut votes: Vec<(ImageId, usize)> = counts
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| (ImageId(i as u32), c))
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        (votes, winners)
+    }
+
+    /// Assembles a [`MatchResult`] from a vote and the query's timings.
+    fn result(
+        features: &QueryFeatures,
+        votes: Vec<(ImageId, usize)>,
+        verification: Option<Verification>,
+        ann_search: Duration,
+    ) -> MatchResult {
         MatchResult {
             best: votes.first().map(|&(id, _)| id),
             votes,
-            query_keypoints: kps.len(),
+            query_keypoints: features.keypoints.len(),
             verification,
             timing: ImmTiming {
-                feature_extraction,
-                feature_description,
+                feature_extraction: features.feature_extraction,
+                feature_description: features.feature_description,
                 ann_search,
-                total: t_total.elapsed(),
+                total: features.feature_extraction + features.feature_description + ann_search,
             },
         }
     }
@@ -672,9 +664,9 @@ mod tests {
 
     #[test]
     fn scatter_gather_agrees_with_direct_match_on_source_views() {
-        // The merged path is exact where `match_image` is budgeted, so vote
-        // counts may differ — but the winning image must agree on views of
-        // the enrolled scenes (the pipeline-level quantity).
+        // `match_image` is the one-shard case of the merged path, so the
+        // winning image agrees with a three-shard merge on views of the
+        // enrolled scenes (the pipeline-level quantity).
         let (db, scenes) = build_db(6);
         for (qi, scene) in scenes.iter().enumerate() {
             let query = synth::random_view(scene, 8000 + qi as u64);
@@ -818,6 +810,28 @@ mod persistence_tests {
         bytes[5] ^= 0x40;
         assert!(ImageDatabase::from_bytes(&bytes).is_err());
         assert!(ImageDatabase::from_bytes(&bytes[..8]).is_err());
+    }
+
+    #[test]
+    fn v1_database_bytes_are_rejected_with_a_typed_error() {
+        // A complete, well-formed `sirius_imm_v1` file (empty database): the
+        // old layout carried a search budget after the ratio, so reading it
+        // as v2 would shift every later field.
+        let surf = SurfConfig::default();
+        let mut e = sirius_codec::Encoder::new();
+        e.tag("sirius_imm_v1");
+        e.u32(0);
+        e.f32(0.75);
+        e.u32(96);
+        e.u32(surf.octaves as u32);
+        e.f32(surf.threshold);
+        e.u32(surf.init_step as u32);
+        e.bool(surf.upright);
+        e.u32(0);
+        e.u32_slice(&[]);
+        e.u32(0);
+        let err = ImageDatabase::from_bytes(&e.into_bytes()).expect_err("v1 must not decode");
+        assert!(err.message.contains("sirius_imm_v2"), "{}", err.message);
     }
 
     #[test]

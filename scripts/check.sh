@@ -34,6 +34,9 @@ cargo test --release -p sirius-speech -q
 echo "==> cargo test --release -p sirius --test cluster_equivalence -q (sharded scatter-gather bit-identity gates)"
 cargo test --release -p sirius --test cluster_equivalence -q
 
+echo "==> cargo test --release -p sirius-vision -q (image matcher gates: exact search, shard invariance, view accuracy, persistence)"
+cargo test --release -p sirius-vision -q
+
 echo "==> cargo test --release -p sirius-codec -q (wire codec hardening gates)"
 cargo test --release -p sirius-codec -q
 

@@ -13,7 +13,7 @@ use sirius_nlp::stemmer;
 use sirius_search::tokenize;
 use sirius_speech::features::{fft, hz_to_mel, mel_to_hz};
 use sirius_speech::lexicon::{normalize_text, number_to_words};
-use sirius_vision::ann::{linear_nearest, KdTree, SearchBudget};
+use sirius_vision::ann::{linear_nearest, KdTree};
 use sirius_vision::image::GrayImage;
 use sirius_vision::integral::IntegralImage;
 
@@ -224,7 +224,7 @@ fn kdtree_exact_equals_linear_scan() {
             .collect();
         let query: Vec<f32> = (0..4).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
         let tree = KdTree::build(tagged.clone());
-        let got = tree.nearest(&query, SearchBudget::Exact);
+        let got = tree.nearest2(&query).0;
         let expect = linear_nearest(&tagged, &query).expect("non-empty");
         assert!(
             (got.distance_sq - expect.distance_sq).abs() < 1e-4,
