@@ -23,9 +23,9 @@
 //!
 //! With `h = 0` this degenerates to the plain [`Mm1`] latency, which is the
 //! anchor unit test of the module. [`CacheComparison`] lines the prediction
-//! up against measured sweep points from the benchmark harness the same way
-//! `compare::QueueComparison` does for the uncached model — the relative
-//! error column is the deliverable, not a residual to hide.
+//! up against measured sweep points from the benchmark harness
+//! (`bench_server`'s cache sweep) — the relative error column is the
+//! deliverable, not a residual to hide.
 
 use crate::queue::Mm1;
 

@@ -1,349 +1,14 @@
-//! Model-vs-measured queueing comparison.
+//! Measured scale-out against the paper's scale-up.
 //!
-//! Figure 17 of the paper is the closed-form M/M/1 latency-vs-load curve.
-//! With the staged serving runtime (`sirius-server`) the same curve can be
-//! *measured*: drive the runtime open-loop at a swept arrival rate λ and
-//! record mean sojourn time per point. This module lines those measurements
-//! up against the [`Mm1`] prediction and quantifies the gap, turning the
-//! figure from a formula into a validation of one.
-//!
-//! The comparison is honest about its own limits: the runtime is a tandem
-//! of stage queues with generally-distributed service times, not a single
-//! exponential server, so the model is an approximation — the relative
-//! error column is the point of the exercise, not a residual to hide.
+//! Tables 8/9 of the paper weigh adding machines against accelerating
+//! each one. With the sharded serving cluster (`sirius-server`'s
+//! `SiriusCluster`) the scale-out side can be *measured*: drive N replicas
+//! to saturation and record throughput per point. [`ClusterComparison`]
+//! normalises each point against its routing policy's own single-replica
+//! baseline and restates it in machines of a homogeneous accelerated
+//! design.
 
 use serde::{Deserialize, Serialize};
-
-use crate::queue::{mm1k_blocking_probability, Mm1};
-
-/// One measured operating point of a running server.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeasuredPoint {
-    /// Offered arrival rate λ in queries per second.
-    pub lambda: f64,
-    /// Measured mean sojourn time (queue wait + service) in seconds.
-    pub mean_latency: f64,
-}
-
-/// One measured point lined up against the model's prediction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ComparisonRow {
-    /// Offered arrival rate λ in queries per second.
-    pub lambda: f64,
-    /// Utilization ρ = λ/μ under the model's service rate.
-    pub rho: f64,
-    /// Measured mean sojourn seconds.
-    pub measured: f64,
-    /// Predicted mean sojourn seconds, `1/(μ−λ)`; infinite at ρ ≥ 1.
-    pub predicted: f64,
-    /// |measured − predicted| / predicted, when the prediction is finite
-    /// and positive.
-    pub relative_error: Option<f64>,
-}
-
-/// A swept-load comparison of measured sojourn times against an M/M/1 model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueueComparison {
-    /// The model's service rate μ (queries/second).
-    pub mu: f64,
-    /// One row per measured operating point, in input order.
-    pub rows: Vec<ComparisonRow>,
-}
-
-impl QueueComparison {
-    /// Lines `points` up against `model`.
-    pub fn against(model: Mm1, points: &[MeasuredPoint]) -> Self {
-        let rows = points
-            .iter()
-            .map(|p| {
-                let predicted = model.latency(p.lambda);
-                let relative_error = (predicted.is_finite() && predicted > 0.0)
-                    .then(|| (p.mean_latency - predicted).abs() / predicted);
-                ComparisonRow {
-                    lambda: p.lambda,
-                    rho: p.lambda / model.mu,
-                    measured: p.mean_latency,
-                    predicted,
-                    relative_error,
-                }
-            })
-            .collect();
-        Self { mu: model.mu, rows }
-    }
-
-    /// Convenience: build the model from a measured mean service time
-    /// (seconds per query at zero load), then compare.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_service_time <= 0`.
-    pub fn against_service_time(mean_service_time: f64, points: &[MeasuredPoint]) -> Self {
-        Self::against(Mm1::from_service_time(mean_service_time), points)
-    }
-
-    /// Mean relative error over the stable (finite-prediction) points;
-    /// `None` when no point is stable.
-    pub fn mean_relative_error(&self) -> Option<f64> {
-        let errors: Vec<f64> = self.rows.iter().filter_map(|r| r.relative_error).collect();
-        if errors.is_empty() {
-            None
-        } else {
-            Some(errors.iter().sum::<f64>() / errors.len() as f64)
-        }
-    }
-
-    /// Worst relative error over the stable points.
-    pub fn worst_relative_error(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .filter_map(|r| r.relative_error)
-            .max_by(|a, b| a.partial_cmp(b).expect("finite errors"))
-    }
-}
-
-/// One stage of a measured tandem queue, as exported by the staged
-/// runtime's per-stage telemetry (`sirius-server` queue-wait/service
-/// histograms).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageMeasurement {
-    /// Stage name (`asr`, `classify`, ...).
-    pub stage: String,
-    /// Jobs that passed through the stage during the window. In Sirius the
-    /// stages see *different* populations — actions exit at the classifier,
-    /// so IMM/QA serve only the question subset.
-    pub completions: u64,
-    /// Mean queue wait in seconds.
-    pub mean_wait: f64,
-    /// Mean service time in seconds.
-    pub mean_service: f64,
-}
-
-impl StageMeasurement {
-    /// The stage's measured mean sojourn (wait + service) in seconds.
-    pub fn mean_sojourn(&self) -> f64 {
-        self.mean_wait + self.mean_service
-    }
-}
-
-/// Mean sojourns below this many seconds (0.1 ms) sit at the timer's
-/// effective measurement floor: scheduling noise and timestamp quantization
-/// are the same order as the quantity itself, so a *relative* error on such
-/// a stage is noise amplified by a near-zero denominator (a 0.045 ms
-/// measurement against a 0.017 ms prediction reads as 175% "error" while
-/// being 0.03 ms apart). Stages where both sides are below the floor report
-/// an absolute gap instead and stay out of the mean.
-pub const MEASUREMENT_FLOOR_SECONDS: f64 = 1e-4;
-
-/// One stage's measurement lined up against its own M/M/1 prediction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TandemStageRow {
-    /// Stage name.
-    pub stage: String,
-    /// The stage's own arrival rate λₛ = completions / window (actions
-    /// exiting early make λ differ per stage).
-    pub lambda: f64,
-    /// Utilization ρₛ = λₛ·E[Sₛ].
-    pub rho: f64,
-    /// Measured mean stage sojourn (wait + service) seconds.
-    pub measured: f64,
-    /// Predicted mean stage sojourn `1/(μₛ−λₛ)`; infinite at ρₛ ≥ 1.
-    pub predicted: f64,
-    /// Whether both measured and predicted sojourns are below
-    /// [`MEASUREMENT_FLOOR_SECONDS`] — too small for a meaningful relative
-    /// comparison.
-    pub below_floor: bool,
-    /// |measured − predicted| / predicted, when the prediction is finite
-    /// and positive and the stage is not [`TandemStageRow::below_floor`].
-    pub relative_error: Option<f64>,
-    /// |measured − predicted| seconds, when the prediction is finite — the
-    /// honest error statistic for sub-floor stages.
-    pub absolute_error: Option<f64>,
-}
-
-/// Per-stage queueing comparison for a tandem of stage queues, plus the
-/// end-to-end reconciliation: the population-weighted sum of per-stage
-/// sojourns must reconstruct the measured end-to-end sojourn (the paper's
-/// per-service decomposition, checked against its own total).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TandemComparison {
-    /// One row per stage, in input order.
-    pub rows: Vec<TandemStageRow>,
-    /// Measured end-to-end mean sojourn seconds.
-    pub measured_total: f64,
-    /// End-to-end mean reconstructed from the per-stage measurements:
-    /// Σₛ (completionsₛ / queries) · (waitₛ + serviceₛ).
-    pub reconstructed_total: f64,
-}
-
-impl TandemComparison {
-    /// Lines per-stage measurements over a window of `wall_seconds` (in
-    /// which `queries` queries completed end-to-end with mean sojourn
-    /// `measured_total`) against independent per-stage M/M/1 models.
-    ///
-    /// Stages with no completions or non-positive mean service are carried
-    /// as unpredicted rows (no model can be fit), not dropped.
-    pub fn against(
-        wall_seconds: f64,
-        queries: u64,
-        measured_total: f64,
-        stages: &[StageMeasurement],
-    ) -> Self {
-        let mut reconstructed_total = 0.0;
-        let rows = stages
-            .iter()
-            .map(|s| {
-                if queries > 0 {
-                    reconstructed_total +=
-                        (s.completions as f64 / queries as f64) * s.mean_sojourn();
-                }
-                let lambda = if wall_seconds > 0.0 {
-                    s.completions as f64 / wall_seconds
-                } else {
-                    0.0
-                };
-                let measured = s.mean_sojourn();
-                let (rho, predicted) = if s.mean_service > 0.0 && s.completions > 0 {
-                    let model = Mm1::from_service_time(s.mean_service);
-                    (lambda / model.mu, model.latency(lambda))
-                } else {
-                    (0.0, f64::NAN)
-                };
-                let below_floor = predicted.is_finite()
-                    && measured < MEASUREMENT_FLOOR_SECONDS
-                    && predicted < MEASUREMENT_FLOOR_SECONDS;
-                let relative_error = (!below_floor && predicted.is_finite() && predicted > 0.0)
-                    .then(|| (measured - predicted).abs() / predicted);
-                let absolute_error = predicted.is_finite().then(|| (measured - predicted).abs());
-                TandemStageRow {
-                    stage: s.stage.clone(),
-                    lambda,
-                    rho,
-                    measured,
-                    predicted,
-                    below_floor,
-                    relative_error,
-                    absolute_error,
-                }
-            })
-            .collect();
-        Self {
-            rows,
-            measured_total,
-            reconstructed_total,
-        }
-    }
-
-    /// |reconstructed − measured| / measured for the end-to-end mean;
-    /// `None` when the measured total is not positive.
-    pub fn reconstruction_error(&self) -> Option<f64> {
-        (self.measured_total > 0.0)
-            .then(|| (self.reconstructed_total - self.measured_total).abs() / self.measured_total)
-    }
-
-    /// Mean per-stage relative error over the stable (finite-prediction)
-    /// stages, excluding sub-floor stages (see
-    /// [`MEASUREMENT_FLOOR_SECONDS`]); `None` when no stage qualifies.
-    pub fn mean_relative_error(&self) -> Option<f64> {
-        let errors: Vec<f64> = self.rows.iter().filter_map(|r| r.relative_error).collect();
-        if errors.is_empty() {
-            None
-        } else {
-            Some(errors.iter().sum::<f64>() / errors.len() as f64)
-        }
-    }
-
-    /// Worst per-stage relative error over the stable stages.
-    pub fn worst_relative_error(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .filter_map(|r| r.relative_error)
-            .max_by(|a, b| a.partial_cmp(b).expect("finite errors"))
-    }
-}
-
-/// One measured shed-rate operating point of a shed-on-full admission
-/// policy: at offered load ρ, `shed` of `offered` arrivals were rejected
-/// because the bounded admission queue (system capacity `capacity`,
-/// waiting room plus servers) was full.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedPoint {
-    /// Offered load ρ = λ/μ.
-    pub rho: f64,
-    /// Total system capacity K of the admission queue (queue depth plus
-    /// in-service slots).
-    pub capacity: usize,
-    /// Arrivals offered during the window.
-    pub offered: u64,
-    /// Arrivals shed because the queue was full.
-    pub shed: u64,
-}
-
-impl ShedPoint {
-    /// The measured shed fraction (0 when nothing was offered).
-    pub fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.offered as f64
-        }
-    }
-}
-
-/// One shed-rate measurement lined up against the M/M/1/K blocking
-/// probability.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedRow {
-    /// Offered load ρ.
-    pub rho: f64,
-    /// Measured shed fraction.
-    pub measured: f64,
-    /// Predicted blocking probability
-    /// [`mm1k_blocking_probability`]`(rho, capacity)`.
-    pub predicted: f64,
-    /// |measured − predicted|, an absolute probability gap (relative error
-    /// explodes when the prediction is a near-zero tail probability).
-    pub absolute_error: f64,
-}
-
-/// Measured shed rates of shed-on-full admission control lined up against
-/// the closed-form M/M/1/K blocking probability — the admission-control
-/// analogue of [`QueueComparison`]. As there, the model is an
-/// approximation (the runtime is a tandem with general service times, not
-/// one exponential server) and the error column is the point, not a
-/// residual to hide.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShedComparison {
-    /// One row per measured point, in input order.
-    pub rows: Vec<ShedRow>,
-}
-
-impl ShedComparison {
-    /// Lines each measured point up against its own M/M/1/K prediction.
-    pub fn against(points: &[ShedPoint]) -> Self {
-        let rows = points
-            .iter()
-            .map(|p| {
-                let measured = p.shed_rate();
-                let predicted = mm1k_blocking_probability(p.rho, p.capacity);
-                ShedRow {
-                    rho: p.rho,
-                    measured,
-                    predicted,
-                    absolute_error: (measured - predicted).abs(),
-                }
-            })
-            .collect();
-        Self { rows }
-    }
-
-    /// Worst absolute probability gap over all points.
-    pub fn worst_absolute_error(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .map(|r| r.absolute_error)
-            .max_by(|a, b| a.partial_cmp(b).expect("finite errors"))
-    }
-}
 
 /// One measured operating point of a replica-cluster throughput sweep: an
 /// N-replica sharded cluster (`sirius-server`'s `SiriusCluster`) driven to
@@ -392,9 +57,9 @@ pub struct ClusterRow {
 }
 
 /// Measured N-replica scaling lined up against the paper's datacenter
-/// designs — the cluster analogue of [`ShedComparison`]. Speedup-vs-N is
-/// computed per routing policy against that policy's own 1-replica
-/// baseline; the `accelerated_equivalent` column restates each point in
+/// designs. Speedup-vs-N is computed per routing policy against that
+/// policy's own 1-replica baseline; the `accelerated_equivalent` column
+/// restates each point in
 /// machines of a Table 8 homogeneous accelerated design
 /// (`sirius_dcsim::design::homogeneous_throughput_improvement`), which is
 /// the paper's scale-out-vs-scale-up trade.
@@ -474,212 +139,6 @@ impl ClusterComparison {
 mod tests {
     use super::*;
 
-    #[test]
-    fn model_generated_points_have_zero_error() {
-        let model = Mm1 { mu: 20.0 };
-        let points: Vec<MeasuredPoint> = [4.0, 10.0, 16.0]
-            .iter()
-            .map(|&lambda| MeasuredPoint {
-                lambda,
-                mean_latency: model.latency(lambda),
-            })
-            .collect();
-        let cmp = QueueComparison::against(model, &points);
-        assert_eq!(cmp.rows.len(), 3);
-        for row in &cmp.rows {
-            assert!(row.relative_error.expect("stable") < 1e-12);
-            assert!(row.rho < 1.0);
-        }
-        assert!(cmp.mean_relative_error().expect("stable") < 1e-12);
-        assert!(cmp.worst_relative_error().expect("stable") < 1e-12);
-    }
-
-    #[test]
-    fn overloaded_points_have_no_relative_error() {
-        let cmp = QueueComparison::against_service_time(
-            0.1,
-            &[
-                MeasuredPoint {
-                    lambda: 5.0,
-                    mean_latency: 0.25,
-                },
-                MeasuredPoint {
-                    lambda: 12.0,
-                    mean_latency: 40.0,
-                },
-            ],
-        );
-        assert!((cmp.mu - 10.0).abs() < 1e-12);
-        assert!(cmp.rows[0].relative_error.is_some());
-        assert_eq!(cmp.rows[1].predicted, f64::INFINITY);
-        assert!(cmp.rows[1].relative_error.is_none());
-        // Summary statistics only cover the stable point.
-        let expected = (0.25 - 0.2f64).abs() / 0.2;
-        assert!((cmp.mean_relative_error().unwrap() - expected).abs() < 1e-12);
-        assert_eq!(
-            cmp.mean_relative_error(),
-            cmp.worst_relative_error(),
-            "single stable point"
-        );
-    }
-
-    #[test]
-    fn all_unstable_yields_no_summary() {
-        let cmp = QueueComparison::against(
-            Mm1 { mu: 1.0 },
-            &[MeasuredPoint {
-                lambda: 2.0,
-                mean_latency: 10.0,
-            }],
-        );
-        assert!(cmp.mean_relative_error().is_none());
-        assert!(cmp.worst_relative_error().is_none());
-    }
-
-    #[test]
-    fn tandem_reconstruction_weights_stages_by_population() {
-        // 100 queries in 10 s; 40 exit at classify (actions), 60 continue.
-        let stages = vec![
-            StageMeasurement {
-                stage: "asr".into(),
-                completions: 100,
-                mean_wait: 0.01,
-                mean_service: 0.04,
-            },
-            StageMeasurement {
-                stage: "classify".into(),
-                completions: 100,
-                mean_wait: 0.0,
-                mean_service: 0.001,
-            },
-            StageMeasurement {
-                stage: "qa".into(),
-                completions: 60,
-                mean_wait: 0.02,
-                mean_service: 0.08,
-            },
-        ];
-        // Exact weighted total: 0.05 + 0.001 + 0.6·0.1 = 0.111.
-        let cmp = TandemComparison::against(10.0, 100, 0.111, &stages);
-        assert_eq!(cmp.rows.len(), 3);
-        assert!((cmp.reconstructed_total - 0.111).abs() < 1e-12);
-        assert!(cmp.reconstruction_error().unwrap() < 1e-9);
-        // Per-stage λ reflects each stage's own population.
-        assert!((cmp.rows[0].lambda - 10.0).abs() < 1e-12);
-        assert!((cmp.rows[2].lambda - 6.0).abs() < 1e-12);
-        // ρ = λ·E[S]: ASR at 10·0.04 = 0.4.
-        assert!((cmp.rows[0].rho - 0.4).abs() < 1e-12);
-        assert!(cmp.mean_relative_error().is_some());
-        assert!(cmp.worst_relative_error().unwrap() >= cmp.mean_relative_error().unwrap());
-    }
-
-    #[test]
-    fn sub_floor_stages_report_absolute_error_and_stay_out_of_the_mean() {
-        // Regression: a 45 µs classify stage against a 17 µs prediction —
-        // both below the 0.1 ms timer floor — used to contribute a 1.75
-        // relative error and drag the tandem mean from ~0.1 to ~0.49. It
-        // must report the 28 µs absolute gap instead and be excluded.
-        let stages = vec![
-            StageMeasurement {
-                stage: "asr".into(),
-                completions: 100,
-                mean_wait: 0.01,
-                mean_service: 0.04,
-            },
-            StageMeasurement {
-                stage: "classify".into(),
-                completions: 100,
-                mean_wait: 0.0,
-                mean_service: 0.000_045,
-            },
-        ];
-        let cmp = TandemComparison::against(10.0, 100, 0.05, &stages);
-        let asr = &cmp.rows[0];
-        let classify = &cmp.rows[1];
-        assert!(!asr.below_floor);
-        assert!(asr.relative_error.is_some());
-        assert!(asr.absolute_error.is_some());
-        assert!(classify.below_floor, "45 µs sojourn is below the floor");
-        assert!(classify.relative_error.is_none());
-        let gap = classify.absolute_error.expect("finite prediction");
-        assert!(
-            gap < MEASUREMENT_FLOOR_SECONDS,
-            "sub-floor absolute gap {gap}"
-        );
-        // The mean now covers only the ASR stage.
-        assert_eq!(cmp.mean_relative_error(), asr.relative_error);
-        assert_eq!(cmp.worst_relative_error(), asr.relative_error);
-    }
-
-    #[test]
-    fn tandem_handles_empty_and_saturated_stages() {
-        let stages = vec![
-            // Saturated: λ = 30/s against μ = 20/s → no finite prediction.
-            StageMeasurement {
-                stage: "asr".into(),
-                completions: 300,
-                mean_wait: 1.0,
-                mean_service: 0.05,
-            },
-            // Idle stage: no completions, no model.
-            StageMeasurement {
-                stage: "imm".into(),
-                completions: 0,
-                mean_wait: 0.0,
-                mean_service: 0.0,
-            },
-        ];
-        let cmp = TandemComparison::against(10.0, 300, 1.05, &stages);
-        assert!(cmp.rows[0].rho > 1.0);
-        assert!(cmp.rows[0].relative_error.is_none());
-        assert!(cmp.rows[1].predicted.is_nan());
-        assert!(cmp.rows[1].relative_error.is_none());
-        assert!(cmp.mean_relative_error().is_none());
-        // The idle stage contributes nothing to the reconstruction.
-        assert!((cmp.reconstructed_total - 1.05).abs() < 1e-12);
-        // Degenerate windows are handled, not divided by.
-        let degenerate = TandemComparison::against(0.0, 0, 0.0, &stages);
-        assert_eq!(degenerate.rows[0].lambda, 0.0);
-        assert!(degenerate.reconstruction_error().is_none());
-    }
-
-    #[test]
-    fn shed_comparison_tracks_blocking_probability() {
-        let points = vec![
-            // Model-generated: 1000 offered at ρ = 1 with K = 9 → 100 shed.
-            ShedPoint {
-                rho: 1.0,
-                capacity: 9,
-                offered: 1000,
-                shed: 100,
-            },
-            // Overload point with a deliberate measurement gap.
-            ShedPoint {
-                rho: 2.0,
-                capacity: 1,
-                offered: 100,
-                shed: 80,
-            },
-            // Nothing offered: shed rate is defined as zero.
-            ShedPoint {
-                rho: 0.5,
-                capacity: 4,
-                offered: 0,
-                shed: 0,
-            },
-        ];
-        let cmp = ShedComparison::against(&points);
-        assert!(cmp.rows[0].absolute_error < 1e-12);
-        // ρ = 2, K = 1 → P = ρ/(1+ρ) = 2/3; measured 0.8 → gap 0.1333…
-        assert!((cmp.rows[1].predicted - 2.0 / 3.0).abs() < 1e-12);
-        assert!((cmp.rows[1].absolute_error - (0.8 - 2.0 / 3.0)).abs() < 1e-12);
-        assert_eq!(cmp.rows[2].measured, 0.0);
-        assert_eq!(cmp.worst_absolute_error(), Some(cmp.rows[1].absolute_error));
-        assert!(ShedComparison::against(&[])
-            .worst_absolute_error()
-            .is_none());
-    }
-
     fn cluster_point(replicas: u32, route: &str, qps: f64) -> ClusterPoint {
         ClusterPoint {
             replicas,
@@ -736,21 +195,5 @@ mod tests {
             2.5,
         );
         assert_eq!(broken.rows[1].speedup, None);
-    }
-
-    #[test]
-    fn measured_above_model_reports_positive_error() {
-        // A tandem pipeline has more queueing than a single M/M/1 server;
-        // the comparison must report that gap, not mask it.
-        let model = Mm1 { mu: 10.0 };
-        let cmp = QueueComparison::against(
-            model,
-            &[MeasuredPoint {
-                lambda: 5.0,
-                mean_latency: 0.3,
-            }],
-        );
-        let err = cmp.rows[0].relative_error.unwrap();
-        assert!((err - 0.5).abs() < 1e-12, "expected 50% gap, got {err}");
     }
 }

@@ -19,13 +19,10 @@ pub mod sim;
 pub mod tco;
 
 pub use cache::{CacheComparison, CachePoint, CacheRow, CachedMm1};
-pub use compare::{
-    ClusterComparison, ClusterPoint, ClusterRow, ComparisonRow, MeasuredPoint, QueueComparison,
-    ShedComparison, ShedPoint, ShedRow, StageMeasurement, TandemComparison, TandemStageRow,
-};
+pub use compare::{ClusterComparison, ClusterPoint, ClusterRow};
 pub use design::{
     design_space, heterogeneous_design, homogeneous_design, homogeneous_throughput_improvement,
     query_level_metrics, DesignPoint, Objective, QueryClass,
 };
-pub use queue::{mm1k_blocking_probability, throughput_improvement_at_load, Mm1};
+pub use queue::{throughput_improvement_at_load, Mm1};
 pub use tco::{monthly_tco, normalized_dc_tco, ServerConfig, TcoParams};

@@ -54,37 +54,6 @@ impl Mm1 {
     }
 }
 
-/// Blocking (shed) probability of an M/M/1/K queue: a single exponential
-/// server with `capacity` total system slots (queue positions plus the one
-/// in service) that rejects arrivals finding the system full.
-///
-/// This is the closed-form model of shed-on-full admission control: the
-/// staged runtime's bounded ASR queue *is* the finite waiting room, and the
-/// measured shed fraction at offered load ρ should track
-/// `P(block) = (1 − ρ)·ρ^K / (1 − ρ^(K+1))` (and `1/(K+1)` exactly at
-/// ρ = 1). Unlike the plain [`Mm1`], the formula is well defined above
-/// saturation: as ρ → ∞ the blocking probability approaches 1.
-///
-/// # Panics
-///
-/// Panics if `rho < 0` or `capacity == 0` (a system that can hold nothing
-/// is not a queue).
-pub fn mm1k_blocking_probability(rho: f64, capacity: usize) -> f64 {
-    assert!(rho >= 0.0, "offered load must be non-negative");
-    assert!(capacity > 0, "system capacity must be at least 1");
-    let k = capacity as f64;
-    if (rho - 1.0).abs() < 1e-12 {
-        return 1.0 / (k + 1.0);
-    }
-    if rho > 1.0 {
-        // ρ^K overflows for large K; multiplying numerator and denominator
-        // by ρ^−(K+1) gives the equivalent form in inv = 1/ρ < 1.
-        let inv = 1.0 / rho;
-        return (1.0 - inv) / (1.0 - inv.powf(k + 1.0));
-    }
-    (1.0 - rho) * rho.powf(k) / (1.0 - rho.powf(k + 1.0))
-}
-
 /// Throughput improvement of a server accelerated by `speedup`, relative to
 /// the baseline server running at utilization `rho`, under the constraint
 /// that mean latency may not exceed the baseline's (paper Figure 17).
@@ -160,40 +129,5 @@ mod tests {
     #[should_panic(expected = "load must be in")]
     fn zero_load_panics() {
         let _ = throughput_improvement_at_load(2.0, 0.0);
-    }
-
-    #[test]
-    fn mm1k_blocking_matches_closed_form() {
-        // K = 1 (no waiting room): P = ρ/(1+ρ) — the Erlang loss B(1, ρ).
-        for rho in [0.2, 0.5, 2.0] {
-            let expect = rho / (1.0 + rho);
-            assert!(
-                (mm1k_blocking_probability(rho, 1) - expect).abs() < 1e-12,
-                "rho={rho}"
-            );
-        }
-        // At ρ = 1 the K+1 system states are equiprobable.
-        assert!((mm1k_blocking_probability(1.0, 16) - 1.0 / 17.0).abs() < 1e-12);
-        // Direct form and rescaled form agree across the ρ = 1 boundary.
-        let below = mm1k_blocking_probability(1.0 - 1e-9, 16);
-        let above = mm1k_blocking_probability(1.0 + 1e-9, 16);
-        assert!((below - above).abs() < 1e-6, "{below} vs {above}");
-        // No blocking with an empty system, total blocking far past
-        // saturation, and monotone in offered load between the two.
-        assert_eq!(mm1k_blocking_probability(0.0, 8), 0.0);
-        assert!(mm1k_blocking_probability(100.0, 8) > 0.98);
-        let mut prev = -1.0;
-        for i in 0..40 {
-            let p = mm1k_blocking_probability(i as f64 * 0.1, 17);
-            assert!(
-                p >= prev && (0.0..=1.0).contains(&p),
-                "rho={}",
-                i as f64 * 0.1
-            );
-            prev = p;
-        }
-        // Huge K stays finite (the overflow-prone branch).
-        let p = mm1k_blocking_probability(1.5, 10_000);
-        assert!((p - (1.0 - 1.0 / 1.5)).abs() < 1e-9);
     }
 }

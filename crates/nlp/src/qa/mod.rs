@@ -197,14 +197,12 @@ impl QaEngine {
         let mut breakdown = QaBreakdown::default();
 
         // Stage 1: question analysis (regex + stemmer + CRF).
-        // The CRF dominates this stage; we time its tagging separately by
-        // re-running it, attributing the remainder to regex/stemming.
+        // The analyzer times its one CRF tagging call; the remainder is
+        // attributed to regex/stemming.
         let t = Instant::now();
-        let analysis = self.analyzer.analyze(question_text);
+        let (analysis, crf_time) = self.analyzer.analyze_timed(question_text);
         let analyze_time = t.elapsed();
-        let t = Instant::now();
-        let _ = self.analyzer.crf().tag(&analysis.tokens);
-        breakdown.crf = t.elapsed();
+        breakdown.crf = crf_time;
         breakdown.regex = analyze_time.saturating_sub(breakdown.crf) / 2;
         breakdown.stemmer = analyze_time.saturating_sub(breakdown.crf) - breakdown.regex;
         breakdown.regex_ops = analysis.regex_ops;

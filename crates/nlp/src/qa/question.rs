@@ -2,6 +2,8 @@
 //! (paper Figure 6) — regex-based question-word detection, Porter stemming
 //! of content words, and CRF part-of-speech tagging.
 
+use std::time::{Duration, Instant};
+
 use crate::crf::Crf;
 use crate::regex::Regex;
 use crate::stemmer;
@@ -71,6 +73,12 @@ impl QuestionAnalyzer {
 
     /// Analyzes a question, producing keywords, stems, tags and answer type.
     pub fn analyze(&self, question: &str) -> QuestionAnalysis {
+        self.analyze_timed(question).0
+    }
+
+    /// [`analyze`](Self::analyze), also returning the time spent in its one
+    /// CRF tagging call (the QA breakdown's question-side CRF share).
+    pub(crate) fn analyze_timed(&self, question: &str) -> (QuestionAnalysis, Duration) {
         let mut regex_ops = 0usize;
 
         // Input filter: strip special characters (paper Figure 6).
@@ -124,9 +132,11 @@ impl QuestionAnalyzer {
         let stems: Vec<String> = keywords.iter().map(|k| stemmer::stem(k)).collect();
 
         // CRF tagging of the full token sequence.
+        let t = Instant::now();
         let pos_tags = self.crf.tag(&tokens);
+        let crf_time = t.elapsed();
 
-        QuestionAnalysis {
+        let analysis = QuestionAnalysis {
             text: question.to_owned(),
             tokens,
             keywords,
@@ -134,7 +144,8 @@ impl QuestionAnalyzer {
             pos_tags,
             answer_type,
             regex_ops,
-        }
+        };
+        (analysis, crf_time)
     }
 }
 

@@ -12,9 +12,9 @@
 //! (`sirius-server`) records per-stage queue-wait and service-time
 //! histograms, queue-depth gauges and shed counters into a [`Registry`];
 //! the pipeline profiler (`sirius::profile`) accumulates its per-component
-//! cycle accounting over the same primitives; and `bench_server` exports
-//! [`Snapshot`]s whose per-stage means line up against the
-//! `sirius_dcsim::compare` tandem-queue predictions.
+//! cycle accounting over the same primitives; and the repo benchmark
+//! reads [`Snapshot`]s of the same registry for its per-stage queue-wait,
+//! service and busy-share metrics.
 //!
 //! Design rules:
 //!

@@ -8,8 +8,10 @@
 //! The paper's datacenter analysis (Figures 16/17, Tables 8/9) models each
 //! Sirius service as a queueing server; this crate is that serving system
 //! made concrete, so queueing delay, throughput and overload behaviour can
-//! be *measured* and checked against the `sirius_dcsim::queue::Mm1`
-//! prediction instead of only computed from it.
+//! be *measured* (by the repo benchmark, `benchmark/`, and by
+//! `bench_server`'s scale-out and cache sweeps against
+//! `sirius_dcsim::{ClusterComparison, CacheComparison}`) instead of only
+//! computed from a queueing model.
 //!
 //! Outputs are bit-identical to the synchronous pipeline: both paths invoke
 //! the same typed stage methods ([`sirius::stage`]) in the same order per

@@ -840,17 +840,35 @@ impl SiriusServer {
             audio: input.audio,
             acoustic: self.config.acoustic,
         };
-        match tx.try_send(Job {
+        // Raised before the job can reach a worker: one that finished it
+        // first would decrement a zero gauge (`dec` saturates) and leave
+        // the late increment standing forever.
+        if let Some(tenant) = &tenant {
+            tenant.in_flight.inc();
+        }
+        let sent = tx.try_send(Job {
             ctx,
             req,
             enqueued: started,
             deadline,
-        }) {
+        });
+        // Unit tests can hold `submit` here until a worker has finished the
+        // query: the interleaving the increment's placement guards against.
+        #[cfg(test)]
+        if sent.is_ok() && tests::HOLD_AFTER_SEND.with(std::cell::Cell::get) {
+            let mut slot = state.slot.lock().expect("ticket lock");
+            while slot.is_none() {
+                slot = state.done.wait(slot).expect("ticket lock");
+            }
+        }
+        if let (Err(_), Some(tenant)) = (&sent, &tenant) {
+            tenant.in_flight.dec();
+        }
+        match sent {
             Ok(()) => {
                 self.metrics.accepted.inc();
                 if let Some(tenant) = &tenant {
                     tenant.accepted.inc();
-                    tenant.in_flight.inc();
                 }
                 Ok(Ticket {
                     state,
@@ -925,7 +943,47 @@ impl std::fmt::Debug for SiriusServer {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use sirius::pipeline::SiriusConfig;
+
     use super::*;
+
+    thread_local! {
+        /// Makes `submit` on this thread wait, right after the job is
+        /// queued, until a worker has completed it.
+        pub(super) static HOLD_AFTER_SEND: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Regression: `tenant.{class}.in_flight` is raised before the job can
+    /// reach a worker. Raised after the send, a worker that finished the
+    /// query first would decrement a zero gauge (`dec` saturates) and the
+    /// late increment would stand forever.
+    #[test]
+    fn tenant_in_flight_balances_when_a_worker_finishes_before_submit_returns() {
+        let sirius = Arc::new(Sirius::build(SiriusConfig::default()));
+        let server = SiriusServer::start(
+            sirius,
+            ServerConfig::default().with_tenant_classes(vec![TenantClass::new(
+                "premium",
+                0,
+                Duration::from_secs(60),
+                1,
+            )]),
+        );
+        HOLD_AFTER_SEND.with(|hold| hold.set(true));
+        let empty = SiriusInput {
+            audio: Vec::new(),
+            image: None,
+        };
+        let served = server.process_sync(Request::from(empty).with_class("premium"));
+        HOLD_AFTER_SEND.with(|hold| hold.set(false));
+        served.expect("empty audio is served");
+        let snap = server.metrics_snapshot();
+        assert_eq!(snap.counter("tenant.premium.completed"), Some(1));
+        assert_eq!(snap.gauge("tenant.premium.in_flight"), Some(0));
+        server.shutdown();
+    }
 
     fn fresh_ticket() -> (Arc<TicketState>, Ticket) {
         let state = Arc::new(TicketState {

@@ -11,7 +11,9 @@
 //!    serial pipeline's exact response (the streaming stage falls back to
 //!    the batch ASR stage), never a typed streaming error the serial path
 //!    would not surface.
-//! 3. **Telemetry**: a streaming run emits partial-commit counters and
+//! 3. **Pacing**: paced ingestion holds each query until its audio has
+//!    arrived and still answers with the serial pipeline's bits.
+//! 4. **Telemetry**: a streaming run emits partial-commit counters and
 //!    latency histograms, and they reach the Prometheus export.
 
 use std::sync::{Arc, OnceLock};
@@ -118,6 +120,40 @@ fn streaming_serving_is_bit_identical_to_serial() {
         }
         server.shutdown();
     }
+}
+
+/// Paced ingestion (`StreamPolicy::pacing`): chunks are held back to their
+/// arrival offsets, so no query can finish before `pacing × its audio
+/// duration` has passed since admission — and the answers are still the
+/// serial pipeline's bits.
+#[test]
+fn paced_streaming_waits_for_arrival_and_stays_bit_identical() {
+    const PACING: f64 = 0.25;
+    let sirius = shared_sirius();
+    let prepared = prepare_input_set(&sirius, 777);
+    let inputs: Vec<SiriusInput> = prepared.iter().take(4).map(|p| p.input()).collect();
+    let config = ServerConfig::with_workers(inputs.len()).with_stream_policy(
+        StreamPolicy::new(Duration::from_millis(100))
+            .with_pacing(PACING)
+            .with_speculation(),
+    );
+    let server = SiriusServer::start(Arc::clone(&sirius), config);
+    let tickets: Vec<Ticket> = inputs
+        .iter()
+        .map(|input| server.submit(input.clone()).expect("idle server admits"))
+        .collect();
+    for (input, ticket) in inputs.iter().zip(tickets) {
+        let response = ticket.wait().expect("paced query served");
+        let serial = sirius.process_with(input, AcousticModelKind::Gmm);
+        assert_eq!(payload(&response), payload(&serial));
+        let arrival = Duration::from_secs_f64(PACING * input.audio.len() as f64 / 16_000.0);
+        assert!(
+            response.timing.total >= arrival,
+            "answered in {:?}, before its audio finished arriving at {arrival:?}",
+            response.timing.total
+        );
+    }
+    server.shutdown();
 }
 
 /// Degenerate audio — empty, or containing NaN — must produce exactly the

@@ -19,6 +19,22 @@ cargo test -q
 echo "==> cargo build --release -p sirius-bench --bin bench_server --bin bench_obs"
 cargo build --release -p sirius-bench --bin bench_server --bin bench_obs
 
+# Only the deterministic gates: the noisy performance gates stay in
+# scripts/bench_server.sh.
+echo "==> bench_server --queries 10 (smoke: outputs match serial, ledgers balance)"
+./target/release/bench_server --queries 10 | python3 -c '
+import json, sys
+bench = json.load(sys.stdin)
+for section, gate in [
+    ("cluster_sweep", "outputs_match_serial"),
+    ("cluster_sweep", "accounting_balanced"),
+    ("cache_sweep", "outputs_match_serial"),
+    ("cache_sweep", "accounting_balanced"),
+    ("cache_affinity", "outputs_match_serial"),
+]:
+    assert bench[section][gate] is True, f"{section}.{gate} is not true"
+'
+
 echo "==> cargo test --release -p sirius-obs -q (observability unit gates)"
 cargo test --release -p sirius-obs -q
 
