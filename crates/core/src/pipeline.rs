@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 use sirius_nlp::crf::{Crf, TrainConfig};
 use sirius_nlp::pos;
 use sirius_nlp::qa::{QaBreakdown, QaConfig, QaEngine};
-use sirius_par::ExecPolicy;
 use sirius_search::corpus::{CorpusConfig, FactCorpus, FactKind};
 use sirius_search::SearchEngine;
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTiming, AsrTrainConfig};
@@ -47,12 +46,6 @@ pub struct SiriusConfig {
     pub image_size: (usize, usize),
     /// Tagged sentences used to train the CRF tagger.
     pub crf_train_sentences: usize,
-    /// Multicore execution policy applied to the hot service kernels
-    /// (acoustic scoring, SURF extraction/matching, QA document filters and
-    /// CRF tagging). Output is bit-identical to the serial path at every
-    /// thread count and strategy; this is a runtime knob and is not
-    /// serialized by [`Sirius::to_bytes`].
-    pub exec: ExecPolicy,
 }
 
 impl Default for SiriusConfig {
@@ -65,7 +58,6 @@ impl Default for SiriusConfig {
             imm: MatchConfig::default(),
             image_size: (160, 160),
             crf_train_sentences: 200,
-            exec: ExecPolicy::serial(),
         }
     }
 }
@@ -170,8 +162,7 @@ impl Sirius {
     pub fn build(config: SiriusConfig) -> Self {
         // ASR: train on the full taxonomy vocabulary.
         let texts: Vec<&str> = taxonomy::input_set().iter().map(|q| q.text).collect();
-        let mut asr = AsrSystem::train(&texts, config.seed, config.asr);
-        asr.set_exec_policy(config.exec);
+        let asr = AsrSystem::train(&texts, config.seed, config.asr);
 
         // QA: fact corpus + search engine + CRF tagger.
         let corpus = FactCorpus::generate(config.seed ^ 0xfac7, config.corpus);
@@ -181,8 +172,7 @@ impl Sirius {
             &pos::generate(config.seed ^ 0x905, config.crf_train_sentences),
             TrainConfig::default(),
         );
-        let mut qa = QaEngine::new(search, crf, config.qa);
-        qa.set_exec_policy(config.exec);
+        let qa = QaEngine::new(search, crf, config.qa);
 
         // IMM: one scene per venue in the knowledge base.
         let venues: Vec<String> = corpus
@@ -195,10 +185,7 @@ impl Sirius {
         let scenes: Vec<GrayImage> = (0..venues.len())
             .map(|i| vsynth::generate_scene(Self::venue_scene_seed(config.seed, i), w, h))
             .collect();
-        // Enrollment-side SURF extraction honours the same policy as queries.
-        let mut imm_config = config.imm;
-        imm_config.surf.exec = config.exec;
-        let imm = ImageDatabase::build(scenes.iter(), imm_config);
+        let imm = ImageDatabase::build(scenes.iter(), config.imm);
 
         Self {
             asr,
@@ -299,16 +286,6 @@ impl Sirius {
         vsynth::generate_scene(Self::venue_scene_seed(self.config.seed, venue_index), w, h)
     }
 
-    /// Applies a multicore execution policy to every service (acoustic
-    /// scoring, SURF + ANN voting, QA filters + CRF). Responses are
-    /// bit-identical to the serial path at every thread count and strategy.
-    pub fn set_exec_policy(&mut self, policy: ExecPolicy) {
-        self.config.exec = policy;
-        self.asr.set_exec_policy(policy);
-        self.qa.set_exec_policy(policy);
-        self.imm.set_exec_policy(policy);
-    }
-
     /// The configuration this instance was built with.
     pub fn config(&self) -> &SiriusConfig {
         &self.config
@@ -317,7 +294,7 @@ impl Sirius {
     /// Serializes the fully trained assistant: the complete build
     /// configuration, ASR models, QA corpus + CRF, the image database and
     /// the venue table. Restoring with [`Sirius::from_bytes`] skips all
-    /// training. The execution policy is a runtime knob and is not saved.
+    /// training.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = sirius_codec::Encoder::new();
         e.tag("sirius_v3");
@@ -338,8 +315,7 @@ impl Sirius {
 
     /// Restores an assistant saved with [`Sirius::to_bytes`], including the
     /// build configuration (so a rebuild from the restored config regenerates
-    /// the same corpus, venues and scenes). The execution policy resets to
-    /// serial; re-apply it with [`Sirius::set_exec_policy`].
+    /// the same corpus, venues and scenes).
     ///
     /// # Errors
     ///
@@ -378,7 +354,6 @@ impl Sirius {
             imm: imm_config,
             image_size: (w.max(1), h.max(1)),
             crf_train_sentences,
-            exec: ExecPolicy::serial(),
         };
         Ok(Self {
             asr,
@@ -622,7 +597,6 @@ fn decode_match_config(
         threshold: d.f32()?,
         init_step: d.u32()? as usize,
         upright: d.bool()?,
-        ..SurfConfig::default()
     };
     Ok(MatchConfig {
         surf,

@@ -95,9 +95,6 @@ pub struct QaEngine {
     analyzer: QuestionAnalyzer,
     filters: Vec<Box<dyn DocumentFilter + Send + Sync>>,
     config: QaConfig,
-    /// Runtime-only execution policy: document filters and the stage-3b CRF
-    /// tagging fan out over retrieved documents, bit-identically to serial.
-    exec: sirius_par::ExecPolicy,
 }
 
 impl QaEngine {
@@ -108,7 +105,6 @@ impl QaEngine {
             analyzer: QuestionAnalyzer::new(crf),
             filters: standard_filters(),
             config,
-            exec: sirius_par::ExecPolicy::serial(),
         }
     }
 
@@ -135,15 +131,7 @@ impl QaEngine {
             analyzer: QuestionAnalyzer::new(self.analyzer.crf().clone()),
             filters: standard_filters(),
             config: self.config,
-            exec: self.exec,
         }
-    }
-
-    /// Applies a multicore execution policy to the per-document kernels
-    /// (filters + CRF tagging). Results are bit-identical to the serial
-    /// path at every thread count and strategy.
-    pub fn set_exec_policy(&mut self, policy: sirius_par::ExecPolicy) {
-        self.exec = policy;
     }
 
     /// Serializes the engine: the search corpus and the trained CRF tagger
@@ -219,13 +207,9 @@ impl QaEngine {
         let mut doc_scores = vec![0.0f64; docs.len()];
         for filter in &self.filters {
             let t = Instant::now();
-            // Documents are filtered independently; scores and hit counts
-            // are folded in document order below.
-            let outs = self
-                .exec
-                .map_collect(docs.len(), |i| filter.apply(docs[i], &analysis));
-            for (i, out) in outs.into_iter().enumerate() {
-                doc_scores[i] += out.score;
+            for (doc, score) in docs.iter().zip(&mut doc_scores) {
+                let out = filter.apply(doc, &analysis);
+                *score += out.score;
                 breakdown.filter_hits += out.hits;
             }
             let elapsed = t.elapsed();
@@ -244,11 +228,9 @@ impl QaEngine {
         let t = Instant::now();
         let noun_id = self.analyzer.crf().label_id("NOUN");
         let num_id = self.analyzer.crf().label_id("NUM");
-        // Each document is tagged independently; the per-document counts
-        // are folded in document order below.
-        let answer_bearing_counts = self.exec.map_collect(docs.len(), |i| {
+        for (doc, score) in docs.iter().zip(&mut doc_scores) {
             let mut answer_bearing = 0usize;
-            for sentence in filters::split_sentences(docs[i]) {
+            for sentence in filters::split_sentences(doc) {
                 // Only tag passages that mention a query keyword, as
                 // OpenEphyra's passage filters gate its taggers.
                 let lower = sentence.to_lowercase();
@@ -269,11 +251,8 @@ impl QaEngine {
                     .filter(|&&tag| Some(tag) == noun_id || Some(tag) == num_id)
                     .count();
             }
-            answer_bearing
-        });
-        for (i, answer_bearing) in answer_bearing_counts.into_iter().enumerate() {
             // Documents rich in nouns/numbers are likelier to bear answers.
-            doc_scores[i] += 0.05 * answer_bearing as f64;
+            *score += 0.05 * answer_bearing as f64;
             breakdown.filter_hits += answer_bearing;
         }
         breakdown.crf += t.elapsed();
@@ -395,38 +374,6 @@ mod tests {
         let real_score = real.candidates.first().map_or(0.0, |c| c.score);
         let fake_score = r.candidates.first().map_or(0.0, |c| c.score);
         assert!(fake_score < real_score);
-    }
-
-    #[test]
-    fn answers_are_policy_invariant() {
-        use sirius_par::{ExecPolicy, Strategy};
-        let (mut qa, _) = engine();
-        let questions = [
-            "What is the capital of Italy?",
-            "Who is the author of Harry Potter?",
-            "Where is Las Vegas?",
-        ];
-        let base: Vec<QaResult> = questions.iter().map(|q| qa.answer(q)).collect();
-        for threads in [1, 2, 3, 8] {
-            for strategy in Strategy::ALL {
-                qa.set_exec_policy(ExecPolicy::new(threads, strategy));
-                for (q, expect) in questions.iter().zip(&base) {
-                    let got = qa.answer(q);
-                    // Timing fields differ run to run; everything the answer
-                    // depends on must be bit-identical.
-                    assert_eq!(
-                        got.answer, expect.answer,
-                        "{q} threads {threads} {strategy}"
-                    );
-                    assert_eq!(got.candidates, expect.candidates, "{q} threads {threads}");
-                    assert_eq!(got.supporting, expect.supporting, "{q} threads {threads}");
-                    assert_eq!(
-                        got.breakdown.filter_hits, expect.breakdown.filter_hits,
-                        "{q} threads {threads}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,549 +1,11 @@
 //! # sirius-par
 //!
-//! Data-parallel execution strategies for the Sirius services and the
-//! Sirius Suite kernels.
+//! The bounded multi-producer multi-consumer [`queue`] that connects the
+//! stage pools of the `sirius-server` runtime.
 //!
-//! The paper's common porting methodology "exploit\[s\] the large amount of
-//! data-level parallelism available throughout the processing of a single
-//! IPA query" (Section 4.3): each pthread owns a range of the data and
-//! synchronizes only at the end. [`chunked_map`] reproduces exactly that.
-//! [`interleaved_map`] reproduces the Phi tuning the paper describes for the
-//! stemmer ("switching from allocating a range of data per thread to
-//! interlaced array accesses"), and [`dynamic_map`] is a work-queue variant
-//! used by the tile-based feature-extraction port.
-//!
-//! Beyond the original `u64`-checksum reductions, this crate provides the
-//! result-collecting variants ([`map_collect`] and the per-strategy
-//! `*_collect` functions) that the live services need: scored frames,
-//! descriptors and tag sequences come back in index order, **bit-identical**
-//! to the serial loop at any thread count and under every strategy. An
-//! [`ExecPolicy`] bundles the thread count and strategy so a single knob
-//! plumbs through speech, vision, NLP and the end-to-end pipeline.
+//! The services run one thread per query; the data-parallel kernel ports of
+//! the paper's CMP study (Section 4.3.1) live in `sirius_suite::parallel`.
 
 #![warn(missing_docs)]
 
 pub mod queue;
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
-
-/// How work items are assigned to threads (paper Section 4.3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Strategy {
-    /// One contiguous range per thread — the paper's pthread port.
-    #[default]
-    Chunked,
-    /// Strided assignment: thread `t` takes `t, t + T, t + 2T, ...` — the
-    /// paper's Phi stemmer tuning ("interlaced array accesses").
-    Interleaved,
-    /// Work-queue: threads claim the next unprocessed index. Balances
-    /// irregular per-item cost (image tiles with varying keypoint density).
-    Dynamic,
-}
-
-impl Strategy {
-    /// All strategies, for equivalence sweeps.
-    pub const ALL: [Strategy; 3] = [Strategy::Chunked, Strategy::Interleaved, Strategy::Dynamic];
-}
-
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Strategy::Chunked => f.write_str("chunked"),
-            Strategy::Interleaved => f.write_str("interleaved"),
-            Strategy::Dynamic => f.write_str("dynamic"),
-        }
-    }
-}
-
-/// The multicore execution knob plumbed through every Sirius service.
-///
-/// `threads == 1` is the serial fallback: every code path degenerates to
-/// the plain sequential loop, so results are bit-identical by construction
-/// (and remain bit-identical at higher thread counts because all
-/// collecting variants write results in index order and no floating-point
-/// reduction order changes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ExecPolicy {
-    /// Worker threads to use (clamped to at least 1).
-    pub threads: usize,
-    /// Work-assignment strategy.
-    pub strategy: Strategy,
-}
-
-impl Default for ExecPolicy {
-    fn default() -> Self {
-        Self::serial()
-    }
-}
-
-impl ExecPolicy {
-    /// The single-threaded baseline policy.
-    pub const fn serial() -> Self {
-        Self {
-            threads: 1,
-            strategy: Strategy::Chunked,
-        }
-    }
-
-    /// A policy with `threads` workers and the default chunked strategy.
-    pub const fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            strategy: Strategy::Chunked,
-        }
-    }
-
-    /// A policy with an explicit strategy.
-    pub const fn new(threads: usize, strategy: Strategy) -> Self {
-        Self { threads, strategy }
-    }
-
-    /// Effective worker count for `n` items: at least 1, at most one
-    /// worker per item (never spawn a thread that would own no work).
-    pub fn effective_threads(&self, n: usize) -> usize {
-        self.threads.clamp(1, n.max(1))
-    }
-
-    /// Whether this policy degenerates to the serial loop for `n` items.
-    pub fn is_serial(&self, n: usize) -> bool {
-        self.effective_threads(n) <= 1 || n == 0
-    }
-
-    /// Applies `f` to every index in `0..n` under this policy, collecting
-    /// results in index order. Output is bit-identical to
-    /// `(0..n).map(f).collect()` for every thread count and strategy.
-    pub fn map_collect<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        map_collect(n, *self, f)
-    }
-
-    /// Applies `f` to every element of `items` under this policy, collecting
-    /// results in item order. The sparse-work counterpart of
-    /// [`ExecPolicy::map_collect`]: lazy scorers fan out over the *active*
-    /// work items (beam-surviving states) rather than a dense index range.
-    pub fn map_slice_collect<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        map_collect(items.len(), *self, |i| f(&items[i]))
-    }
-}
-
-/// Applies `f` to `0..n` under `policy`, collecting results in index order.
-pub fn map_collect<T, F>(n: usize, policy: ExecPolicy, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = policy.effective_threads(n);
-    if threads <= 1 || n == 0 {
-        return (0..n).map(f).collect();
-    }
-    match policy.strategy {
-        Strategy::Chunked => chunked_collect(n, threads, f),
-        Strategy::Interleaved => interleaved_collect(n, threads, f),
-        Strategy::Dynamic => dynamic_collect(n, threads, f),
-    }
-}
-
-/// Collects per-index results into a vector, in index order, using chunked
-/// parallelism. For kernels whose output (not just a checksum) is needed.
-pub fn chunked_collect<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    // `chunks_mut` yields only non-empty slices, so no worker is spawned
-    // for an empty range even when `threads` does not divide `n`.
-    let slots: Vec<&mut [Option<T>]> = out.chunks_mut(chunk).collect();
-    std::thread::scope(|scope| {
-        for (t, slot) in slots.into_iter().enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let lo = t * chunk;
-                for (j, cell) in slot.iter_mut().enumerate() {
-                    *cell = Some(f(lo + j));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|x| x.expect("all slots filled"))
-        .collect()
-}
-
-/// Index-ordered collection with strided (interleaved) assignment.
-pub fn interleaved_collect<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).map(f).collect();
-    }
-    // Each worker owns stride class `t`; per-worker results come back in
-    // stride order and are interleaved back into index order at the end.
-    let per_thread: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                scope.spawn(move || (t..n).step_by(threads).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (t, results) in per_thread.into_iter().enumerate() {
-        for (j, value) in results.into_iter().enumerate() {
-            out[t + j * threads] = Some(value);
-        }
-    }
-    out.into_iter()
-        .map(|x| x.expect("all slots filled"))
-        .collect()
-}
-
-/// Index-ordered collection with work-queue scheduling.
-pub fn dynamic_collect<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut claimed: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for local in claimed.iter_mut() {
-        for (i, value) in local.drain(..) {
-            out[i] = Some(value);
-        }
-    }
-    out.into_iter()
-        .map(|x| x.expect("all slots filled"))
-        .collect()
-}
-
-/// Applies `f` to every index in `0..n`, splitting the range into one
-/// contiguous chunk per thread (the paper's pthread strategy). Results are
-/// combined with `u64::wrapping_add`, which is order-independent.
-pub fn chunked_map<F>(n: usize, threads: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).fold(0u64, |acc, i| acc.wrapping_add(f(i)));
-    }
-    let chunk = n.div_ceil(threads);
-    // ceil(n / chunk) workers cover 0..n with no empty trailing ranges.
-    let workers = n.div_ceil(chunk);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                let f = &f;
-                scope.spawn(move || {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(n);
-                    (lo..hi).fold(0u64, |acc, i| acc.wrapping_add(f(i)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .fold(0u64, u64::wrapping_add)
-    })
-}
-
-/// Like [`chunked_map`] but with an interleaved (strided) index assignment:
-/// thread `t` processes indices `t, t + threads, t + 2*threads, ...`.
-pub fn interleaved_map<F>(n: usize, threads: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).fold(0u64, |acc, i| acc.wrapping_add(f(i)));
-    }
-    std::thread::scope(|scope| {
-        // threads <= n, so every stride class t..n is non-empty.
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let f = &f;
-                scope.spawn(move || {
-                    (t..n)
-                        .step_by(threads)
-                        .fold(0u64, |acc, i| acc.wrapping_add(f(i)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .fold(0u64, u64::wrapping_add)
-    })
-}
-
-/// Work-queue scheduling: threads repeatedly claim the next unprocessed
-/// index. Balances irregular per-item cost (e.g. image tiles with different
-/// keypoint densities).
-pub fn dynamic_map<F>(n: usize, threads: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).fold(0u64, |acc, i| acc.wrapping_add(f(i)));
-    }
-    let next = AtomicUsize::new(0);
-    let total = Mutex::new(0u64);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let f = &f;
-            let next = &next;
-            let total = &total;
-            scope.spawn(move || {
-                let mut local = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    local = local.wrapping_add(f(i));
-                }
-                let mut guard = total.lock().expect("no panics while locked");
-                *guard = guard.wrapping_add(local);
-            });
-        }
-    });
-    total.into_inner().expect("no panics while locked")
-}
-
-/// Channel pipeline: a producer feeds indices to `threads` consumers over a
-/// shared queue. Demonstrates the producer/consumer layout some accelerator
-/// hosts use; results are checksum-combined like the other strategies.
-pub fn channel_map<F>(n: usize, threads: usize, f: F) -> u64
-where
-    F: Fn(usize) -> u64 + Sync,
-{
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n == 0 {
-        return (0..n).fold(0u64, |acc, i| acc.wrapping_add(f(i)));
-    }
-    let (tx, rx) = mpsc::sync_channel::<usize>(threads * 4);
-    let rx = Mutex::new(rx);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let f = &f;
-                let rx = &rx;
-                scope.spawn(move || {
-                    let mut local = 0u64;
-                    loop {
-                        // std's Receiver is single-consumer; sharing it
-                        // behind a mutex gives the multi-consumer queue
-                        // crossbeam provided.
-                        let msg = rx.lock().expect("receiver lock").recv();
-                        match msg {
-                            Ok(i) => local = local.wrapping_add(f(i)),
-                            Err(_) => break,
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for i in 0..n {
-            tx.send(i).expect("consumers alive");
-        }
-        drop(tx);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .fold(0u64, u64::wrapping_add)
-    })
-}
-
-/// Order-independent checksum of a float, for validating parallel ports
-/// against the sequential baseline.
-#[inline]
-pub fn checksum_f32(x: f32) -> u64 {
-    u64::from(x.to_bits())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn work(i: usize) -> u64 {
-        (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    }
-
-    #[test]
-    fn all_strategies_agree_with_sequential() {
-        let expect: u64 = (0..1000).map(work).fold(0u64, u64::wrapping_add);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                chunked_map(1000, threads, work),
-                expect,
-                "chunked {threads}"
-            );
-            assert_eq!(
-                interleaved_map(1000, threads, work),
-                expect,
-                "interleaved {threads}"
-            );
-            assert_eq!(
-                dynamic_map(1000, threads, work),
-                expect,
-                "dynamic {threads}"
-            );
-            assert_eq!(
-                channel_map(1000, threads, work),
-                expect,
-                "channel {threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_range() {
-        assert_eq!(chunked_map(0, 4, work), 0);
-        assert_eq!(interleaved_map(0, 4, work), 0);
-        assert_eq!(dynamic_map(0, 4, work), 0);
-        assert_eq!(channel_map(0, 4, work), 0);
-        assert!(chunked_collect(0, 4, |i| i).is_empty());
-        assert!(interleaved_collect(0, 4, |i| i).is_empty());
-        assert!(dynamic_collect(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        assert_eq!(
-            chunked_map(3, 64, work),
-            (0..3).map(work).fold(0u64, u64::wrapping_add)
-        );
-        assert_eq!(
-            interleaved_collect(3, 64, work),
-            vec![work(0), work(1), work(2)]
-        );
-    }
-
-    #[test]
-    fn chunked_map_skips_empty_trailing_chunks() {
-        // 9 items over 8 threads: chunk = 2, so only 5 workers have work.
-        // All items must still be covered exactly once.
-        let expect: u64 = (0..9).map(work).fold(0u64, u64::wrapping_add);
-        assert_eq!(chunked_map(9, 8, work), expect);
-        // 11 items over 4 threads: chunk = 3, last worker gets 2 items.
-        let expect: u64 = (0..11).map(work).fold(0u64, u64::wrapping_add);
-        assert_eq!(chunked_map(11, 4, work), expect);
-    }
-
-    #[test]
-    fn collect_preserves_order() {
-        let expect: Vec<usize> = (0..100).map(|i| i * 2).collect();
-        for threads in [1, 2, 3, 7, 8] {
-            assert_eq!(chunked_collect(100, threads, |i| i * 2), expect);
-            assert_eq!(interleaved_collect(100, threads, |i| i * 2), expect);
-            assert_eq!(dynamic_collect(100, threads, |i| i * 2), expect);
-        }
-    }
-
-    #[test]
-    fn map_collect_matches_serial_for_all_policies() {
-        let serial: Vec<u64> = (0..257).map(work).collect();
-        for strategy in Strategy::ALL {
-            for threads in [1, 2, 3, 8] {
-                let policy = ExecPolicy::new(threads, strategy);
-                assert_eq!(
-                    policy.map_collect(257, work),
-                    serial,
-                    "{strategy} x{threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn policy_accessors() {
-        let p = ExecPolicy::serial();
-        assert!(p.is_serial(100));
-        assert_eq!(p.effective_threads(100), 1);
-        let p = ExecPolicy::with_threads(8);
-        assert_eq!(p.effective_threads(3), 3);
-        assert_eq!(p.effective_threads(0), 1);
-        assert!(p.is_serial(0));
-        assert!(p.is_serial(1));
-        assert!(!p.is_serial(2));
-        assert_eq!(ExecPolicy::default(), ExecPolicy::serial());
-        assert_eq!(format!("{}", Strategy::Interleaved), "interleaved");
-    }
-
-    #[test]
-    fn map_slice_collect_matches_serial_map() {
-        let items: Vec<u64> = (0..97).map(work).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x.wrapping_mul(3)).collect();
-        for strategy in Strategy::ALL {
-            for threads in [1, 2, 8] {
-                let policy = ExecPolicy::new(threads, strategy);
-                assert_eq!(
-                    policy.map_slice_collect(&items, |x| x.wrapping_mul(3)),
-                    serial,
-                    "{strategy} x{threads}"
-                );
-            }
-        }
-        assert!(ExecPolicy::serial()
-            .map_slice_collect::<u64, u64, _>(&[], |x| *x)
-            .is_empty());
-    }
-
-    #[test]
-    fn checksum_is_order_independent() {
-        let a = checksum_f32(1.5).wrapping_add(checksum_f32(-2.25));
-        let b = checksum_f32(-2.25).wrapping_add(checksum_f32(1.5));
-        assert_eq!(a, b);
-    }
-}

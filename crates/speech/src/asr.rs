@@ -330,21 +330,6 @@ impl AsrSystem {
         &self.decoder
     }
 
-    /// Applies a multicore execution policy to both acoustic scorers.
-    ///
-    /// Only two things honour it: the eager reference
-    /// ([`AcousticScorer::score_utterance`], which fans out over states or
-    /// frame blocks) and the lazy GMM provider's `prepare` fan-out over a
-    /// frame's missing states. The DNN block provider behind
-    /// [`AsrSystem::recognize`] and [`AsrSystem::streaming`] is serial by
-    /// design — one 16-frame GEMM at a time, in decode order — and ignores
-    /// the policy. Output is bit-identical to the serial path at every
-    /// thread count and strategy.
-    pub fn set_exec_policy(&mut self, policy: sirius_par::ExecPolicy) {
-        self.gmm.set_policy(policy);
-        self.dnn.set_policy(policy);
-    }
-
     /// Serializes every trained model to a self-contained byte buffer
     /// (lexicon, language model, GMM and DNN acoustic models). The decoder
     /// graph and MFCC front-end are reconstructed on load.

@@ -22,7 +22,6 @@ use crate::features::Frames;
 use crate::gmm::{Gmm, GmmSoa};
 use crate::lexicon::{Lexicon, NUM_STATES, SIL, STATES_PER_PHONE};
 use crate::lm::BigramLm;
-use sirius_par::ExecPolicy;
 use std::time::{Duration, Instant};
 
 /// Scores acoustic frames against all tied HMM states.
@@ -120,31 +119,23 @@ pub struct LazyScoreStats {
 pub struct LazyGmmScores<'a> {
     soa: &'a [GmmSoa],
     frames: &'a Frames,
-    policy: ExecPolicy,
     values: Vec<f32>,
     stamp: Vec<u32>,
     epoch: u32,
     t: usize,
-    missing: Vec<u16>,
     stats: LazyScoreStats,
     compute_time: Duration,
 }
 
-/// Below this many cache misses a parallel prepare costs more in thread
-/// startup than it saves; the fan-out only kicks in above it.
-const LAZY_PAR_MIN: usize = 48;
-
 impl<'a> LazyGmmScores<'a> {
-    fn new(soa: &'a [GmmSoa], frames: &'a Frames, policy: ExecPolicy) -> Self {
+    fn new(soa: &'a [GmmSoa], frames: &'a Frames) -> Self {
         Self {
             soa,
             frames,
-            policy,
             values: vec![0.0; NUM_STATES],
             stamp: vec![0; NUM_STATES],
             epoch: 0,
             t: 0,
-            missing: Vec::with_capacity(NUM_STATES),
             stats: LazyScoreStats {
                 total_cells: frames.len() * NUM_STATES,
                 ..LazyScoreStats::default()
@@ -179,29 +170,15 @@ impl FrameScores for LazyGmmScores<'_> {
 
     fn prepare(&mut self, needed: &[u16]) {
         let start = Instant::now();
-        self.missing.clear();
-        for &s in needed {
-            if self.stamp[s as usize] != self.epoch {
-                self.missing.push(s);
-            }
-        }
         let frame = self.frames.row(self.t);
-        if self.missing.len() >= LAZY_PAR_MIN && !self.policy.is_serial(self.missing.len()) {
-            let soa = self.soa;
-            let vals = self
-                .policy
-                .map_slice_collect(&self.missing, |&s| soa[s as usize].log_likelihood(frame));
-            for (&s, v) in self.missing.iter().zip(vals) {
-                self.values[s as usize] = v;
-                self.stamp[s as usize] = self.epoch;
-            }
-        } else {
-            for &s in &self.missing {
-                self.values[s as usize] = self.soa[s as usize].log_likelihood(frame);
-                self.stamp[s as usize] = self.epoch;
+        for &s in needed {
+            let s = s as usize;
+            if self.stamp[s] != self.epoch {
+                self.values[s] = self.soa[s].log_likelihood(frame);
+                self.stamp[s] = self.epoch;
+                self.stats.computed += 1;
             }
         }
-        self.stats.computed += self.missing.len();
         self.compute_time += start.elapsed();
     }
 
@@ -343,9 +320,6 @@ pub struct GmmScorer {
     /// Dimension-major mirrors of `gmms`, built once; scoring reads these
     /// (bit-identical to the AoS loop, see [`GmmSoa`]).
     soa: Vec<GmmSoa>,
-    /// Runtime-only execution policy; states are independent, so scoring
-    /// parallelizes over them with bit-identical output at any width.
-    policy: ExecPolicy,
 }
 
 impl GmmScorer {
@@ -357,11 +331,7 @@ impl GmmScorer {
     pub fn new(gmms: Vec<Gmm>) -> Self {
         assert_eq!(gmms.len(), NUM_STATES, "need one GMM per tied state");
         let soa = gmms.iter().map(Gmm::soa).collect();
-        Self {
-            gmms,
-            soa,
-            policy: ExecPolicy::serial(),
-        }
+        Self { gmms, soa }
     }
 
     /// The per-state models.
@@ -369,21 +339,11 @@ impl GmmScorer {
         &self.gmms
     }
 
-    /// Sets the execution policy used by [`AcousticScorer::score_utterance`].
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
-        self.policy = policy;
-    }
-
-    /// The current execution policy.
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
-    }
-
     /// A lazily evaluating [`FrameScores`] provider over `frames` for
     /// [`Decoder::decode_lazy`]. Only beam-reachable `(frame, state)` cells
     /// are ever scored, each at most once.
     pub fn lazy_scores<'a>(&'a self, frames: &'a Frames) -> LazyGmmScores<'a> {
-        LazyGmmScores::new(&self.soa, frames, self.policy)
+        LazyGmmScores::new(&self.soa, frames)
     }
 }
 
@@ -426,11 +386,15 @@ impl AcousticScorer for GmmScorer {
         // AoS loop; only the traversal order changes, plus a transpose of
         // independent results.
         let n = frames.len();
-        let cols: Vec<Vec<f32>> = self.policy.map_slice_collect(&self.soa, |g| {
-            let mut col = vec![0.0f32; n];
-            g.log_likelihood_batch(frames, &mut col);
-            col
-        });
+        let cols: Vec<Vec<f32>> = self
+            .soa
+            .iter()
+            .map(|g| {
+                let mut col = vec![0.0f32; n];
+                g.log_likelihood_batch(frames, &mut col);
+                col
+            })
+            .collect();
         (0..n)
             .map(|t| cols.iter().map(|c| c[t]).collect())
             .collect()
@@ -454,9 +418,6 @@ pub struct DnnScorer {
     context: usize,
     /// Acoustic scale applied to the pseudo log-likelihoods.
     scale: f32,
-    /// Runtime-only execution policy; frame blocks are independent, so
-    /// scoring parallelizes over them bit-identically.
-    policy: ExecPolicy,
 }
 
 impl DnnScorer {
@@ -478,7 +439,6 @@ impl DnnScorer {
             log_priors,
             context,
             scale: 1.2,
-            policy: ExecPolicy::serial(),
         }
     }
 
@@ -490,16 +450,6 @@ impl DnnScorer {
     /// Number of context frames on each side of the scored frame.
     pub fn context(&self) -> usize {
         self.context
-    }
-
-    /// Sets the execution policy used by [`AcousticScorer::score_utterance`].
-    pub fn set_policy(&mut self, policy: ExecPolicy) {
-        self.policy = policy;
-    }
-
-    /// The current execution policy.
-    pub fn policy(&self) -> ExecPolicy {
-        self.policy
     }
 
     /// Builds the stacked context window for frame `t`.
@@ -676,7 +626,6 @@ impl DnnScorer {
             log_priors,
             context,
             scale,
-            policy: ExecPolicy::serial(),
         })
     }
 }
@@ -686,18 +635,18 @@ impl AcousticScorer for DnnScorer {
         // Frame-blocked GEMM forward: one matrix multiply per layer per
         // block instead of a matrix-vector product per frame per layer.
         // Rows are bit-identical to the scalar path (see
-        // `Dnn::forward_batch_into`); the policy fans out over blocks.
+        // `Dnn::forward_batch_into`).
         let n = frames.len();
-        let nb = n.div_ceil(DNN_BLOCK);
-        let blocks: Vec<Vec<Vec<f32>>> = self.policy.map_collect(nb, |b| {
-            let start = b * DNN_BLOCK;
+        let mut buf = BlockScratch::default();
+        let mut flat = vec![0.0f32; DNN_BLOCK * NUM_STATES];
+        let mut rows = Vec::with_capacity(n);
+        for start in (0..n).step_by(DNN_BLOCK) {
             let len = (n - start).min(DNN_BLOCK);
-            let mut buf = BlockScratch::default();
-            let mut flat = vec![0.0f32; len * NUM_STATES];
-            self.score_block(frames, start, len, &mut buf, &mut flat);
-            flat.chunks(NUM_STATES).map(<[f32]>::to_vec).collect()
-        });
-        blocks.into_iter().flatten().collect()
+            let block = &mut flat[..len * NUM_STATES];
+            self.score_block(frames, start, len, &mut buf, block);
+            rows.extend(block.chunks(NUM_STATES).map(<[f32]>::to_vec));
+        }
+        rows
     }
 
     fn name(&self) -> &'static str {
@@ -1853,56 +1802,16 @@ mod scorer_tests {
 }
 
 #[cfg(test)]
-mod exec_policy_tests {
+mod gmm_scoring_tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use sirius_par::Strategy;
 
     fn frames(n: usize) -> Frames {
         let rows: Vec<[f32; 2]> = (0..n)
             .map(|t| [t as f32 * 0.2 - 1.0, (t % 5) as f32 * 0.3])
             .collect();
         Frames::from_rows(&rows)
-    }
-
-    fn gmm_scorer() -> GmmScorer {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let gmms: Vec<Gmm> = (0..NUM_STATES)
-            .map(|s| {
-                let data: Vec<[f32; 2]> = (0..8)
-                    .map(|i| [s as f32 * 0.1 + i as f32 * 0.01, -(i as f32) * 0.2])
-                    .collect();
-                Gmm::fit(&Frames::from_rows(&data), 1, 1, &mut rng)
-            })
-            .collect();
-        GmmScorer::new(gmms)
-    }
-
-    fn dnn_scorer() -> DnnScorer {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let dnn = Dnn::new(&[6, 4, NUM_STATES], &mut rng);
-        DnnScorer::new(dnn, &vec![1.0; NUM_STATES], 1)
-    }
-
-    /// Parallel scoring must be bit-identical to serial scoring for every
-    /// thread count and strategy (the threaded path only re-orders which
-    /// worker computes each frame, never the arithmetic inside one).
-    #[test]
-    fn gmm_scoring_is_policy_invariant() {
-        let mut scorer = gmm_scorer();
-        let frames = frames(37);
-        let base = scorer.score_utterance(&frames);
-        for threads in [1, 2, 3, 8] {
-            for strategy in Strategy::ALL {
-                scorer.set_policy(ExecPolicy::new(threads, strategy));
-                assert_eq!(
-                    scorer.score_utterance(&frames),
-                    base,
-                    "threads {threads} strategy {strategy}"
-                );
-            }
-        }
     }
 
     /// The three GMM scoring paths — the AoS triple loop, the eager matrix
@@ -1938,37 +1847,6 @@ mod exec_policy_tests {
                 assert_eq!(lazy.get(s).to_bits(), aos, "lazy frame {t} state {s}");
             }
         }
-    }
-
-    #[test]
-    fn dnn_scoring_is_policy_invariant() {
-        let mut scorer = dnn_scorer();
-        let frames = frames(29);
-        let base = scorer.score_utterance(&frames);
-        for threads in [1, 2, 3, 8] {
-            for strategy in Strategy::ALL {
-                scorer.set_policy(ExecPolicy::new(threads, strategy));
-                assert_eq!(
-                    scorer.score_utterance(&frames),
-                    base,
-                    "threads {threads} strategy {strategy}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn policy_survives_accessors_but_not_serialization() {
-        let mut scorer = gmm_scorer();
-        scorer.set_policy(ExecPolicy::new(4, Strategy::Dynamic));
-        assert_eq!(scorer.policy(), ExecPolicy::new(4, Strategy::Dynamic));
-        let mut e = sirius_codec::Encoder::new();
-        scorer.encode(&mut e);
-        let bytes = e.into_bytes();
-        let mut d = sirius_codec::Decoder::new(&bytes);
-        let restored = GmmScorer::decode(&mut d).expect("decode");
-        // The policy is a runtime knob, not part of the model.
-        assert_eq!(restored.policy(), ExecPolicy::serial());
     }
 }
 

@@ -2,11 +2,10 @@
 //!
 //! The lazy decoder must produce the *same bits* as the eager reference:
 //! identical 1-best word sequence and identical total log-score, for both
-//! acoustic models, across beam widths and thread counts. A property-style
+//! acoustic models, across beam widths. A property-style
 //! test additionally checks the lazy GMM cache never evaluates a
 //! `(frame, state)` cell twice, and that narrow beams actually skip work.
 
-use sirius_par::ExecPolicy;
 use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig};
 use sirius_speech::lexicon::Lexicon;
@@ -24,11 +23,10 @@ fn system() -> AsrSystem {
 }
 
 /// Lazy and eager decodes must agree exactly — same words, same score bits,
-/// same search effort — for both scorers, several beam widths and thread
-/// counts {1, 4}.
+/// same search effort — for both scorers and several beam widths.
 #[test]
 fn lazy_decode_is_bit_identical_to_eager() {
-    let mut asr = system();
+    let asr = system();
     let mut synth = Synthesizer::new(321, SynthConfig::default());
     let utts: Vec<Vec<f32>> = CORPUS.iter().map(|t| synth.say(t).samples).collect();
     for beam in [10.0f32, 60.0, 2500.0] {
@@ -40,45 +38,42 @@ fn lazy_decode_is_bit_identical_to_eager() {
                 ..DecoderConfig::default()
             },
         );
-        for threads in [1usize, 4] {
-            asr.set_exec_policy(ExecPolicy::with_threads(threads));
-            for samples in &utts {
-                let frames = asr.frontend().extract(samples);
-                // GMM: eager matrix vs lazy provider.
-                let emis = asr.gmm_scorer().score_utterance(&frames);
-                let eager = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
-                let mut lazy_scores = asr.gmm_scorer().lazy_scores(&frames);
-                let lazy = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
-                match (eager, lazy) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.words, b.words, "GMM words beam={beam} x{threads}");
-                        assert_eq!(
-                            a.score.to_bits(),
-                            b.score.to_bits(),
-                            "GMM score beam={beam} x{threads}"
-                        );
-                        assert_eq!(a.tokens_expanded, b.tokens_expanded);
-                        assert_eq!(a.complete, b.complete);
-                    }
-                    (a, b) => assert_eq!(a.is_none(), b.is_none(), "GMM beam={beam}"),
+        for samples in &utts {
+            let frames = asr.frontend().extract(samples);
+            // GMM: eager matrix vs lazy provider.
+            let emis = asr.gmm_scorer().score_utterance(&frames);
+            let eager = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
+            let mut lazy_scores = asr.gmm_scorer().lazy_scores(&frames);
+            let lazy = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
+            match (eager, lazy) {
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.words, b.words, "GMM words beam={beam}");
+                    assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "GMM score beam={beam}"
+                    );
+                    assert_eq!(a.tokens_expanded, b.tokens_expanded);
+                    assert_eq!(a.complete, b.complete);
                 }
-                // DNN: eager matrix vs block-batched lazy provider.
-                let emis = asr.dnn_scorer().score_utterance(&frames);
-                let eager = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
-                let mut lazy_scores = asr.dnn_scorer().lazy_scores(&frames, None);
-                let lazy = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
-                match (eager, lazy) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.words, b.words, "DNN words beam={beam} x{threads}");
-                        assert_eq!(
-                            a.score.to_bits(),
-                            b.score.to_bits(),
-                            "DNN score beam={beam} x{threads}"
-                        );
-                        assert_eq!(a.tokens_expanded, b.tokens_expanded);
-                    }
-                    (a, b) => assert_eq!(a.is_none(), b.is_none(), "DNN beam={beam}"),
+                (a, b) => assert_eq!(a.is_none(), b.is_none(), "GMM beam={beam}"),
+            }
+            // DNN: eager matrix vs block-batched lazy provider.
+            let emis = asr.dnn_scorer().score_utterance(&frames);
+            let eager = decoder.decode_scores(&emis, asr.lm(), asr.lexicon());
+            let mut lazy_scores = asr.dnn_scorer().lazy_scores(&frames, None);
+            let lazy = decoder.decode_lazy(&mut lazy_scores, asr.lm(), asr.lexicon());
+            match (eager, lazy) {
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.words, b.words, "DNN words beam={beam}");
+                    assert_eq!(
+                        a.score.to_bits(),
+                        b.score.to_bits(),
+                        "DNN score beam={beam}"
+                    );
+                    assert_eq!(a.tokens_expanded, b.tokens_expanded);
                 }
+                (a, b) => assert_eq!(a.is_none(), b.is_none(), "DNN beam={beam}"),
             }
         }
     }

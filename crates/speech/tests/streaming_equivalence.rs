@@ -2,15 +2,14 @@
 //!
 //! 1. **Bit-identity**: the streaming path's final hypothesis must equal
 //!    batch recognition exactly — same words, same score/confidence bits,
-//!    same search effort — across beam widths, both acoustic models,
-//!    several chunk sizes and thread counts. The streaming decoder replays
+//!    same search effort — across beam widths, both acoustic models and
+//!    several chunk sizes. The streaming decoder replays
 //!    exactly the batch transitions, so any divergence is a bug, not noise.
 //! 2. **Stable prefixes**: the committed prefix must never be retracted as
 //!    chunks arrive, and must end as a prefix of the final hypothesis —
 //!    checked across 100 seeded utterances (the property the server's
 //!    speculative pipelining is built on).
 
-use sirius_par::ExecPolicy;
 use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig, EagerScores};
 use sirius_speech::lexicon::Lexicon;
@@ -103,38 +102,35 @@ fn streaming_decoder_matches_batch_across_beams_and_models() {
 
 /// End-to-end gate: [`AsrSystem::streaming`] must finish bit-identical to
 /// `recognize_with_mode` (lazy scoring) for every corpus utterance, both
-/// acoustic models, several chunk sizes and thread counts {1, 4}.
+/// acoustic models and several chunk sizes.
 #[test]
 fn streaming_recognizer_matches_batch_recognition() {
-    let mut asr = system();
+    let asr = system();
     let mut synth = Synthesizer::new(654, SynthConfig::default());
     let utts: Vec<Vec<f32>> = CORPUS.iter().map(|t| synth.say(t).samples).collect();
-    for threads in [1usize, 4] {
-        asr.set_exec_policy(ExecPolicy::with_threads(threads));
-        for samples in &utts {
-            for kind in [AcousticModelKind::Gmm, AcousticModelKind::Dnn] {
-                let batch = asr.recognize_with_mode(samples, kind, ScoringMode::Lazy);
-                for chunk in [160usize, 1600, 7937] {
-                    let mut rec = asr.streaming(kind);
-                    for c in samples.chunks(chunk) {
-                        rec.push_chunk(c).expect("clean audio");
-                    }
-                    let committed = rec.committed_text();
-                    let out = rec.finish().expect("non-empty utterance");
-                    assert_eq!(out.text, batch.text, "{kind} chunk={chunk} x{threads}");
-                    assert_eq!(out.frames, batch.frames);
-                    assert_eq!(out.tokens_expanded, batch.tokens_expanded);
-                    assert_eq!(
-                        out.confidence.to_bits(),
-                        batch.confidence.to_bits(),
-                        "{kind} chunk={chunk} x{threads}"
-                    );
-                    assert!(
-                        out.text.starts_with(&committed),
-                        "committed {committed:?} not a prefix of {:?}",
-                        out.text
-                    );
+    for samples in &utts {
+        for kind in [AcousticModelKind::Gmm, AcousticModelKind::Dnn] {
+            let batch = asr.recognize_with_mode(samples, kind, ScoringMode::Lazy);
+            for chunk in [160usize, 1600, 7937] {
+                let mut rec = asr.streaming(kind);
+                for c in samples.chunks(chunk) {
+                    rec.push_chunk(c).expect("clean audio");
                 }
+                let committed = rec.committed_text();
+                let out = rec.finish().expect("non-empty utterance");
+                assert_eq!(out.text, batch.text, "{kind} chunk={chunk}");
+                assert_eq!(out.frames, batch.frames);
+                assert_eq!(out.tokens_expanded, batch.tokens_expanded);
+                assert_eq!(
+                    out.confidence.to_bits(),
+                    batch.confidence.to_bits(),
+                    "{kind} chunk={chunk}"
+                );
+                assert!(
+                    out.text.starts_with(&committed),
+                    "committed {committed:?} not a prefix of {:?}",
+                    out.text
+                );
             }
         }
     }

@@ -255,8 +255,6 @@ impl ImageDatabase {
                 threshold: d.f32()?,
                 init_step: d.u32()? as usize,
                 upright: d.bool()?,
-                // Execution policy is a runtime knob, not part of the index.
-                ..SurfConfig::default()
             },
             ratio,
         };
@@ -309,13 +307,6 @@ impl ImageDatabase {
     /// Number of indexed descriptors.
     pub fn num_descriptors(&self) -> usize {
         self.descriptor_count
-    }
-
-    /// Applies a multicore execution policy to query-side SURF extraction,
-    /// description and descriptor search. Results are bit-identical to the
-    /// serial path at every thread count and strategy.
-    pub fn set_exec_policy(&mut self, policy: sirius_par::ExecPolicy) {
-        self.config.surf.exec = policy;
     }
 
     /// Builds shard `shard` of `num_shards`: the descriptor index is
@@ -386,14 +377,14 @@ impl ImageDatabase {
         let t = Instant::now();
         let candidates = match &self.tree {
             None => vec![[None, None]; features.descriptors.len()],
-            Some(tree) => self
-                .config
-                .surf
-                .exec
-                .map_collect(features.descriptors.len(), |i| {
-                    let (best, second) = tree.nearest2(&features.descriptors[i].0);
+            Some(tree) => features
+                .descriptors
+                .iter()
+                .map(|d| {
+                    let (best, second) = tree.nearest2(&d.0);
                     [Some(best), second]
-                }),
+                })
+                .collect(),
         };
         PartialMatch {
             candidates,

@@ -15,7 +15,6 @@ use std::f32::consts::PI;
 
 use crate::image::GrayImage;
 use crate::integral::IntegralImage;
-use sirius_par::ExecPolicy;
 
 /// Descriptor dimensionality (4 × 4 subregions × 4 statistics).
 pub const DESCRIPTOR_DIM: usize = 64;
@@ -63,10 +62,6 @@ pub struct SurfConfig {
     pub init_step: usize,
     /// If `true`, skip orientation assignment (upright U-SURF).
     pub upright: bool,
-    /// Runtime execution policy. Detection tiles the response grid by row
-    /// and description fans out over keypoints; both are bit-identical to
-    /// the serial path at any thread count and strategy.
-    pub exec: ExecPolicy,
 }
 
 impl Default for SurfConfig {
@@ -76,7 +71,6 @@ impl Default for SurfConfig {
             threshold: 2e-4,
             init_step: 2,
             upright: false,
-            exec: ExecPolicy::serial(),
         }
     }
 }
@@ -105,21 +99,20 @@ struct ResponseLayer {
 }
 
 impl ResponseLayer {
-    fn build(ii: &IntegralImage, filter: usize, step: usize, exec: ExecPolicy) -> Self {
+    fn build(ii: &IntegralImage, filter: usize, step: usize) -> Self {
         let w = ii.width() / step;
         let h = ii.height() / step;
         let lobe = filter as isize / 3;
         let border = (filter as isize - 1) / 2 + 1;
         let inv_area = 1.0 / (filter * filter) as f64;
-        // Each grid row is an independent tile; the rows are stitched back
-        // in index order so the layer is identical at any thread count.
-        let rows: Vec<(Vec<f32>, Vec<bool>)> = exec.map_collect(h, |gy| {
-            let mut responses = vec![0.0f32; w];
-            let mut laplacian = vec![false; w];
+        let mut responses = Vec::with_capacity(w * h);
+        let mut laplacian = Vec::with_capacity(w * h);
+        for gy in 0..h {
             for gx in 0..w {
                 let c = (gx * step) as isize; // column (x)
                 let r = (gy * step) as isize; // row (y)
-                                              // Box sums; box(r, c, rows, cols) over [c, c+cols) x [r, r+rows).
+
+                // Box sums; box(r, c, rows, cols) over [c, c+cols) x [r, r+rows).
                 let bx = |r0: isize, c0: isize, rows: isize, cols: isize| -> f64 {
                     ii.box_sum(c0, r0, c0 + cols, r0 + rows)
                 };
@@ -133,17 +126,9 @@ impl ResponseLayer {
                 let dxx = dxx * inv_area;
                 let dyy = dyy * inv_area;
                 let dxy = dxy * inv_area;
-                let det = (dxx * dyy - 0.81 * dxy * dxy) as f32;
-                responses[gx] = det;
-                laplacian[gx] = dxx + dyy >= 0.0;
+                responses.push((dxx * dyy - 0.81 * dxy * dxy) as f32);
+                laplacian.push(dxx + dyy >= 0.0);
             }
-            (responses, laplacian)
-        });
-        let mut responses = Vec::with_capacity(w * h);
-        let mut laplacian = Vec::with_capacity(w * h);
-        for (r, l) in rows {
-            responses.extend_from_slice(&r);
-            laplacian.extend_from_slice(&l);
         }
         Self {
             filter,
@@ -186,7 +171,7 @@ pub fn detect_on_integral(ii: &IntegralImage, config: &SurfConfig) -> Vec<KeyPoi
         let step = config.init_step.max(1) << o;
         let layers: Vec<ResponseLayer> = OCTAVE_FILTERS[o]
             .iter()
-            .map(|&f| ResponseLayer::build(ii, f, step, config.exec))
+            .map(|&f| ResponseLayer::build(ii, f, step))
             .collect();
         // Non-maximum suppression over (bottom, middle, top) triples.
         for m in 1..3 {
@@ -213,17 +198,12 @@ fn nms_layer(
     if w_px <= 2 * border || h_px <= 2 * border {
         return;
     }
-    // Scan rows of the suppression grid in parallel; flattening the per-row
-    // hits in index order preserves the serial (row-major) keypoint order.
-    let rows: Vec<usize> = (border..h_px - border).step_by(step).collect();
-    let per_row: Vec<Vec<KeyPoint>> = config.exec.map_collect(rows.len(), |i| {
-        let y = rows[i];
-        let mut hits = Vec::new();
-        let mut x = border;
-        while x < w_px - border {
+    // Row-major scan of the suppression grid.
+    for y in (border..h_px - border).step_by(step) {
+        for x in (border..w_px - border).step_by(step) {
             let v = middle.response_at(x, y);
             if v > threshold && is_local_max(v, x, y, step, bottom, middle, top) {
-                hits.push(KeyPoint {
+                out.push(KeyPoint {
                     x: x as f32,
                     y: y as f32,
                     scale: 1.2 * middle.filter as f32 / 9.0,
@@ -232,11 +212,8 @@ fn nms_layer(
                     orientation: 0.0,
                 });
             }
-            x += step;
         }
-        hits
-    });
-    out.extend(per_row.into_iter().flatten());
+    }
 }
 
 fn is_local_max(
@@ -396,18 +373,19 @@ pub fn describe_on_integral(
     keypoints: &[KeyPoint],
     config: &SurfConfig,
 ) -> (Vec<KeyPoint>, Vec<Descriptor>) {
-    // Each keypoint is oriented and described independently.
-    let described: Vec<(KeyPoint, Descriptor)> = config.exec.map_collect(keypoints.len(), |i| {
-        let mut kp = keypoints[i];
-        kp.orientation = if config.upright {
-            0.0
-        } else {
-            assign_orientation(ii, &kp)
-        };
-        let desc = describe_keypoint(ii, &kp);
-        (kp, desc)
-    });
-    described.into_iter().unzip()
+    keypoints
+        .iter()
+        .copied()
+        .map(|mut kp| {
+            kp.orientation = if config.upright {
+                0.0
+            } else {
+                assign_orientation(ii, &kp)
+            };
+            let desc = describe_keypoint(ii, &kp);
+            (kp, desc)
+        })
+        .unzip()
 }
 
 /// Full pipeline: detect + describe.
@@ -637,39 +615,6 @@ mod geometry_tests {
         assert_eq!(descs[0].distance_sq(&descs[0]), 0.0);
         let cross = descs[0].distance_sq(&descs[1]);
         assert!(cross > 0.0);
-    }
-}
-
-#[cfg(test)]
-mod exec_policy_tests {
-    use super::*;
-    use crate::synth;
-    use sirius_par::Strategy;
-
-    /// Detection and description must be bit-identical to the serial path
-    /// for every thread count and strategy: the tiles only partition the
-    /// work, never change the arithmetic or the output order.
-    #[test]
-    fn extraction_is_policy_invariant() {
-        let img = synth::generate_scene(31, 160, 120);
-        let base = extract(&img, &SurfConfig::default());
-        for threads in [1, 2, 3, 8] {
-            for strategy in Strategy::ALL {
-                let cfg = SurfConfig {
-                    exec: ExecPolicy::new(threads, strategy),
-                    ..SurfConfig::default()
-                };
-                let (kps, descs) = extract(&img, &cfg);
-                assert_eq!(
-                    kps, base.0,
-                    "keypoints: threads {threads} strategy {strategy}"
-                );
-                assert_eq!(
-                    descs, base.1,
-                    "descriptors: threads {threads} strategy {strategy}"
-                );
-            }
-        }
     }
 }
 

@@ -234,36 +234,6 @@ fn kdtree_exact_equals_linear_scan() {
 }
 
 #[test]
-fn sirius_pipeline_is_policy_invariant() {
-    use sirius::pipeline::{Sirius, SiriusConfig};
-    use sirius::taxonomy::QueryKind;
-    use sirius_suite::parallel::{ExecPolicy, Strategy};
-
-    let mut sirius = Sirius::build(SiriusConfig::default());
-    let prepared = sirius::prepare_input_set(&sirius, 777);
-    // One query per class covers the action, QA and image-matching paths.
-    let sample: Vec<_> = QueryKind::ALL
-        .iter()
-        .filter_map(|&k| prepared.iter().find(|p| p.spec.kind == k))
-        .collect();
-    assert!(!sample.is_empty());
-    let essence = |r: sirius::pipeline::SiriusResponse| (r.recognized, r.outcome, r.matched_venue);
-    let base: Vec<_> = sample
-        .iter()
-        .map(|p| essence(sirius.process(&p.input())))
-        .collect();
-    for threads in [1, 2, 8] {
-        for strategy in Strategy::ALL {
-            sirius.set_exec_policy(ExecPolicy::new(threads, strategy));
-            for (p, expect) in sample.iter().zip(&base) {
-                let got = essence(sirius.process(&p.input()));
-                assert_eq!(&got, expect, "threads {threads} strategy {strategy}");
-            }
-        }
-    }
-}
-
-#[test]
 fn mm1_latency_monotone_in_load() {
     let mut rng = ChaCha8Rng::seed_from_u64(12);
     for _ in 0..CASES {
