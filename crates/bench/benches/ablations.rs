@@ -13,11 +13,10 @@ use std::sync::OnceLock;
 
 use sirius_nlp::crf::{Crf, TrainConfig};
 use sirius_nlp::pos;
-use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig};
+use sirius_speech::asr::{AsrSystem, AsrTrainConfig};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig};
 use sirius_speech::synth::{SynthConfig, Synthesizer};
 use sirius_suite::kernels::fe::FeKernel;
-use sirius_suite::kernels::gmm::GmmKernel;
 use sirius_suite::kernels::stemmer::StemmerKernel;
 use sirius_suite::Kernel;
 use sirius_vision::synth as vsynth;
@@ -103,44 +102,11 @@ fn bench_crf_decoding(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_asr_models(c: &mut Criterion) {
-    let corpus = ["turn lights on", "turn lights off", "set my alarm"];
-    let asr = AsrSystem::train(&corpus, 13, AsrTrainConfig::default());
-    let utt = Synthesizer::new(414, SynthConfig::default()).say("set my alarm");
-    let mut group = c.benchmark_group("ablation_acoustic_model");
-    group.sample_size(10);
-    group.bench_function("gmm", |b| {
-        b.iter(|| black_box(asr.recognize(&utt.samples, AcousticModelKind::Gmm)))
-    });
-    group.bench_function("dnn", |b| {
-        b.iter(|| black_box(asr.recognize(&utt.samples, AcousticModelKind::Dnn)))
-    });
-    group.finish();
-}
-
-fn bench_gmm_layout(c: &mut Criterion) {
-    // The paper's GPU port gained an order of magnitude by transposing the
-    // GMM parameters for coalesced access (Section 4.4.1); on a CPU the
-    // dimension-major layout trades stride for vectorizable inner loops.
-    let kernel = GmmKernel::generate(0.5, 21);
-    let mut group = c.benchmark_group("ablation_gmm_layout");
-    group.sample_size(10);
-    group.bench_function("component_major_aos", |b| {
-        b.iter(|| black_box(kernel.run_layout(false)))
-    });
-    group.bench_function("dimension_major_soa", |b| {
-        b.iter(|| black_box(kernel.run_layout(true)))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_beam_width,
     bench_tile_size,
     bench_stemmer_scheduling,
-    bench_crf_decoding,
-    bench_asr_models,
-    bench_gmm_layout
+    bench_crf_decoding
 );
 criterion_main!(benches);

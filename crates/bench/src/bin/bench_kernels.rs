@@ -1,12 +1,14 @@
 //! Kernel speedup summary for the lazy-scoring / GEMM-batching work.
 //!
-//! Measures the three pairs the PR optimizes — eager vs lazy end-to-end ASR
-//! decode (GMM and DNN), per-frame matvec vs GEMM-batched DNN forward, and
-//! AoS vs SoA GMM scoring — and prints a JSON summary to stdout. Beside the
-//! lazy decode it times the same utterances through the streaming
-//! recognizer as a single chunk (`streaming_one_chunk_ms`), the number that
-//! says what serving whole utterances through the streaming path would
-//! cost. The repo's vendored criterion shim has no JSON reporter, so this
+//! Measures three pairs — eager vs lazy end-to-end ASR decode (GMM and
+//! DNN), per-frame matvec vs GEMM-batched DNN forward, and AoS vs SoA GMM
+//! scoring — and prints a JSON summary to stdout. `eager_ms` is the eager
+//! oracle (the whole score matrix, then the search); `lazy_ms` is
+//! `AsrSystem::recognize`, one streaming recognizer run once per utterance;
+//! `streaming_one_chunk_ms` is the public streaming entry over the same
+//! audio as one chunk (`push_chunk` + `finish`), which adds the sample
+//! check. `outputs_match` holds when all three give the eager transcripts.
+//! The repo's vendored criterion shim has no JSON reporter, so this
 //! binary hand-rolls the one artifact the experiment recipe records
 //! (`BENCH_kernels.json`).
 //!
@@ -26,7 +28,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use sirius::pipeline::{Sirius, SiriusConfig};
-use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
+use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig};
 use sirius_speech::dnn::{Dnn, DnnScratch};
 use sirius_speech::features::{Frames, FrontendScratch, FRAME_HOP, FRAME_LEN, NUM_CEPSTRA};
 use sirius_speech::gmm::Gmm;
@@ -115,6 +117,20 @@ fn bench_frontend(asr: &AsrSystem, utts: &[Vec<f32>], reps: usize) -> FrontendSp
     }
 }
 
+/// The eager oracle's transcript: the front-end, the whole `frames x
+/// states` score matrix, then the search over it — the path that never
+/// enters the streaming recognizer `recognize` runs.
+fn eager_text(asr: &AsrSystem, samples: &[f32], kind: AcousticModelKind) -> String {
+    let frames = asr.frontend().extract(samples);
+    let emis = match kind {
+        AcousticModelKind::Gmm => asr.gmm_scorer().score_utterance(&frames),
+        AcousticModelKind::Dnn => asr.dnn_scorer().score_utterance(&frames),
+    };
+    asr.decoder()
+        .decode_scores(&emis, asr.lm(), asr.lexicon())
+        .map_or_else(String::new, |r| r.words.join(" "))
+}
+
 fn bench_decode(
     asr: &AsrSystem,
     utts: &[Vec<f32>],
@@ -133,17 +149,14 @@ fn bench_decode(
         let mut eager_texts = Vec::new();
         let t = Instant::now();
         for samples in utts {
-            eager_texts.push(
-                asr.recognize_with_mode(samples, kind, ScoringMode::Eager)
-                    .text,
-            );
+            eager_texts.push(eager_text(asr, samples, kind));
         }
         eager.push(t.elapsed().as_secs_f64() * 1e3);
         let (mut fe_s, mut sc_s, mut se_s) = (0.0f64, 0.0f64, 0.0f64);
         (tokens, frames) = (0, 0);
         let t = Instant::now();
         for (samples, expect) in utts.iter().zip(&eager_texts) {
-            let out = asr.recognize_with_mode(samples, kind, ScoringMode::Lazy);
+            let out = asr.recognize(samples, kind);
             outputs_match &= out.text == *expect;
             tokens += out.tokens_expanded;
             frames += out.frames;

@@ -190,17 +190,23 @@ mod tests {
             assert!(share.is_some_and(|s| s > 0.0), "{phase} share {share:?}");
         }
         // Scoring the full frames x states matrix dominates ASR (paper
-        // Figure 9): that is the eager reference mode.
-        use sirius_speech::asr::{AcousticModelKind, ScoringMode};
+        // Figure 9): that is the eager oracle, front-end + whole matrix +
+        // search, timed here phase by phase.
+        use sirius_speech::hmm::AcousticScorer;
+        use std::time::Instant;
+        let speech = sirius.asr();
         let (mut scoring, mut total) = (0.0, 0.0);
         for p in prepared.iter().take(20) {
-            let out = sirius.asr().recognize_with_mode(
-                &p.utterance.samples,
-                AcousticModelKind::Gmm,
-                ScoringMode::Eager,
-            );
-            scoring += out.timing.scoring.as_secs_f64();
-            total += out.timing.total.as_secs_f64();
+            let t_total = Instant::now();
+            let frames = speech.frontend().extract(&p.utterance.samples);
+            let t = Instant::now();
+            let emis = speech.gmm_scorer().score_utterance(&frames);
+            scoring += t.elapsed().as_secs_f64();
+            let decoded = speech
+                .decoder()
+                .decode_scores(&emis, speech.lm(), speech.lexicon());
+            std::hint::black_box(decoded);
+            total += t_total.elapsed().as_secs_f64();
         }
         assert!(scoring > 0.3 * total, "scoring share {}", scoring / total);
     }

@@ -21,17 +21,19 @@
 //!    through the ordinary classify queue (`asr.spec_miss`) and nothing
 //!    downstream ever observes a wrong prefix.
 //!
-//! Both paths are bit-identical to the serial pipeline: the streaming
-//! recognizer's final hypothesis equals batch `recognize` by
-//! construction, and the downstream stages are pure functions of the
-//! recognized text and the image, so a payload computed speculatively on
-//! the (confirmed) final text equals the one the staged path would compute.
+//! Both paths are bit-identical to the serial pipeline: whole-utterance
+//! `recognize` is this same recognizer run once over the whole audio, so
+//! the chunked run's final hypothesis equals it by construction, and the
+//! downstream stages are pure functions of the recognized text and the
+//! image, so a payload computed speculatively on the (confirmed) final text
+//! equals the one the staged path would compute.
 //!
 //! Degenerate audio — empty, or containing non-finite samples — is served
-//! through the ordinary batch ASR stage instead of the streaming
-//! recognizer, so malformed inputs produce byte-for-byte the serial
-//! pipeline's response rather than a typed streaming error the serial path
-//! would never surface.
+//! through the ordinary whole-utterance ASR stage instead of chunk by
+//! chunk. `recognize` accepts any audio, while `push_chunk` and `finish`
+//! guard the public streaming entry with typed errors the serial path would
+//! never surface, so malformed inputs produce byte-for-byte the serial
+//! pipeline's response.
 //!
 //! Streaming is one of the two ways the runtime's single ASR stage value
 //! (`AsrStage`) drives the recognizer — whole utterance or chunk by chunk —
@@ -395,8 +397,10 @@ impl Streaming {
         ctx: &Ctx,
         req: AsrRequest,
     ) -> Result<AsrServed, SiriusError> {
-        // Degenerate audio takes the batch stage so the response (including
-        // error behaviour) is byte-identical to the serial pipeline's.
+        // Degenerate audio takes the whole-utterance stage, the same
+        // recognizer run once without the streaming entry's checks, so the
+        // response (including error behaviour) is byte-identical to the
+        // serial pipeline's.
         if req.audio.is_empty() || req.audio.iter().any(|s| !s.is_finite()) {
             return sirius.stage_asr(req).map(AsrServed::from);
         }

@@ -15,7 +15,7 @@
 //! layer that batches DNN blocks across queries uses the same two entry
 //! points as everyone else.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -23,9 +23,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::dnn::{Dnn, DnnTrainConfig};
 use crate::features::{Frames, Frontend, FEATURE_DIM, FRAME_HOP, FRAME_LEN};
 use crate::gmm::Gmm;
-use crate::hmm::{
-    AcousticScorer, DecodeResult, Decoder, DecoderConfig, DnnScorer, GmmScorer, WindowScorer,
-};
+use crate::hmm::{Decoder, DecoderConfig, DnnScorer, GmmScorer, WindowScorer};
 use crate::lexicon::{Lexicon, NUM_STATES, STATES_PER_PHONE};
 use crate::lm::BigramLm;
 use crate::synth::{SynthConfig, Synthesizer, Utterance};
@@ -91,21 +89,6 @@ impl std::fmt::Debug for Acoustic<'_> {
     }
 }
 
-/// How acoustic scores are produced for the Viterbi search.
-///
-/// Both modes return bit-identical hypotheses and log-scores; `Eager` is
-/// retained as the exact reference mode and for callers that want the full
-/// score matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScoringMode {
-    /// Score the whole `frames x states` matrix up front.
-    Eager,
-    /// Score `(frame, state)` cells on demand as the beam search reaches
-    /// them (GMM: per-state memoization; DNN: frame-blocked GEMM batches).
-    #[default]
-    Lazy,
-}
-
 /// Training hyper-parameters for [`AsrSystem::train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsrTrainConfig {
@@ -166,30 +149,6 @@ pub struct AsrOutput {
     /// Confidence in `[0, 1]` from the Viterbi margin (1.0 when no
     /// competing hypothesis survived).
     pub confidence: f32,
-}
-
-impl AsrOutput {
-    /// The output of a finished decode over `frames` acoustic frames; an
-    /// utterance that decoded to nothing is the empty text at zero
-    /// confidence. Shared by the whole-utterance and streaming recognizers
-    /// so the two cannot drift apart.
-    pub(crate) fn from_decode(
-        decoded: Option<DecodeResult>,
-        frames: usize,
-        timing: AsrTiming,
-    ) -> Self {
-        let (text, tokens_expanded, confidence) = match decoded {
-            Some(r) => (r.words.join(" "), r.tokens_expanded, r.confidence(frames)),
-            None => (String::new(), 0, 0.0),
-        };
-        Self {
-            text,
-            timing,
-            frames,
-            tokens_expanded,
-            confidence,
-        }
-    }
 }
 
 /// A trained speech recognizer with both GMM and DNN acoustic models.
@@ -325,7 +284,7 @@ impl AsrSystem {
         &self.frontend
     }
 
-    /// The Viterbi decoder (for N-best decoding and rescoring).
+    /// The Viterbi decoder.
     pub fn decoder(&self) -> &Decoder {
         &self.decoder
     }
@@ -374,9 +333,12 @@ impl AsrSystem {
     }
 
     /// Recognizes audio with the selected acoustic scorer — an
-    /// [`AcousticModelKind`] or a full [`Acoustic`] value — scoring lazily
-    /// as the beam search reaches each frame (GMM: per-state memoization;
-    /// DNN: frame-blocked GEMM batches).
+    /// [`AcousticModelKind`] or a full [`Acoustic`] value: one
+    /// [`StreamingRecognizer`](crate::streaming::StreamingRecognizer) run
+    /// once over the whole utterance, scoring lazily as the beam search
+    /// reaches each frame (GMM: per-state memoization; DNN: frame-blocked
+    /// GEMM batches). Any audio is accepted: empty or shorter-than-a-frame
+    /// audio is the empty text, and non-finite samples are not rejected.
     ///
     /// `Acoustic::Dnn(Some(remote))` is bit-identical to local DNN scoring
     /// for any correct [`WindowScorer`]: the decoder visits the same frames
@@ -387,69 +349,7 @@ impl AsrSystem {
     /// scoring *latency*, batch-formation wait included) and `search` is the
     /// decode time net of it.
     pub fn recognize<'r>(&self, samples: &[f32], acoustic: impl Into<Acoustic<'r>>) -> AsrOutput {
-        let t_total = Instant::now();
-        let frames = self.frontend.extract(samples);
-        let feature_extraction = t_total.elapsed();
-
-        let t = Instant::now();
-        let (decoded, scoring) = match acoustic.into() {
-            Acoustic::Gmm => {
-                let mut scores = self.gmm.lazy_scores(&frames);
-                let decoded = self
-                    .decoder
-                    .decode_lazy(&mut scores, &self.lm, &self.lexicon);
-                (decoded, scores.compute_time())
-            }
-            Acoustic::Dnn(remote) => {
-                let mut scores = self.dnn.lazy_scores(&frames, remote);
-                let decoded = self
-                    .decoder
-                    .decode_lazy(&mut scores, &self.lm, &self.lexicon);
-                (decoded, scores.compute_time())
-            }
-        };
-        let search = t.elapsed().saturating_sub(scoring);
-        let timing = AsrTiming {
-            feature_extraction,
-            scoring,
-            search,
-            total: t_total.elapsed(),
-        };
-        AsrOutput::from_decode(decoded, frames.len(), timing)
-    }
-
-    /// Recognizes audio with an explicit [`ScoringMode`]. Both modes yield
-    /// the same text and scores; `Lazy` is [`AsrSystem::recognize`], `Eager`
-    /// scores the whole matrix first — the reference the equivalence gates
-    /// compare against.
-    pub fn recognize_with_mode(
-        &self,
-        samples: &[f32],
-        kind: AcousticModelKind,
-        mode: ScoringMode,
-    ) -> AsrOutput {
-        if mode == ScoringMode::Lazy {
-            return self.recognize(samples, kind);
-        }
-        let t_total = Instant::now();
-        let frames = self.frontend.extract(samples);
-        let feature_extraction = t_total.elapsed();
-
-        let t = Instant::now();
-        let emis = match kind {
-            AcousticModelKind::Gmm => self.gmm.score_utterance(&frames),
-            AcousticModelKind::Dnn => self.dnn.score_utterance(&frames),
-        };
-        let scoring = t.elapsed();
-        let t = Instant::now();
-        let decoded = self.decoder.decode_scores(&emis, &self.lm, &self.lexicon);
-        let timing = AsrTiming {
-            feature_extraction,
-            scoring,
-            search: t.elapsed(),
-            total: t_total.elapsed(),
-        };
-        AsrOutput::from_decode(decoded, frames.len(), timing)
+        self.streaming(acoustic.into()).run_once(samples)
     }
 
     /// Starts a streaming recognition session with the selected acoustic
@@ -587,6 +487,50 @@ mod tests {
         let out = asr.recognize(&[], AcousticModelKind::Gmm);
         assert!(out.text.is_empty());
         assert_eq!(out.frames, 0);
+    }
+
+    /// `recognize` takes any audio. Empty and shorter-than-one-frame audio
+    /// decode to the empty text at zero confidence; a NaN sample is not
+    /// rejected, it reaches the features of the frames that overlap it and
+    /// the decode runs on. Every field is pinned, so a whole-utterance
+    /// path that validated samples or refused empty audio would fail here.
+    #[test]
+    fn degenerate_audio_decodes_to_pinned_outputs() {
+        let asr = system();
+        let mut speech = Synthesizer::new(780, SynthConfig::default())
+            .say("play some jazz")
+            .samples;
+        speech.resize(16_000, 0.0);
+        let mut one_nan = speech;
+        one_nan[8_000] = f32::NAN;
+        let inputs: [(&str, Vec<f32>); 4] = [
+            ("empty", Vec::new()),
+            ("sub-frame", vec![0.01; FRAME_LEN - 1]),
+            ("one NaN", one_nan),
+            ("all NaN", vec![f32::NAN; 16_000]),
+        ];
+        // (text, frames, tokens_expanded, confidence bits) per input.
+        let gmm = [
+            ("", 0, 0, 0),
+            ("", 0, 0, 0),
+            ("play stop", 98, 289, 0x3f80_0000),
+            ("", 98, 97, 0x3f80_0000),
+        ];
+        let dnn = [
+            ("", 0, 0, 0),
+            ("", 0, 0, 0),
+            ("play go me jazz", 98, 6172, 0x3ed7_c8f8),
+            ("", 98, 6142, 0x3f17_8b67),
+        ];
+        for (kind, expected) in [(AcousticModelKind::Gmm, gmm), (AcousticModelKind::Dnn, dnn)] {
+            for ((name, audio), (text, frames, tokens, confidence)) in inputs.iter().zip(expected) {
+                let out = asr.recognize(audio, kind);
+                assert_eq!(out.text, text, "{kind} {name}");
+                assert_eq!(out.frames, frames, "{kind} {name}");
+                assert_eq!(out.tokens_expanded, tokens, "{kind} {name}");
+                assert_eq!(out.confidence.to_bits(), confidence, "{kind} {name}");
+            }
+        }
     }
 }
 

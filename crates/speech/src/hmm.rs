@@ -10,12 +10,15 @@
 //! transitions carry bigram language-model scores, with optional inter-word
 //! silence.
 //!
-//! The search is one search ([`Decoder::decode_lazy`], or the same beam
-//! step driven incrementally by [`StreamingDecoder`]) with a pluggable
-//! scorer behind [`FrameScores`]. There are three providers: [`EagerScores`]
-//! over a pre-computed matrix (the reference), [`LazyGmmScores`] (per-state
-//! memoization) and [`BlockDnnScores`] (16-frame GEMM blocks, scored here or
-//! by a remote [`WindowScorer`]).
+//! The search is one search with a pluggable scorer behind
+//! [`FrameScores`]: one beam step, which [`StreamingDecoder`] drives frame
+//! by frame for every recognition (whole-utterance or streaming, see
+//! [`crate::streaming`]) and [`Decoder::decode_lazy`] /
+//! [`Decoder::decode_scores`] run over a whole provider — the references
+//! the equivalence gates compare against. There are three providers:
+//! [`EagerScores`] over a pre-computed matrix (the reference),
+//! [`LazyGmmScores`] (per-state memoization) and [`BlockDnnScores`]
+//! (16-frame GEMM blocks, scored here or by a remote [`WindowScorer`]).
 
 use crate::dnn::{Dnn, DnnPlan, DnnScratch};
 use crate::features::Frames;
@@ -751,9 +754,7 @@ pub struct Decoder {
     /// Tied emission of each word's first state (the word-entry relax reads
     /// it once per word per frame).
     word_first_emission: Vec<u16>,
-    word_last: Vec<usize>,
     sil_first: usize,
-    sil_last: usize,
     config: DecoderConfig,
     num_words: usize,
 }
@@ -801,9 +802,7 @@ impl Decoder {
             entries,
             word_first,
             word_first_emission,
-            word_last,
             sil_first,
-            sil_last,
             config,
             num_words: lexicon.len(),
         }
@@ -817,48 +816,6 @@ impl Decoder {
     /// The decoder's configuration.
     pub fn config(&self) -> &DecoderConfig {
         &self.config
-    }
-
-    /// First graph state of word `w`'s chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    pub fn word_first_state(&self, w: usize) -> usize {
-        self.word_first[w]
-    }
-
-    /// Last graph state of word `w`'s chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    pub fn word_last_state(&self, w: usize) -> usize {
-        self.word_last[w]
-    }
-
-    /// First state of the inter-word silence chain.
-    pub fn sil_first_state(&self) -> usize {
-        self.sil_first
-    }
-
-    /// Last state of the inter-word silence chain.
-    pub fn sil_last_state(&self) -> usize {
-        self.sil_last
-    }
-
-    /// Tied emission-state id of graph state `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn emission_of(&self, e: usize) -> usize {
-        self.entries[e].emission as usize
-    }
-
-    /// Whether graph state `e` ends a word chain.
-    pub fn is_word_end_state(&self, e: usize) -> bool {
-        self.entries[e].word_end
     }
 
     /// Decodes pre-scored emissions `emis[t][tied_state]` into words.

@@ -10,10 +10,14 @@
 //! * [`dnn`] — feed-forward network; the Sirius Suite "DNN" kernel.
 //! * [`lexicon`] — phone inventory, pronunciations, text normalization.
 //! * [`lm`] — bigram language model.
-//! * [`hmm`] — decoding graph and beam Viterbi search.
+//! * [`hmm`] — decoding graph and the beam Viterbi search, the one search
+//!   every decode runs.
 //! * [`synth`] — synthetic speech with ground-truth alignment (substitutes
 //!   for recorded queries; see DESIGN.md).
 //! * [`asr`] — end-to-end training and recognition with per-stage timing.
+//! * [`streaming`] — the incremental recognizer. It is the one decode path:
+//!   [`AsrSystem::streaming`] feeds it chunk by chunk, and
+//!   [`AsrSystem::recognize`] runs it once over the whole utterance.
 //!
 //! # Example
 //!
@@ -39,11 +43,10 @@ pub mod gmm;
 pub mod hmm;
 pub mod lexicon;
 pub mod lm;
-pub mod nbest;
 pub mod streaming;
 pub mod synth;
 
-pub use asr::{Acoustic, AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig, ScoringMode};
+pub use asr::{Acoustic, AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig};
 pub use hmm::{StreamingDecoder, WindowScorer};
 pub use streaming::{StreamProgress, StreamingError, StreamingRecognizer};
 pub use synth::{SynthConfig, Synthesizer, Utterance};

@@ -202,198 +202,3 @@ mod tests {
         assert_eq!(lm.perplexity(&[]), 1.0);
     }
 }
-
-/// A language model that can score a whole sentence of word ids; both
-/// [`BigramLm`] and [`TrigramLm`] implement it, so N-best rescoring can
-/// swap in a stronger model for the second pass.
-pub trait SentenceModel {
-    /// Log-probability of a full sentence of word ids.
-    fn sentence_log_prob(&self, words: &[usize]) -> f32;
-}
-
-impl SentenceModel for BigramLm {
-    fn sentence_log_prob(&self, words: &[usize]) -> f32 {
-        self.log_sentence(words)
-    }
-}
-
-/// Interpolated trigram language model with bigram/unigram backoff.
-///
-/// The stronger second-pass model for N-best rescoring: trigram context
-/// captures dependencies the first-pass bigram decode cannot.
-#[derive(Debug, Clone)]
-pub struct TrigramLm {
-    bigram: BigramLm,
-    /// Unigram counts.
-    unigram: Vec<u32>,
-    unigram_total: u32,
-    /// Sparse trigram counts keyed by `(w1, w2) -> counts over w3`.
-    trigram: std::collections::HashMap<(u32, u32), Vec<(u32, u32)>>,
-    /// Interpolation weights (trigram, bigram, unigram); sum to 1.
-    lambdas: (f64, f64, f64),
-}
-
-impl TrigramLm {
-    /// Trains a trigram model (and its embedded bigram) from raw sentences.
-    pub fn train<'a, I: IntoIterator<Item = &'a str> + Clone>(texts: I, lexicon: &Lexicon) -> Self {
-        let bigram = BigramLm::train(texts.clone(), lexicon);
-        let v = lexicon.len();
-        let mut unigram = vec![0u32; v];
-        let mut unigram_total = 0u32;
-        let mut trigram: std::collections::HashMap<(u32, u32), Vec<(u32, u32)>> =
-            std::collections::HashMap::new();
-        for text in texts {
-            let normalized = normalize_text(text);
-            let ids: Vec<u32> = normalized
-                .split_whitespace()
-                .filter_map(|w| lexicon.word_index(w).map(|i| i as u32))
-                .collect();
-            for &w in &ids {
-                unigram[w as usize] += 1;
-                unigram_total += 1;
-            }
-            for tri in ids.windows(3) {
-                let key = (tri[0], tri[1]);
-                let entry = trigram.entry(key).or_default();
-                match entry.iter_mut().find(|(w, _)| *w == tri[2]) {
-                    Some((_, c)) => *c += 1,
-                    None => entry.push((tri[2], 1)),
-                }
-            }
-        }
-        Self {
-            bigram,
-            unigram,
-            unigram_total,
-            trigram,
-            lambdas: (0.6, 0.3, 0.1),
-        }
-    }
-
-    /// The embedded first-pass bigram model.
-    pub fn bigram(&self) -> &BigramLm {
-        &self.bigram
-    }
-
-    fn p_unigram(&self, w: usize) -> f64 {
-        (f64::from(self.unigram[w]) + 0.1)
-            / (f64::from(self.unigram_total) + 0.1 * self.unigram.len() as f64)
-    }
-
-    fn p_bigram(&self, prev: usize, w: usize) -> f64 {
-        f64::from(self.bigram.log_bigram(prev, w)).exp()
-    }
-
-    fn p_trigram(&self, w1: usize, w2: usize, w3: usize) -> Option<f64> {
-        let entry = self.trigram.get(&(w1 as u32, w2 as u32))?;
-        let total: u32 = entry.iter().map(|(_, c)| c).sum();
-        let count = entry
-            .iter()
-            .find(|(w, _)| *w as usize == w3)
-            .map_or(0, |(_, c)| *c);
-        Some((f64::from(count) + 0.1) / (f64::from(total) + 0.1 * self.unigram.len() as f64))
-    }
-
-    /// Interpolated log-probability of `w3` given the two preceding words.
-    pub fn log_cond(&self, w1: usize, w2: usize, w3: usize) -> f32 {
-        let (l3, l2, l1) = self.lambdas;
-        let p3 = self.p_trigram(w1, w2, w3);
-        let p2 = self.p_bigram(w2, w3);
-        let p1 = self.p_unigram(w3);
-        let p = match p3 {
-            Some(p3) => l3 * p3 + l2 * p2 + l1 * p1,
-            // No trigram context observed: renormalize onto bigram+unigram.
-            None => (l2 * p2 + l1 * p1) / (l2 + l1),
-        };
-        (p.max(1e-12)).ln() as f32
-    }
-}
-
-impl SentenceModel for TrigramLm {
-    fn sentence_log_prob(&self, words: &[usize]) -> f32 {
-        match words.len() {
-            0 => 0.0,
-            1 => self.bigram.log_start(words[0]),
-            _ => {
-                let mut total =
-                    self.bigram.log_start(words[0]) + self.bigram.log_bigram(words[0], words[1]);
-                for tri in words.windows(3) {
-                    total += self.log_cond(tri[0], tri[1], tri[2]);
-                }
-                total
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod trigram_tests {
-    use super::*;
-
-    fn setup() -> (Lexicon, TrigramLm) {
-        let texts = [
-            "set my alarm for eight am",
-            "set my timer for ten minutes",
-            "set my alarm for ten am",
-            "who was elected president",
-        ];
-        let lex = Lexicon::from_texts(texts.iter().copied());
-        let lm = TrigramLm::train(texts.iter().copied(), &lex);
-        (lex, lm)
-    }
-
-    fn ids(lex: &Lexicon, s: &str) -> Vec<usize> {
-        s.split_whitespace()
-            .map(|w| lex.word_index(w).expect("in vocab"))
-            .collect()
-    }
-
-    #[test]
-    fn trigram_context_disambiguates_where_bigram_cannot() {
-        let (lex, lm) = setup();
-        // After "timer for", the corpus only continues with "ten"; the
-        // bigram "for -> ..." alone cannot tell "ten" from "eight".
-        let timer = ids(&lex, "timer")[0];
-        let for_ = ids(&lex, "for")[0];
-        let ten = ids(&lex, "ten")[0];
-        let eight = ids(&lex, "eight")[0];
-        let margin_tri = lm.log_cond(timer, for_, ten) - lm.log_cond(timer, for_, eight);
-        let margin_bi = lm.bigram().log_bigram(for_, ten) - lm.bigram().log_bigram(for_, eight);
-        assert!(margin_tri > margin_bi, "tri {margin_tri} vs bi {margin_bi}");
-        assert!(margin_tri > 0.0);
-    }
-
-    #[test]
-    fn seen_trigrams_outscore_unseen() {
-        let (lex, lm) = setup();
-        let set = ids(&lex, "set")[0];
-        let my = ids(&lex, "my")[0];
-        let alarm = ids(&lex, "alarm")[0];
-        let president = ids(&lex, "president")[0];
-        assert!(lm.log_cond(set, my, alarm) > lm.log_cond(set, my, president));
-    }
-
-    #[test]
-    fn degenerate_lengths_are_handled() {
-        let (lex, lm) = setup();
-        assert_eq!(lm.sentence_log_prob(&[]), 0.0);
-        let one = ids(&lex, "set");
-        assert!(lm.sentence_log_prob(&one).is_finite());
-        let two = ids(&lex, "set my");
-        assert!(lm.sentence_log_prob(&two).is_finite());
-    }
-
-    #[test]
-    fn unseen_context_backs_off_to_bigram() {
-        let (lex, lm) = setup();
-        // "president set my": the (president, set) context never occurs.
-        let president = ids(&lex, "president")[0];
-        let set = ids(&lex, "set")[0];
-        let my = ids(&lex, "my")[0];
-        let p = lm.log_cond(president, set, my);
-        assert!(p.is_finite());
-        // Backoff must still prefer the likely continuation.
-        let timer = ids(&lex, "timer")[0];
-        assert!(lm.log_cond(president, set, my) > lm.log_cond(president, set, timer));
-    }
-}

@@ -1,23 +1,27 @@
 //! Streaming recognition: incremental frame ingestion with stable-prefix
-//! partial hypotheses.
+//! partial hypotheses. This is the one decode path; whole-utterance
+//! recognition is its degenerate case.
 //!
-//! Batch recognition ([`AsrSystem::recognize`]) sees the whole
-//! utterance before the decoder runs; the server therefore cannot start
-//! downstream work until ASR finishes, pinning end-to-end latency at the
-//! sum-of-stages floor. [`StreamingRecognizer`] accepts audio chunks as
-//! they arrive, extracts MFCC frames incrementally (pre-emphasis is
-//! frame-local, so per-frame cepstra are independent; the delta regression
-//! looks two frames ahead, so feature row `t` is final once cepstra
-//! `t + 2` exists), advances the beam through every frame whose scores
-//! can no longer change, and reports the *committed* word prefix — the
-//! unique-ancestor portion of the live beam, which is never retracted and
-//! always prefixes the final hypothesis.
+//! [`StreamingRecognizer`] accepts audio chunks as they arrive, extracts
+//! MFCC frames incrementally (pre-emphasis is frame-local, so per-frame
+//! cepstra are independent; the delta regression looks two frames ahead,
+//! so feature row `t` is final once cepstra `t + 2` exists), advances the
+//! beam through every frame whose scores can no longer change, and reports
+//! the *committed* word prefix — the unique-ancestor portion of the live
+//! beam, which is never retracted and always prefixes the final
+//! hypothesis. The server can therefore start downstream work before the
+//! utterance ends.
 //!
-//! Each step replays exactly the computation the batch pass would do over
-//! the same frame indices, through the same [`Acoustic`] value and therefore
-//! the same score provider. So [`StreamingRecognizer::finish`] is
-//! bit-identical to `recognize` on the concatenated audio — the invariant
-//! the streaming server relies on to reconcile speculative downstream work.
+//! [`AsrSystem::recognize`] is one recognizer run once: the whole utterance
+//! goes through the same feature ingestion as a chunk, then the same tail
+//! flush, decode and backtrace as [`StreamingRecognizer::finish`]. It skips
+//! only the checks that guard the public streaming entry (finite samples,
+//! a non-empty utterance), so it accepts any audio. Every step replays the
+//! computation a pass over the whole utterance does over the same frame
+//! indices, through the same [`Acoustic`] value and therefore the same
+//! score provider, so `finish` is bit-identical to `recognize` on the
+//! concatenated audio — the invariant the streaming server relies on to
+//! reconcile speculative downstream work.
 
 use std::time::{Duration, Instant};
 
@@ -41,8 +45,8 @@ pub enum StreamingError {
         index: usize,
     },
     /// `finish` was called before any audio arrived (a zero-length tail
-    /// flush). Batch recognition of empty audio is well-defined (empty
-    /// text); a streaming session with no chunks is a caller bug.
+    /// flush). Whole-utterance recognition of empty audio is well-defined
+    /// (empty text); a streaming session with no chunks is a caller bug.
     EmptyUtterance,
 }
 
@@ -148,7 +152,7 @@ impl<'a> StreamingRecognizer<'a> {
 
     /// Ingests one audio chunk: validates it, extracts every newly final
     /// feature row, and advances the beam through every frame whose
-    /// scores are batch-final.
+    /// scores are final.
     ///
     /// # Errors
     ///
@@ -166,9 +170,11 @@ impl<'a> StreamingRecognizer<'a> {
         }
         let start = Instant::now();
         self.samples.extend_from_slice(chunk);
-        self.ingest_features();
+        let samples = std::mem::take(&mut self.samples);
+        self.ingest_features(&samples);
+        self.samples = samples;
         // Mid-stream decode horizon: exclude rows whose DNN context window
-        // would clamp at the current feature edge (batch clamps at the
+        // would clamp at the current feature edge (the flush clamps at the
         // true utterance edge). GMM scores one row at a time, so every
         // extracted row is already final.
         let horizon = match self.acoustic {
@@ -195,46 +201,66 @@ impl<'a> StreamingRecognizer<'a> {
     ///
     /// [`StreamingError::EmptyUtterance`] if no chunk was ever pushed.
     /// Audio that is non-empty but shorter than one analysis frame is
-    /// fine and yields the batch result (empty text, zero frames).
-    pub fn finish(mut self) -> Result<AsrOutput, StreamingError> {
+    /// fine and yields the whole-utterance result (empty text, zero frames).
+    pub fn finish(self) -> Result<AsrOutput, StreamingError> {
         if self.samples.is_empty() {
             return Err(StreamingError::EmptyUtterance);
         }
+        Ok(self.flush())
+    }
+
+    /// [`AsrSystem::recognize`]: the whole utterance as one unchecked
+    /// chunk, then [`StreamingRecognizer::finish`]'s flush. Empty and
+    /// non-finite audio decode like any other.
+    pub(crate) fn run_once(mut self, samples: &[f32]) -> AsrOutput {
         let start = Instant::now();
-        // Tail flush: the last rows' delta regressions clamp at the real
-        // utterance end now, exactly as the batch pass computes them.
+        self.ingest_features(samples);
+        self.active += start.elapsed();
+        self.flush()
+    }
+
+    /// The end of every decode: the tail flush (the last rows' delta
+    /// regressions clamp at the real utterance end), the remaining frames
+    /// and the backtrace.
+    fn flush(mut self) -> AsrOutput {
+        let start = Instant::now();
         while self.feats.len() < self.cepstra.len() {
             self.feats.push_delta_row(&self.cepstra, self.feats.len());
         }
         self.advance_to(self.feats.len());
-        self.refresh_committed();
         let decoded = self.sdec.finish(self.asr.lexicon());
         self.active += start.elapsed();
-        Ok(AsrOutput::from_decode(
-            decoded,
-            self.feats.len(),
-            AsrTiming {
+        let frames = self.feats.len();
+        let (text, tokens_expanded, confidence) = match decoded {
+            Some(r) => (r.words.join(" "), r.tokens_expanded, r.confidence(frames)),
+            // An utterance that decoded to nothing: empty text, zero
+            // confidence.
+            None => (String::new(), 0, 0.0),
+        };
+        AsrOutput {
+            text,
+            timing: AsrTiming {
                 feature_extraction: self.feature_time,
                 scoring: self.scoring,
                 search: self.search,
                 total: self.active,
             },
-        ))
+            frames,
+            tokens_expanded,
+            confidence,
+        }
     }
 
-    /// Extracts every cepstra frame fully contained in the ingested audio
-    /// and every delta row that is already batch-final (two more cepstra
-    /// frames exist past it).
-    fn ingest_features(&mut self) {
+    /// Extracts every cepstra frame of `audio` — the whole utterance so
+    /// far — not extracted yet, and every delta row that is already final
+    /// (two more cepstra frames exist past it).
+    fn ingest_features(&mut self, audio: &[f32]) {
         let t = Instant::now();
-        while self.cepstra.len() * FRAME_HOP + FRAME_LEN <= self.samples.len() {
+        while self.cepstra.len() * FRAME_HOP + FRAME_LEN <= audio.len() {
             let start = self.cepstra.len() * FRAME_HOP;
-            self.asr.frontend().cepstra_frame(
-                &self.samples,
-                start,
-                &mut self.scratch,
-                &mut self.cepstra,
-            );
+            self.asr
+                .frontend()
+                .cepstra_frame(audio, start, &mut self.scratch, &mut self.cepstra);
         }
         while self.feats.len() < self.cepstra.len().saturating_sub(2) {
             self.feats.push_delta_row(&self.cepstra, self.feats.len());
@@ -243,10 +269,10 @@ impl<'a> StreamingRecognizer<'a> {
     }
 
     /// Advances the beam to `horizon` with a fresh provider over the
-    /// current feature prefix. Providers index frames exactly as a batch
-    /// pass would, and rows beyond the horizon are never read, so every
-    /// score the decoder sees equals the batch score (DNN blocks are
-    /// row-independent; see `WindowScorer`).
+    /// current feature prefix. Providers index frames exactly as a pass
+    /// over the whole utterance would, and rows beyond the horizon are
+    /// never read, so every score the decoder sees equals that pass's score
+    /// (DNN blocks are row-independent; see `WindowScorer`).
     fn advance_to(&mut self, horizon: usize) {
         if horizon <= self.sdec.frames_consumed() {
             return;

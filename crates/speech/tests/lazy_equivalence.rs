@@ -6,7 +6,7 @@
 //! test additionally checks the lazy GMM cache never evaluates a
 //! `(frame, state)` cell twice, and that narrow beams actually skip work.
 
-use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
+use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrOutput, AsrSystem, AsrTrainConfig};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig};
 use sirius_speech::lexicon::Lexicon;
 use sirius_speech::synth::{SynthConfig, Synthesizer};
@@ -79,7 +79,34 @@ fn lazy_decode_is_bit_identical_to_eager() {
     }
 }
 
-/// The end-to-end recognize() entry points must agree between modes.
+/// The eager oracle: the front-end, the whole `frames x states` score
+/// matrix, then the search over it. It never enters `StreamingRecognizer`,
+/// so `recognize` is checked against a path that is not its own.
+fn eager_oracle(asr: &AsrSystem, samples: &[f32], kind: AcousticModelKind) -> AsrOutput {
+    let frames = asr.frontend().extract(samples);
+    let emis = match kind {
+        AcousticModelKind::Gmm => asr.gmm_scorer().score_utterance(&frames),
+        AcousticModelKind::Dnn => asr.dnn_scorer().score_utterance(&frames),
+    };
+    let decoded = asr.decoder().decode_scores(&emis, asr.lm(), asr.lexicon());
+    let (text, tokens_expanded, confidence) = match decoded {
+        Some(r) => (
+            r.words.join(" "),
+            r.tokens_expanded,
+            r.confidence(frames.len()),
+        ),
+        None => (String::new(), 0, 0.0),
+    };
+    AsrOutput {
+        text,
+        timing: Default::default(),
+        frames: frames.len(),
+        tokens_expanded,
+        confidence,
+    }
+}
+
+/// The end-to-end recognize() entry point must agree with the eager oracle.
 #[test]
 fn recognize_modes_agree() {
     let asr = system();
@@ -87,8 +114,8 @@ fn recognize_modes_agree() {
     for text in CORPUS {
         let utt = synth.say(text);
         for kind in [AcousticModelKind::Gmm, AcousticModelKind::Dnn] {
-            let eager = asr.recognize_with_mode(&utt.samples, kind, ScoringMode::Eager);
-            let lazy = asr.recognize_with_mode(&utt.samples, kind, ScoringMode::Lazy);
+            let eager = eager_oracle(&asr, &utt.samples, kind);
+            let lazy = asr.recognize(&utt.samples, kind);
             assert_eq!(eager.text, lazy.text, "{kind} {text}");
             assert_eq!(eager.tokens_expanded, lazy.tokens_expanded);
             assert_eq!(eager.confidence, lazy.confidence);

@@ -10,7 +10,7 @@
 //!    checked across 100 seeded utterances (the property the server's
 //!    speculative pipelining is built on).
 
-use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig, ScoringMode};
+use sirius_speech::asr::{Acoustic, AcousticModelKind, AsrSystem, AsrTrainConfig};
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig, EagerScores};
 use sirius_speech::lexicon::Lexicon;
 use sirius_speech::synth::{SynthConfig, Synthesizer};
@@ -101,7 +101,7 @@ fn streaming_decoder_matches_batch_across_beams_and_models() {
 }
 
 /// End-to-end gate: [`AsrSystem::streaming`] must finish bit-identical to
-/// `recognize_with_mode` (lazy scoring) for every corpus utterance, both
+/// [`AsrSystem::recognize`] for every corpus utterance, both
 /// acoustic models and several chunk sizes.
 #[test]
 fn streaming_recognizer_matches_batch_recognition() {
@@ -110,7 +110,7 @@ fn streaming_recognizer_matches_batch_recognition() {
     let utts: Vec<Vec<f32>> = CORPUS.iter().map(|t| synth.say(t).samples).collect();
     for samples in &utts {
         for kind in [AcousticModelKind::Gmm, AcousticModelKind::Dnn] {
-            let batch = asr.recognize_with_mode(samples, kind, ScoringMode::Lazy);
+            let batch = asr.recognize(samples, kind);
             for chunk in [160usize, 1600, 7937] {
                 let mut rec = asr.streaming(kind);
                 for c in samples.chunks(chunk) {
