@@ -8,9 +8,8 @@
 //! `streaming_one_chunk_ms` is the public streaming entry over the same
 //! audio as one chunk (`push_chunk` + `finish`), which adds the sample
 //! check. `outputs_match` holds when all three give the eager transcripts.
-//! The repo's vendored criterion shim has no JSON reporter, so this
-//! binary hand-rolls the one artifact the experiment recipe records
-//! (`BENCH_kernels.json`).
+//! This binary is the repo's one kernel timer; its stdout is the committed
+//! `BENCH_kernels.json`.
 //!
 //! The `pruning` section is the calibration of the decoder's two limits
 //! ([`DecoderConfig`]): over the 42 query texts at four synthesis seeds it
@@ -18,6 +17,12 @@
 //! give every transcript of the exhaustive search, and the binary exits
 //! non-zero — so nothing is published — when the shipped default is less
 //! than twice either. These are counts, not timings: they repeat exactly.
+//!
+//! The `ablations` section times the design choices of DESIGN.md §5: the
+//! Viterbi beam width (no `max_active` cap), the SURF tile size of the
+//! 4-thread FE port, the three stemmer schedules at 4 threads (the binary
+//! exits non-zero if their checksums differ) and CRF Viterbi against
+//! posterior decoding.
 //!
 //! Usage: `bench_kernels [--reps N]` (default 5; medians over reps).
 
@@ -28,6 +33,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use sirius::pipeline::{Sirius, SiriusConfig};
+use sirius_nlp::crf::{Crf, TrainConfig};
+use sirius_nlp::pos;
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig};
 use sirius_speech::dnn::{Dnn, DnnScratch};
 use sirius_speech::features::{Frames, FrontendScratch, FRAME_HOP, FRAME_LEN, NUM_CEPSTRA};
@@ -35,6 +42,10 @@ use sirius_speech::gmm::Gmm;
 use sirius_speech::hmm::{AcousticScorer, Decoder, DecoderConfig, EagerScores};
 use sirius_speech::synth::{SynthConfig, Synthesizer};
 use sirius_speech::StreamingDecoder;
+use sirius_suite::kernels::fe::FeKernel;
+use sirius_suite::kernels::stemmer::StemmerKernel;
+use sirius_suite::Kernel;
+use sirius_vision::synth as vsynth;
 
 const CORPUS: [&str; 6] = [
     "set my alarm",
@@ -48,6 +59,18 @@ const CORPUS: [&str; 6] = [
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN timing"));
     samples[samples.len() / 2]
+}
+
+/// Median wall time of `f` over `reps` calls, in ms, and its last output.
+fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut ms = Vec::with_capacity(reps);
+    let mut out = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        out = Some(std::hint::black_box(f()));
+        ms.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    (median(&mut ms), out.expect("reps >= 1"))
 }
 
 struct DecodePair {
@@ -82,18 +105,15 @@ fn bench_frontend(asr: &AsrSystem, utts: &[Vec<f32>], reps: usize) -> FrontendSp
             .flat_map(|spare| (0..=spare).step_by(FRAME_HOP))
     };
     let mut scratch = FrontendScratch::default();
-    let (mut fft, mut cepstra_ms, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..reps {
-        let t = Instant::now();
+    let (fft_ms, ()) = timed(reps, || {
         for samples in utts {
             for start in starts(samples) {
                 fe.power_spectrum(samples, start, &mut scratch);
             }
         }
-        fft.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        let cepstra: Vec<Frames> = utts
-            .iter()
+    });
+    let (cepstra_ms, cepstra) = timed(reps, || {
+        utts.iter()
             .map(|samples| {
                 let mut cepstra = Frames::new(NUM_CEPSTRA);
                 for start in starts(samples) {
@@ -101,19 +121,15 @@ fn bench_frontend(asr: &AsrSystem, utts: &[Vec<f32>], reps: usize) -> FrontendSp
                 }
                 cepstra
             })
-            .collect();
-        cepstra_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        for cepstra in &cepstra {
-            std::hint::black_box(Frames::with_deltas(cepstra));
-        }
-        deltas.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let fft_ms = median(&mut fft);
+            .collect::<Vec<_>>()
+    });
+    let (deltas_ms, _) = timed(reps, || {
+        cepstra.iter().map(Frames::with_deltas).collect::<Vec<_>>()
+    });
     FrontendSplit {
         fft_ms,
-        mel_log_dct_ms: median(&mut cepstra_ms) - fft_ms,
-        deltas_ms: median(&mut deltas),
+        mel_log_dct_ms: cepstra_ms - fft_ms,
+        deltas_ms,
     }
 }
 
@@ -226,27 +242,21 @@ fn bench_dnn_forward(reps: usize) -> (f64, f64, bool) {
         .map(|_| rng.gen_range(-1.0f32..1.0))
         .collect();
     let plan = net.plan();
-    let mut per_frame = Vec::with_capacity(reps);
-    let mut batched = Vec::with_capacity(reps);
-    let mut reference: Vec<Vec<f32>> = Vec::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        reference = x.chunks(120).map(|row| net.forward(row)).collect();
-        per_frame.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let mut scratch = DnnScratch::default();
-    let mut out = Vec::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        net.forward_batch_into(&x, rows, &plan, &mut scratch, &mut out);
-        batched.push(t.elapsed().as_secs_f64() * 1e3);
-    }
+    let (per_frame_ms, reference) = timed(reps, || {
+        x.chunks(120)
+            .map(|row| net.forward(row))
+            .collect::<Vec<_>>()
+    });
+    let (mut scratch, mut out) = (DnnScratch::default(), Vec::new());
+    let (batched_ms, ()) = timed(reps, || {
+        net.forward_batch_into(&x, rows, &plan, &mut scratch, &mut out)
+    });
     let bit_identical = reference
         .iter()
         .flatten()
         .zip(&out)
         .all(|(a, b)| a.to_bits() == b.to_bits());
-    (median(&mut per_frame), median(&mut batched), bit_identical)
+    (per_frame_ms, batched_ms, bit_identical)
 }
 
 fn bench_gmm_layout(reps: usize) -> (f64, f64, bool) {
@@ -262,25 +272,102 @@ fn bench_gmm_layout(reps: usize) -> (f64, f64, bool) {
         .map(|_| (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
         .collect();
     let frames = Frames::from_rows(&rows);
-    let mut aos = Vec::with_capacity(reps);
-    let mut soa_ms = Vec::with_capacity(reps);
-    let mut reference = Vec::new();
-    for _ in 0..reps {
-        let t = Instant::now();
-        reference = frames.rows().map(|f| gmm.log_likelihood(f)).collect();
-        aos.push(t.elapsed().as_secs_f64() * 1e3);
-    }
+    let (aos_ms, reference) = timed(reps, || {
+        frames
+            .rows()
+            .map(|f| gmm.log_likelihood(f))
+            .collect::<Vec<_>>()
+    });
     let mut out = vec![0.0f32; frames.len()];
-    for _ in 0..reps {
-        let t = Instant::now();
-        soa.log_likelihood_batch(&frames, &mut out);
-        soa_ms.push(t.elapsed().as_secs_f64() * 1e3);
-    }
+    let (soa_ms, ()) = timed(reps, || soa.log_likelihood_batch(&frames, &mut out));
     let bit_identical = reference
         .iter()
         .zip(&out)
         .all(|(a, b)| a.to_bits() == b.to_bits());
-    (median(&mut aos), median(&mut soa_ms), bit_identical)
+    (aos_ms, soa_ms, bit_identical)
+}
+
+/// The design ablations of DESIGN.md §5 as one JSON section, and whether
+/// the three stemmer schedules agree on their checksum.
+fn bench_ablations(asr: &AsrSystem, utts: &[Vec<f32>], reps: usize) -> (String, bool) {
+    // Viterbi beam width, the beam axis alone (no cap on live tokens), over
+    // the corpus's GMM score matrices.
+    let emis: Vec<_> = utts
+        .iter()
+        .map(|s| asr.gmm_scorer().score_utterance(&asr.frontend().extract(s)))
+        .collect();
+    let frames: usize = emis.iter().map(Vec::len).sum();
+    let beam = [250.0f32, 1000.0, 2500.0, 10_000.0].map(|beam| {
+        let config = DecoderConfig {
+            beam,
+            max_active: usize::MAX,
+            ..DecoderConfig::default()
+        };
+        let decoder = Decoder::new(asr.lexicon(), config);
+        let (ms, tokens) = timed(reps, || {
+            emis.iter()
+                .filter_map(|e| decoder.decode_scores(e, asr.lm(), asr.lexicon()))
+                .map(|r| r.tokens_expanded)
+                .sum::<usize>()
+        });
+        let tpf = tokens as f64 / frames as f64;
+        format!("\"{beam}\": {{ \"decode_ms\": {ms:.3}, \"tokens_per_frame\": {tpf:.1} }}")
+    });
+    // SURF tile size of the 4-thread FE port (the paper floors it at 50).
+    let image = vsynth::generate_scene(7, 384, 288);
+    let fe_tile = [64usize, 96, 128, 192].map(|tile| {
+        let kernel = FeKernel::with_tile_size(image.clone(), tile);
+        let (ms, keypoints) = timed(reps, || kernel.run_parallel(4));
+        format!("\"{tile}\": {{ \"ms\": {ms:.3}, \"keypoints\": {keypoints} }}")
+    });
+    // Stemmer scheduling at 4 threads (the paper's Phi finding).
+    let stems = StemmerKernel::generate(0.2, 11);
+    let schedules = [
+        ("chunked", timed(reps, || stems.run_parallel(4))),
+        ("interleaved", timed(reps, || stems.run_interleaved(4))),
+        ("workqueue", timed(reps, || stems.run_workqueue(4))),
+    ];
+    let (_, (_, first)) = schedules[0];
+    let stems_match = schedules.iter().all(|(_, (_, sum))| *sum == first);
+    let stemmer = schedules
+        .map(|(name, (ms, sum))| format!("\"{name}\": {{ \"ms\": {ms:.3}, \"checksum\": {sum} }}"));
+    // CRF decoding: Viterbi against posterior (forward-backward).
+    let crf = Crf::train(
+        pos::tag_set(),
+        &pos::generate(5, 200),
+        TrainConfig::default(),
+    );
+    let sentences: Vec<_> = pos::generate(6, 50).into_iter().map(|s| s.tokens).collect();
+    let (viterbi_ms, _) = timed(reps, || {
+        sentences.iter().map(|s| crf.decode(s)).collect::<Vec<_>>()
+    });
+    let (posterior_ms, _) = timed(reps, || {
+        sentences
+            .iter()
+            .map(|s| crf.decode_posterior(s))
+            .collect::<Vec<_>>()
+    });
+    let json = format!(
+        concat!(
+            "  \"ablations\": {{\n",
+            "    \"beam\": {{ \"utterances\": {}, \"frames\": {}, \"max_active\": \"unbounded\", {} }},\n",
+            "    \"fe_tile\": {{ \"threads\": 4, {} }},\n",
+            "    \"stemmer_schedule\": {{ \"threads\": 4, \"words\": {}, {}, \"checksums_match\": {} }},\n",
+            "    \"crf_decode\": {{ \"sentences\": {}, \"viterbi_ms\": {:.3}, \"posterior_ms\": {:.3} }}\n",
+            "  }}"
+        ),
+        emis.len(),
+        frames,
+        beam.join(", "),
+        fe_tile.join(", "),
+        stems.items(),
+        stemmer.join(", "),
+        stems_match,
+        sentences.len(),
+        viterbi_ms,
+        posterior_ms,
+    );
+    (json, stems_match)
 }
 
 /// Synthesis seeds of the calibration set: the benchmark's 9999 and three
@@ -437,6 +524,9 @@ fn main() {
     eprintln!("benchmarking GMM layout (AoS vs SoA)...");
     let (aos_ms, soa_ms, gmm_bits) = bench_gmm_layout(reps);
 
+    eprintln!("benchmarking the design ablations...");
+    let (ablations, stems_match) = bench_ablations(&asr, &utts, reps);
+
     eprintln!("calibrating the decoder's pruning limits (full vocabulary)...");
     let sirius = Sirius::build(SiriusConfig::default());
     let full = sirius.asr();
@@ -489,12 +579,17 @@ fn main() {
     );
     println!("{},", prune_gmm.json("gmm"));
     println!("{}", prune_dnn.json("dnn"));
-    println!("  }}");
+    println!("  }},");
+    println!("{ablations}");
     println!("}}");
     if !(prune_gmm.holds() && prune_dnn.holds()) {
         eprintln!(
             "pruning margin lost: a shipped limit is under {MIN_MARGIN} x the smallest lossless one, or changes a transcript"
         );
+        std::process::exit(1);
+    }
+    if !stems_match {
+        eprintln!("stemmer schedules disagree on the checksum");
         std::process::exit(1);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness of the Sirius reproduction: regenerates every table
 //! and figure of the paper's evaluation (see DESIGN.md's per-experiment
-//! index). The `figures` binary prints the reproductions; Criterion benches
-//! under `benches/` measure the kernels, services and end-to-end pipeline.
+//! index). The `figures` binary prints the reproductions; the `bench_kernels`
+//! binary is the one place a kernel is timed (`BENCH_kernels.json`).
 
 #![warn(missing_docs)]
 

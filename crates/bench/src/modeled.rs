@@ -126,7 +126,7 @@ pub fn table5() -> Table {
         row.extend(published);
         t.row(row);
     }
-    t.note("GPU/Phi/FPGA columns are modeled (calibrated); CMP is also measured live by `cargo bench -p sirius-bench` and the suite_cmp experiment.");
+    t.note("GPU/Phi/FPGA columns are modeled (calibrated); CMP is also measured live by the suite_cmp experiment (`figures table4`).");
     t
 }
 

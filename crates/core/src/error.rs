@@ -5,9 +5,10 @@
 //! as a value the caller can match on, never as a panic that takes a worker
 //! down. [`SiriusError`] is that value: admission control rejections,
 //! shutdown races and internal invariant violations are all typed here, and
-//! the fallible pipeline entry points ([`Sirius::try_process`]) return it.
+//! the fallible pipeline entry point ([`Sirius::try_process_with`]) returns
+//! it.
 //!
-//! [`Sirius::try_process`]: crate::pipeline::Sirius::try_process
+//! [`Sirius::try_process_with`]: crate::pipeline::Sirius::try_process_with
 
 /// Why a query could not be served.
 #[derive(Debug, Clone, PartialEq, Eq)]

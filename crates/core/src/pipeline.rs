@@ -369,7 +369,7 @@ impl Sirius {
     /// Processes a query end-to-end with the default (GMM) acoustic model.
     ///
     /// A thin synchronous wrapper over the staged path
-    /// ([`Sirius::try_process`]): both invoke the identical stage methods in
+    /// ([`Sirius::try_process_with`]): both invoke the identical stage methods in
     /// the identical order, so outputs are bit-identical to the
     /// per-stage-queued `sirius-server` runtime by construction.
     pub fn process(&self, input: &SiriusInput) -> SiriusResponse {
@@ -390,11 +390,6 @@ impl Sirius {
                 matched_venue: None,
                 timing: StageTiming::default(),
             })
-    }
-
-    /// Fallible end-to-end processing with the default (GMM) acoustic model.
-    pub fn try_process(&self, input: &SiriusInput) -> Result<SiriusResponse, SiriusError> {
-        self.try_process_with(input, AcousticModelKind::Gmm)
     }
 
     /// Fallible end-to-end processing: the synchronous composition of the

@@ -45,22 +45,13 @@ use sirius::pipeline::{Sirius, SiriusInput, SiriusResponse};
 use sirius_obs::{HistogramSnapshot, NoopRecorder, Recorder, Registry, Snapshot};
 
 use crate::metrics::ServerMetrics;
+use crate::qos::{fnv1a, FNV_OFFSET};
 use crate::runtime::{Request, ServerConfig, SiriusServer, Ticket};
 
 /// Virtual nodes per replica on the consistent-hash ring. Enough that the
 /// key space splits near-evenly at small replica counts; the ring stays a
 /// few hundred entries, so the binary search is free next to a query.
 const VNODES: usize = 31;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// The routing key of one input: FNV-1a over the audio sample bits and,
 /// when present, the image dimensions and pixel bits. Bit-exact inputs —

@@ -153,8 +153,8 @@ struct Shared {
     /// Read-side handles of live connections, so shutdown can unblock
     /// readers without cutting off in-flight answer writes.
     streams: Mutex<HashMap<u64, TcpStream>>,
-    /// Handler threads; joined (instantly, once their connections close)
-    /// at shutdown.
+    /// Handler threads not yet seen finished: reaped on each accept, the
+    /// rest joined (instantly, once their connections close) at shutdown.
     handlers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -295,7 +295,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 shared.metrics.connections_closed.inc();
             }
         });
-        shared.handlers.lock().expect("handlers lock").push(handler);
+        let mut handlers = shared.handlers.lock().expect("handlers lock");
+        // Reap the handlers of closed connections, so a long-lived server
+        // keeps a handle only per live connection.
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handler);
     }
 }
 
@@ -595,4 +599,33 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String
         .map(|(_, body)| body.to_owned())
         .unwrap_or_default();
     Ok((status, body))
+}
+
+#[cfg(test)]
+mod tests {
+    use sirius::pipeline::{Sirius, SiriusConfig};
+
+    use super::*;
+    use crate::cluster::ClusterConfig;
+
+    /// Regression: the acceptor kept the `JoinHandle` of every connection
+    /// it ever accepted until shutdown.
+    #[test]
+    fn closed_connections_are_reaped_and_shutdown_joins_the_rest() {
+        let sirius = Sirius::build(SiriusConfig::default());
+        let cluster = SiriusCluster::start(&sirius, ClusterConfig::new(1)).expect("cluster starts");
+        let server =
+            NetServer::serve(cluster, "127.0.0.1:0", NetConfig::default()).expect("listener binds");
+        for _ in 0..64 {
+            let (status, _) = http_get(server.local_addr(), "/nope").expect("GET");
+            assert_eq!(status, 404);
+        }
+        let shared = Arc::clone(&server.shared);
+        let retained = shared.handlers.lock().expect("handlers lock").len();
+        assert!(retained <= 8, "{retained} of 64 handler handles retained");
+        server.shutdown();
+        assert!(shared.handlers.lock().expect("handlers lock").is_empty());
+        assert_eq!(shared.metrics.connections_closed.get(), 64);
+        assert_eq!(shared.metrics.active_connections.get(), 0);
+    }
 }

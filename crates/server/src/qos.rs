@@ -246,10 +246,12 @@ impl CachePolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ImageSignature(u64, u64);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit offset basis (also the cluster's routing and ring hash).
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+/// Folds `bytes` into a running 64-bit FNV-1a `hash`.
+pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= u64::from(b);
         *hash = hash.wrapping_mul(FNV_PRIME);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_kernels.json: the kernel speedup summary for the lazy
-# beam-driven scoring + GEMM batching work (recipe in EXPERIMENTS.md).
+# Regenerates BENCH_kernels.json: the repo's kernel timings (lazy decode,
+# GEMM batching, GMM layout), the decoder's pruning calibration and the
+# design ablations (recipe in EXPERIMENTS.md).
 #
 # Usage: scripts/bench_kernels.sh [REPS]   (default 9; medians over reps)
 set -euo pipefail

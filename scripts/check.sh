@@ -35,29 +35,8 @@ for section, gate in [
     assert bench[section][gate] is True, f"{section}.{gate} is not true"
 '
 
-echo "==> cargo test --release -p sirius-obs -q (observability unit gates)"
-cargo test --release -p sirius-obs -q
-
-echo "==> cargo test --release -p sirius-cache -q (keyed result-cache unit gates)"
-cargo test --release -p sirius-cache -q
-
-echo "==> cargo test --release -p sirius-server -q (every server gate: concurrency, telemetry, admission, batching, streaming, cluster, qos, net)"
-cargo test --release -p sirius-server -q
-
-echo "==> cargo test --release -p sirius-speech -q (every speech gate: unit tests, lazy/eager and streaming bit-identity, stable prefix)"
-cargo test --release -p sirius-speech -q
-
-echo "==> cargo test --release -p sirius --test cluster_equivalence -q (sharded scatter-gather bit-identity gates)"
-cargo test --release -p sirius --test cluster_equivalence -q
-
-echo "==> cargo test --release -p sirius-vision -q (image matcher gates: exact search, shard invariance, view accuracy, persistence)"
-cargo test --release -p sirius-vision -q
-
-echo "==> cargo test --release -p sirius-codec -q (wire codec hardening gates)"
-cargo test --release -p sirius-codec -q
-
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> cargo test --workspace --release -q (every crate's unit, doc and integration tests)"
+cargo test --workspace --release -q
 
 echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml (frozen benchmark surface still compiles)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
