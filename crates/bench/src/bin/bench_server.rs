@@ -274,14 +274,14 @@ const ZIPF_EXPONENT: f64 = 1.1;
 const DIURNAL_AMPLITUDE: f64 = 0.5;
 /// Synthetic "day" length in seconds of scheduled arrival time.
 const DIURNAL_PERIOD_S: f64 = 4.0;
-/// The tenant classes: `(name, priority, slo as a multiple of the serial
-/// mean service time, admission weight, share of arrivals)`. Premium pays
+/// The tenant classes: `(name, slo as a multiple of the serial mean
+/// service time, admission weight, share of arrivals)`. Premium pays
 /// for the full weight (its admission budget is its whole SLO); best
 /// effort gets a quarter of its own SLO as budget and is shed first.
-const TENANT_SPEC: [(&str, u8, f64, u32, f64); 3] = [
-    ("premium", 0, 8.0, 4, 0.30),
-    ("standard", 1, 12.0, 2, 0.30),
-    ("best_effort", 2, 16.0, 1, 0.40),
+const TENANT_SPEC: [(&str, f64, u32, f64); 3] = [
+    ("premium", 8.0, 4, 0.30),
+    ("standard", 12.0, 2, 0.30),
+    ("best_effort", 16.0, 1, 0.40),
 ];
 
 /// Heavy-tailed, diurnal, multi-tenant arrival generator. Every arrival
@@ -440,10 +440,9 @@ fn cache_run(
 ) -> CacheOutcome {
     let tenants: Vec<TenantClass> = TENANT_SPEC
         .iter()
-        .map(|&(name, priority, slo_mult, weight, _)| {
+        .map(|&(name, slo_mult, weight, _)| {
             TenantClass::new(
                 name,
-                priority,
                 Duration::from_secs_f64(slo_mult * mean_service),
                 weight,
             )
@@ -950,7 +949,7 @@ fn main() {
         .iter()
         .find(|(rho, capacity, _)| *rho == 1.5 && *capacity == 0)
         .expect("swept overload point");
-    let premium_slo_ms = TENANT_SPEC[0].2 * mean_service * 1e3;
+    let premium_slo_ms = TENANT_SPEC[0].1 * mean_service * 1e3;
     let premium = &overload.2.classes[0];
     let best_effort = &overload.2.classes[2];
     let premium_protected = premium.p99_ms <= premium_slo_ms * 1.15
@@ -1083,8 +1082,8 @@ fn main() {
         "  \"cache_sweep\": {{ \"capacity_qps\": {cache_capacity:.2}, \"probe_lambda_qps\": {probe_lambda:.2}, \"arrivals_per_point\": {cache_arrivals}, \"zipf_exponent\": {ZIPF_EXPONENT}, \"diurnal_amplitude\": {DIURNAL_AMPLITUDE}, \"diurnal_period_s\": {DIURNAL_PERIOD_S}, \"note\": \"rho is relative to capacity_qps, the drain rate of a cache-off deep-overload probe over the same query sequence; multi-tenant Zipf arrivals with per-class corpus permutations and diurnal rate modulation; the probe and every point share one generator seed, so one query sequence; caches are invalidated after warmup so hit ratios come from measured traffic\", \"classes\": [{}], \"points\": [",
         TENANT_SPEC
             .iter()
-            .map(|(name, priority, slo_mult, weight, share)| format!(
-                "{{ \"name\": \"{name}\", \"priority\": {priority}, \"slo_ms\": {:.3}, \"weight\": {weight}, \"share\": {share} }}",
+            .map(|(name, slo_mult, weight, share)| format!(
+                "{{ \"name\": \"{name}\", \"slo_ms\": {:.3}, \"weight\": {weight}, \"share\": {share} }}",
                 slo_mult * mean_service * 1e3
             ))
             .collect::<Vec<_>>()

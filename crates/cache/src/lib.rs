@@ -23,8 +23,6 @@
 //!   `capacity / shards` entries; inserting past the bound evicts the
 //!   least-recently-used entry (order maintained in a `BTreeMap` side index,
 //!   O(log n) per touch).
-//! * **TTL.** Entries may carry a time-to-live; a lapsed entry is removed at
-//!   read time and counted as `stale`, and the read reports a miss.
 //! * **Generation stamping.** The cache carries a global generation counter;
 //!   every entry is stamped with the generation current at insert.
 //!   [`Cache::invalidate_all`] bumps the generation in one atomic store —
@@ -43,11 +41,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use sirius_obs::{Counter, Gauge, Registry};
 
-/// Sizing and lifetime policy for a [`Cache`].
+/// Sizing policy for a [`Cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total entry budget across all shards. Each shard is bounded at
@@ -58,9 +55,6 @@ pub struct CacheConfig {
     /// least 1. More shards → less contention, slightly looser LRU (the
     /// recency order is per-shard, not global).
     pub shards: usize,
-    /// Optional time-to-live. `None` means entries live until evicted or
-    /// invalidated.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
@@ -68,7 +62,6 @@ impl Default for CacheConfig {
         Self {
             capacity: 1024,
             shards: 8,
-            ttl: None,
         }
     }
 }
@@ -81,18 +74,6 @@ impl CacheConfig {
             ..Self::default()
         }
     }
-
-    /// Sets the shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the time-to-live.
-    pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
-    }
 }
 
 /// Cache activity counters, registered in a shared [`Registry`] under a
@@ -104,13 +85,13 @@ impl CacheConfig {
 pub struct CacheObs {
     /// Reads that returned a live value.
     pub hit: Counter,
-    /// Reads that found nothing usable (absent, lapsed, or invalidated).
+    /// Reads that found nothing usable (absent or invalidated).
     pub miss: Counter,
     /// Entries displaced by the per-shard LRU bound.
     pub eviction: Counter,
-    /// Entries discarded at read time because their TTL lapsed or their
-    /// generation predates an [`Cache::invalidate_all`]. Every `stale` read
-    /// is also counted as a `miss`.
+    /// Entries discarded at read time because their generation predates an
+    /// [`Cache::invalidate_all`]. Every `stale` read is also counted as a
+    /// `miss`.
     pub stale: Counter,
     /// Successful inserts (including overwrites of an existing key).
     pub insert: Counter,
@@ -158,8 +139,6 @@ struct Entry<V> {
     value: V,
     /// Generation current when the entry was inserted.
     generation: u64,
-    /// Absolute expiry instant, if the cache has a TTL.
-    expires: Option<Instant>,
     /// Recency stamp; key into the shard's `order` index.
     touched: u64,
 }
@@ -205,14 +184,13 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
-/// A sharded, lock-striped, bounded-LRU keyed cache with TTL and O(1)
+/// A sharded, lock-striped, bounded-LRU keyed cache with O(1)
 /// generation-based invalidation. See the crate docs for the design.
 pub struct Cache<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// `shards.len() - 1`; shard count is a power of two so this is a mask.
     shard_mask: usize,
     per_shard_capacity: usize,
-    ttl: Option<Duration>,
     generation: AtomicU64,
     obs: CacheObs,
 }
@@ -232,7 +210,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
             shard_mask: shards - 1,
             per_shard_capacity,
-            ttl: config.ttl,
             generation: AtomicU64::new(0),
             obs,
         }
@@ -246,8 +223,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         &self.shards[(hasher.finish() as usize) & self.shard_mask]
     }
 
-    /// Looks up `key`. A lapsed-TTL or invalidated entry is removed, counted
-    /// as `stale`, and reported as a miss.
+    /// Looks up `key`. An invalidated entry is removed, counted as `stale`,
+    /// and reported as a miss.
     pub fn get(&self, key: &K) -> Option<V> {
         let generation = self.generation.load(Ordering::Acquire);
         let mut shard = self
@@ -259,10 +236,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
                 self.obs.miss.inc();
                 return None;
             }
-            Some(entry) => {
-                entry.generation == generation
-                    && entry.expires.is_none_or(|expires| Instant::now() < expires)
-            }
+            Some(entry) => entry.generation == generation,
         };
         if !usable {
             shard.remove(key);
@@ -286,7 +260,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
     /// shard is at capacity.
     pub fn insert(&self, key: K, value: V) {
         let generation = self.generation.load(Ordering::Acquire);
-        let expires = self.ttl.map(|ttl| Instant::now() + ttl);
         let mut shard = self
             .shard_for(&key)
             .lock()
@@ -308,7 +281,6 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
             Entry {
                 value,
                 generation,
-                expires,
                 touched: stamp,
             },
         );
@@ -328,8 +300,8 @@ impl<K: Hash + Eq + Clone, V: Clone> Cache<K, V> {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Live entry count across all shards (includes entries that are lapsed
-    /// or invalidated but not yet lazily removed).
+    /// Live entry count across all shards (includes entries that are
+    /// invalidated but not yet lazily removed).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -358,13 +330,10 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn small(capacity: usize, shards: usize) -> Cache<String, u64> {
-        Cache::new(CacheConfig {
-            capacity,
-            shards,
-            ttl: None,
-        })
+        Cache::new(CacheConfig { capacity, shards })
     }
 
     #[test]
@@ -396,32 +365,6 @@ mod tests {
         assert_eq!(cache.get(&"c".to_string()), Some(3));
         assert_eq!(cache.obs().eviction.get(), 1);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn ttl_lapse_counts_stale() {
-        // A TTL no scheduler stall can plausibly cross: the entry must
-        // still be live on the first read.
-        let generous: Cache<String, u64> = Cache::new(CacheConfig {
-            capacity: 8,
-            shards: 1,
-            ttl: Some(Duration::from_secs(3600)),
-        });
-        generous.insert("a".into(), 1);
-        assert_eq!(generous.get(&"a".to_string()), Some(1));
-        assert_eq!(generous.obs().stale.get(), 0);
-
-        // And a TTL that has always lapsed by read time.
-        let instant: Cache<String, u64> = Cache::new(CacheConfig {
-            capacity: 8,
-            shards: 1,
-            ttl: Some(Duration::from_nanos(1)),
-        });
-        instant.insert("a".into(), 1);
-        std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(instant.get(&"a".to_string()), None, "TTL lapsed");
-        assert_eq!(instant.obs().stale.get(), 1);
-        assert!(instant.is_empty(), "lapsed entry removed at read");
     }
 
     #[test]
@@ -477,7 +420,6 @@ mod tests {
         let cache: Arc<Cache<u64, u64>> = Arc::new(Cache::new(CacheConfig {
             capacity: 256,
             shards: 8,
-            ttl: None,
         }));
         let stop = Arc::new(AtomicBool::new(false));
         let violations = Arc::new(AtomicU64::new(0));

@@ -13,7 +13,6 @@ pub mod compare;
 pub mod design;
 pub mod gap;
 pub mod partition;
-pub mod power;
 pub mod queue;
 pub mod sim;
 pub mod tco;

@@ -97,14 +97,6 @@ impl InvertedIndex {
         Self::default()
     }
 
-    /// Creates an empty index with explicit BM25 parameters.
-    pub fn with_params(params: Bm25Params) -> Self {
-        Self {
-            params,
-            ..Self::default()
-        }
-    }
-
     /// Adds a document and returns its id.
     pub fn add_document(&mut self, text: &str) -> DocId {
         let id = DocId(self.documents.len() as u32);

@@ -277,11 +277,6 @@ impl SiriusCluster {
         self.replicas.is_empty()
     }
 
-    /// The routing policy queries are dispatched with.
-    pub fn route_policy(&self) -> RoutePolicy {
-        self.route
-    }
-
     /// The shared registry every replica's metrics live in (names carry
     /// `replica{i}.` prefixes).
     pub fn registry(&self) -> &Registry {
@@ -423,13 +418,6 @@ impl SiriusCluster {
         (0..self.replicas.len())
             .filter_map(|i| snapshot.counter(&format!("replica{i}.{name}")))
             .sum()
-    }
-
-    /// The cluster-level sojourn distribution of successful queries, merged
-    /// from the replicas' `sojourn_ns` histograms.
-    pub fn cluster_sojourn(&self) -> HistogramSnapshot {
-        let snapshot = self.metrics_snapshot();
-        self.merged_histogram(&snapshot, "sojourn_ns")
     }
 
     /// Stops admitting on every replica, drains every accepted query, and

@@ -35,7 +35,7 @@
 //! | `sojourn_ns` | histogram | admission → completion, successful queries |
 //! | `sojourn_failed_ns` | histogram | admission → completion, failed queries |
 //! | `cache.{qa,imm}.hit` / `.miss` | counter | result-cache lookups after ASR commit |
-//! | `cache.{qa,imm}.insert` / `.eviction` / `.stale` | counter | result-cache fills, LRU evictions, TTL/generation rejections |
+//! | `cache.{qa,imm}.insert` / `.eviction` / `.stale` | counter | result-cache fills, LRU evictions, generation rejections |
 //! | `cache.{qa,imm}.entries` | gauge | live result-cache entries |
 //! | `tenant.{class}.accepted` / `.shed_deadline` | counter | classed admission outcomes |
 //! | `tenant.{class}.completed` / `.failed` | counter | classed completions by result |

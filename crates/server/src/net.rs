@@ -83,20 +83,6 @@ impl Default for NetConfig {
     }
 }
 
-impl NetConfig {
-    /// Sets the idle/read timeout.
-    pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.read_timeout = timeout;
-        self
-    }
-
-    /// Sets the bound on waiting for a query's completion.
-    pub fn with_answer_timeout(mut self, timeout: Duration) -> Self {
-        self.answer_timeout = timeout;
-        self
-    }
-}
-
 /// Connection/frame/byte telemetry, registered under `net.` in the
 /// cluster's shared registry so scrapes export it next to the replicas.
 #[derive(Debug, Clone)]

@@ -28,8 +28,8 @@
 //!
 //! # Tenant classes and weighted-fair admission
 //!
-//! A [`TenantClass`] names a traffic tier: a priority, an SLO, and an
-//! admission weight. A request naming class `c` enters through the same
+//! A [`TenantClass`] names a traffic tier: an SLO and an admission
+//! weight. A request naming class `c` enters through the same
 //! [`SiriusServer::submit`] and the same live [`expected_sojourn`]
 //! estimator as any other, but is admitted only while the estimate stays
 //! within the class's **effective budget**
@@ -73,10 +73,6 @@ pub struct TenantClass {
     /// Class name; what a request's `class` names, and the label of its
     /// `tenant.{name}.*` metrics.
     pub name: String,
-    /// Scheduling priority (higher = more important). Carried for
-    /// dashboards and future preemption policies; admission itself is
-    /// driven by `weight`.
-    pub priority: u8,
     /// The class's end-to-end latency SLO. Admitted queries carry it as
     /// their deadline, so workers drop them unserved once it passes.
     pub slo: Duration,
@@ -87,11 +83,10 @@ pub struct TenantClass {
 }
 
 impl TenantClass {
-    /// A tenant class with the given name, priority, SLO and weight.
-    pub fn new(name: &str, priority: u8, slo: Duration, weight: u32) -> Self {
+    /// A tenant class with the given name, SLO and weight.
+    pub fn new(name: &str, slo: Duration, weight: u32) -> Self {
         Self {
             name: name.to_owned(),
-            priority,
             slo,
             weight,
         }
@@ -181,7 +176,10 @@ impl TenantTable {
     }
 }
 
-/// Sizing and lifetime policy of the server's two result caches.
+/// Lock stripes per result cache.
+const CACHE_SHARDS: usize = 8;
+
+/// Sizing policy of the server's two result caches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachePolicy {
     /// Whether the caches exist at all. Off (the default), the serving path
@@ -189,10 +187,6 @@ pub struct CachePolicy {
     pub enabled: bool,
     /// Total entry budget of *each* cache (QA and IMM are sized alike).
     pub capacity: usize,
-    /// Lock stripes per cache.
-    pub shards: usize,
-    /// Optional entry time-to-live.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CachePolicy {
@@ -200,8 +194,6 @@ impl Default for CachePolicy {
         Self {
             enabled: false,
             capacity: 1024,
-            shards: 8,
-            ttl: None,
         }
     }
 }
@@ -221,17 +213,10 @@ impl CachePolicy {
         self
     }
 
-    /// Sets the entry time-to-live.
-    pub fn with_ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
-    }
-
     fn cache_config(&self) -> CacheConfig {
         CacheConfig {
             capacity: self.capacity,
-            shards: self.shards,
-            ttl: self.ttl,
+            shards: CACHE_SHARDS,
         }
     }
 }
@@ -395,16 +380,6 @@ impl ResultCaches {
         self.imm.invalidate_all();
     }
 
-    /// The QA answer cache's counters.
-    pub fn qa_obs(&self) -> &CacheObs {
-        self.qa.obs()
-    }
-
-    /// The IMM cache's counters.
-    pub fn imm_obs(&self) -> &CacheObs {
-        self.imm.obs()
-    }
-
     /// Hits and lookups summed over both caches.
     pub fn totals(&self) -> (u64, u64) {
         let hits = self.qa.obs().hit.get() + self.imm.obs().hit.get();
@@ -475,8 +450,8 @@ mod tests {
     fn budget_scales_slo_by_relative_weight() {
         let metrics = ServerMetrics::new();
         let classes = vec![
-            TenantClass::new("premium", 2, Duration::from_millis(100), 4),
-            TenantClass::new("best_effort", 0, Duration::from_millis(100), 1),
+            TenantClass::new("premium", Duration::from_millis(100), 4),
+            TenantClass::new("best_effort", Duration::from_millis(100), 1),
         ];
         let table = TenantTable::build(&classes, &metrics);
         let (premium, _) = table.lookup("premium").unwrap();
@@ -489,7 +464,7 @@ mod tests {
     #[test]
     fn tenant_metrics_register_scoped() {
         let metrics = ServerMetrics::new();
-        let classes = vec![TenantClass::new("premium", 2, Duration::from_millis(50), 4)];
+        let classes = vec![TenantClass::new("premium", Duration::from_millis(50), 4)];
         let table = TenantTable::build(&classes, &metrics);
         let (_, obs) = table.lookup("premium").unwrap();
         obs.accepted.inc();

@@ -966,7 +966,6 @@ mod tests {
             sirius,
             ServerConfig::default().with_tenant_classes(vec![TenantClass::new(
                 "premium",
-                0,
                 Duration::from_secs(60),
                 1,
             )]),

@@ -173,8 +173,8 @@ fn a_classed_request_with_a_deadline_is_held_to_the_tighter_of_the_two() {
     let server = SiriusServer::start(
         Arc::clone(&sirius),
         ServerConfig::default().with_tenant_classes(vec![
-            TenantClass::new("premium", 1, slo, 4),
-            TenantClass::new("best_effort", 0, slo, 1),
+            TenantClass::new("premium", slo, 4),
+            TenantClass::new("best_effort", slo, 1),
         ]),
     );
     // Seed the estimator between best-effort's weighted budget (400 ms × 1/4

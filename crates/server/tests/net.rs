@@ -44,9 +44,9 @@ const CLASSES: [&str; 3] = ["premium", "standard", "best_effort"];
 fn lenient_classes() -> Vec<TenantClass> {
     let slo = Duration::from_secs(3600);
     vec![
-        TenantClass::new("premium", 2, slo, 3),
-        TenantClass::new("standard", 1, slo, 2),
-        TenantClass::new("best_effort", 0, slo, 1),
+        TenantClass::new("premium", slo, 3),
+        TenantClass::new("standard", slo, 2),
+        TenantClass::new("best_effort", slo, 1),
     ]
 }
 

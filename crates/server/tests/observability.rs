@@ -443,8 +443,8 @@ const GOLDEN_METRIC_NAMES: &[&str] = &[
 fn exported_metric_names_are_golden() {
     let config = ServerConfig::default()
         .with_tenant_classes(vec![
-            TenantClass::new("premium", 1, Duration::from_secs(60), 2),
-            TenantClass::new("best_effort", 0, Duration::from_secs(60), 1),
+            TenantClass::new("premium", Duration::from_secs(60), 2),
+            TenantClass::new("best_effort", Duration::from_secs(60), 1),
         ])
         .with_cache_policy(CachePolicy::enabled())
         .with_batch_policy(BatchPolicy::new(4, Duration::from_millis(1)))

@@ -204,8 +204,8 @@ fn tenant_config() -> ServerConfig {
     ServerConfig::default()
         .with_cache_policy(CachePolicy::enabled())
         .with_tenant_classes(vec![
-            TenantClass::new("premium", 0, Duration::from_millis(400), 4),
-            TenantClass::new("best_effort", 2, Duration::from_millis(400), 1),
+            TenantClass::new("premium", Duration::from_millis(400), 4),
+            TenantClass::new("best_effort", Duration::from_millis(400), 1),
         ])
 }
 

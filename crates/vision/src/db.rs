@@ -15,8 +15,7 @@ use std::time::{Duration, Instant};
 use crate::ann::{neighbor_order, KdTree, Neighbor};
 use crate::image::GrayImage;
 use crate::integral::IntegralImage;
-use crate::surf::{self, Descriptor, KeyPoint, SurfConfig};
-use crate::verify::{ransac_similarity, Correspondence, RansacConfig, Verification};
+use crate::surf::{self, Descriptor, SurfConfig};
 
 /// Identifier of a database image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,7 +57,7 @@ pub struct ImmTiming {
 /// features to every database shard instead of re-detecting per shard.
 #[derive(Debug, Clone)]
 pub struct QueryFeatures {
-    keypoints: Vec<KeyPoint>,
+    /// One descriptor per detected keypoint.
     descriptors: Vec<Descriptor>,
     feature_extraction: Duration,
     feature_description: Duration,
@@ -67,12 +66,12 @@ pub struct QueryFeatures {
 impl QueryFeatures {
     /// Number of query keypoints.
     pub fn len(&self) -> usize {
-        self.keypoints.len()
+        self.descriptors.len()
     }
 
     /// Whether the query produced no keypoints.
     pub fn is_empty(&self) -> bool {
-        self.keypoints.is_empty()
+        self.descriptors.is_empty()
     }
 }
 
@@ -98,10 +97,6 @@ pub struct MatchResult {
     pub votes: Vec<(ImageId, usize)>,
     /// Number of query keypoints.
     pub query_keypoints: usize,
-    /// Geometric verification of the winning image, when
-    /// [`ImageDatabase::match_image_verified`] was used and a consensus
-    /// transform was found.
-    pub verification: Option<Verification>,
     /// Per-stage timing.
     pub timing: ImmTiming,
 }
@@ -115,9 +110,6 @@ pub struct ImageDatabase {
     descriptor_count: usize,
     /// Image id of each indexed descriptor (tree payloads index this).
     desc_image: Vec<u32>,
-    /// Keypoint position of each indexed descriptor, for geometric
-    /// verification.
-    desc_pos: Vec<(f32, f32)>,
 }
 
 /// Incremental database construction, supporting multiple enrolled views
@@ -129,7 +121,6 @@ pub struct ImageDatabaseBuilder {
     config: MatchConfig,
     points: Vec<(Vec<f32>, u32)>,
     desc_image: Vec<u32>,
-    desc_pos: Vec<(f32, f32)>,
     num_images: u32,
 }
 
@@ -140,7 +131,6 @@ impl ImageDatabaseBuilder {
             config,
             points: Vec::new(),
             desc_image: Vec::new(),
-            desc_pos: Vec::new(),
             num_images: 0,
         }
     }
@@ -162,13 +152,12 @@ impl ImageDatabaseBuilder {
     /// [`add_image`]: Self::add_image
     pub fn add_view(&mut self, id: ImageId, img: &GrayImage) {
         assert!(id.0 < self.num_images, "unknown image id {id:?}");
-        let (kps, descs) = surf::extract(img, &self.config.surf);
-        for (kp, d) in kps.iter().zip(descs) {
-            // Payload is the global descriptor index; image id and keypoint
-            // geometry live in parallel arrays.
+        let (_, descs) = surf::extract(img, &self.config.surf);
+        for d in descs {
+            // Payload is the global descriptor index; the image id lives in
+            // a parallel array.
             self.points.push((d.0, self.desc_image.len() as u32));
             self.desc_image.push(id.0);
-            self.desc_pos.push((kp.x, kp.y));
         }
     }
 
@@ -186,7 +175,6 @@ impl ImageDatabaseBuilder {
             num_images: self.num_images,
             descriptor_count,
             desc_image: self.desc_image,
-            desc_pos: self.desc_pos,
         }
     }
 }
@@ -209,7 +197,7 @@ impl ImageDatabase {
     /// k-d tree is rebuilt on load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = sirius_codec::Encoder::new();
-        e.tag("sirius_imm_v2");
+        e.tag("sirius_imm_v3");
         e.u32(self.num_images);
         e.f32(self.config.ratio);
         e.u32(self.config.surf.octaves as u32);
@@ -229,11 +217,6 @@ impl ImageDatabase {
             }
         }
         e.u32_slice(&self.desc_image);
-        e.u32(self.desc_pos.len() as u32);
-        for &(x, y) in &self.desc_pos {
-            e.f32(x);
-            e.f32(y);
-        }
         e.into_bytes()
     }
 
@@ -242,11 +225,12 @@ impl ImageDatabase {
     /// # Errors
     ///
     /// Fails on malformed, truncated or inconsistent bytes, and on files
-    /// written in an older format (`sirius_imm_v1` carried a search budget
-    /// this version no longer has).
+    /// written in an older format (`sirius_imm_v1` carried a search budget,
+    /// `sirius_imm_v2` a keypoint position per descriptor; this version has
+    /// neither).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, sirius_codec::DecodeError> {
         let mut d = sirius_codec::Decoder::new(bytes);
-        d.tag("sirius_imm_v2")?;
+        d.tag("sirius_imm_v3")?;
         let num_images = d.u32()?;
         let ratio = d.f32()?;
         let config = MatchConfig {
@@ -265,16 +249,8 @@ impl ImageDatabase {
             points.push((d.f32_vec()?, payload));
         }
         let desc_image = d.u32_vec()?;
-        let np = d.u32()? as usize;
-        let mut desc_pos = Vec::with_capacity(np);
-        for _ in 0..np {
-            let x = d.f32()?;
-            let y = d.f32()?;
-            desc_pos.push((x, y));
-        }
         d.finish()?;
         if desc_image.len() != n
-            || desc_pos.len() != n
             || points.iter().any(|&(_, p)| p as usize >= n)
             || desc_image.iter().any(|&img| img >= num_images)
         {
@@ -295,7 +271,6 @@ impl ImageDatabase {
             num_images,
             descriptor_count,
             desc_image,
-            desc_pos,
         })
     }
 
@@ -312,8 +287,8 @@ impl ImageDatabase {
     /// Builds shard `shard` of `num_shards`: the descriptor index is
     /// partitioned by enrolled image (`image_id % num_shards`), so each
     /// database image's descriptors live on exactly one shard, while the
-    /// global descriptor→image and descriptor→position tables (and the
-    /// image count) are carried whole. Tree payloads stay *global*
+    /// global descriptor→image table (and the image count) is carried
+    /// whole. Tree payloads stay *global*
     /// descriptor indices, which keeps the total (distance, payload)
     /// candidate order consistent across shards — the
     /// property [`merge_partials`](Self::merge_partials) needs to
@@ -345,7 +320,6 @@ impl ImageDatabase {
             num_images: self.num_images,
             descriptor_count,
             desc_image: self.desc_image.clone(),
-            desc_pos: self.desc_pos.clone(),
         }
     }
 
@@ -361,7 +335,6 @@ impl ImageDatabase {
         let (_, descriptors) = surf::describe_on_integral(&ii, &keypoints, &self.config.surf);
         let feature_description = t.elapsed();
         QueryFeatures {
-            keypoints,
             descriptors,
             feature_extraction,
             feature_description,
@@ -397,8 +370,7 @@ impl ImageDatabase {
     /// under [`neighbor_order`], then a ratio test and the vote-count /
     /// image-id ordering decide the winner. The output is a pure function of
     /// the query and the *union* of the shards' descriptors — identical for
-    /// every shard count, including one. Geometric verification is not
-    /// performed (`verification` is `None`); the merged `ann_search` timing
+    /// every shard count, including one. The merged `ann_search` timing
     /// charges the slowest shard (shards run concurrently in a cluster) plus
     /// the merge itself.
     ///
@@ -416,8 +388,19 @@ impl ImageDatabase {
             .map(|p| p.ann_search)
             .max()
             .unwrap_or_default();
-        let (votes, _) = self.vote(features, partials);
-        Self::result(features, votes, None, shard_time + t_merge.elapsed())
+        let votes = self.vote(features, partials);
+        let ann_search = shard_time + t_merge.elapsed();
+        MatchResult {
+            best: votes.first().map(|&(id, _)| id),
+            votes,
+            query_keypoints: features.len(),
+            timing: ImmTiming {
+                feature_extraction: features.feature_extraction,
+                feature_description: features.feature_description,
+                ann_search,
+                total: features.feature_extraction + features.feature_description + ann_search,
+            },
+        }
     }
 
     /// Matches a query image, reporting votes and per-stage timing: the
@@ -432,110 +415,46 @@ impl ImageDatabase {
     /// database's global tables merge the candidates
     /// ([`merge_partials`](Self::merge_partials)).
     pub fn match_across(&self, query: &GrayImage, shards: &[ImageDatabase]) -> MatchResult {
-        let (features, partials) = self.scatter(query, shards);
-        self.merge_partials(&features, &partials)
-    }
-
-    /// Matches a query image and geometrically verifies the candidates:
-    /// the correspondences behind each image's votes must agree on a
-    /// similarity transform (RANSAC), and the top candidates are re-ranked
-    /// by inlier count.
-    pub fn match_image_verified(&self, query: &GrayImage) -> MatchResult {
-        let (features, partials) = self.scatter(query, std::slice::from_ref(self));
-        let t = Instant::now();
-        let (mut votes, winners) = self.vote(&features, &partials);
-        // Per-image correspondences: (query position, database position).
-        let mut correspondences: Vec<Vec<Correspondence>> =
-            vec![Vec::new(); self.num_images as usize];
-        for (kp, winner) in features.keypoints.iter().zip(winners) {
-            if let Some(desc) = winner {
-                correspondences[self.desc_image[desc as usize] as usize]
-                    .push(((kp.x, kp.y), self.desc_pos[desc as usize]));
-            }
-        }
-        let mut verification = None;
-        if !votes.is_empty() {
-            // Verify the top candidates and re-rank by inlier count.
-            let ransac = RansacConfig::default();
-            let mut verified: Vec<(ImageId, usize, Option<Verification>)> = votes
-                .iter()
-                .take(3)
-                .map(|&(id, v)| {
-                    let ver = ransac_similarity(&correspondences[id.0 as usize], &ransac);
-                    let inliers = ver.as_ref().map_or(0, |x| x.inliers);
-                    (id, inliers.max(usize::from(v > 0)), ver)
-                })
-                .collect();
-            verified.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            if let Some((winner, _, ver)) = verified.into_iter().next() {
-                // Promote the geometrically strongest candidate.
-                if let Some(pos) = votes.iter().position(|&(id, _)| id == winner) {
-                    let entry = votes.remove(pos);
-                    votes.insert(0, entry);
-                }
-                verification = ver;
-            }
-        }
-        Self::result(
-            &features,
-            votes,
-            verification,
-            partials[0].ann_search + t.elapsed(),
-        )
-    }
-
-    /// Extracts the query's features and runs every shard's half of the
-    /// match on them.
-    fn scatter(
-        &self,
-        query: &GrayImage,
-        shards: &[ImageDatabase],
-    ) -> (QueryFeatures, Vec<PartialMatch>) {
         let features = self.extract_query(query);
-        let partials = shards
+        let partials: Vec<PartialMatch> = shards
             .iter()
             .map(|shard| shard.match_partial(&features))
             .collect();
-        (features, partials)
+        self.merge_partials(&features, &partials)
     }
 
-    /// The ratio-test vote over merged candidates: votes per image (sorted
-    /// by count descending, image id ascending) and, per query keypoint, the
-    /// global id of the descriptor it voted through (`None` when it failed
-    /// the ratio test or found no candidate).
-    fn vote(
-        &self,
-        features: &QueryFeatures,
-        partials: &[PartialMatch],
-    ) -> (Vec<(ImageId, usize)>, Vec<Option<u32>>) {
-        let winners: Vec<Option<u32>> = (0..features.keypoints.len())
-            .map(|i| {
-                let mut union: Vec<Neighbor> = Vec::with_capacity(2 * partials.len());
-                for partial in partials {
-                    assert_eq!(
-                        partial.candidates.len(),
-                        features.keypoints.len(),
-                        "partial match from different query features"
-                    );
-                    union.extend(partial.candidates[i].into_iter().flatten());
-                }
-                union.sort_by(neighbor_order);
-                let best = *union.first()?;
-                let best_image = self.desc_image[best.payload as usize];
-                let passes = match union.get(1) {
-                    Some(s) if self.desc_image[s.payload as usize] != best_image => {
-                        best.distance_sq < self.config.ratio * self.config.ratio * s.distance_sq
-                    }
-                    // Second neighbour from the same image (or absent) means
-                    // the match is unambiguous between images.
-                    _ => true,
-                };
-                passes.then_some(best.payload)
-            })
-            .collect();
+    /// The ratio-test vote over merged candidates: votes per image, sorted
+    /// by count descending, image id ascending. A query keypoint votes for
+    /// the image of its global best descriptor when that descriptor passes
+    /// the ratio test.
+    fn vote(&self, features: &QueryFeatures, partials: &[PartialMatch]) -> Vec<(ImageId, usize)> {
         let mut counts = vec![0usize; self.num_images as usize];
-        for &desc in winners.iter().flatten() {
-            counts[self.desc_image[desc as usize] as usize] += 1;
+        for i in 0..features.len() {
+            let mut union: Vec<Neighbor> = Vec::with_capacity(2 * partials.len());
+            for partial in partials {
+                assert_eq!(
+                    partial.candidates.len(),
+                    features.len(),
+                    "partial match from different query features"
+                );
+                union.extend(partial.candidates[i].into_iter().flatten());
+            }
+            union.sort_by(neighbor_order);
+            let Some(&best) = union.first() else {
+                continue;
+            };
+            let best_image = self.desc_image[best.payload as usize];
+            let passes = match union.get(1) {
+                Some(s) if self.desc_image[s.payload as usize] != best_image => {
+                    best.distance_sq < self.config.ratio * self.config.ratio * s.distance_sq
+                }
+                // Second neighbour from the same image (or absent) means
+                // the match is unambiguous between images.
+                _ => true,
+            };
+            if passes {
+                counts[best_image as usize] += 1;
+            }
         }
         let mut votes: Vec<(ImageId, usize)> = counts
             .into_iter()
@@ -544,28 +463,7 @@ impl ImageDatabase {
             .filter(|&(_, c)| c > 0)
             .collect();
         votes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        (votes, winners)
-    }
-
-    /// Assembles a [`MatchResult`] from a vote and the query's timings.
-    fn result(
-        features: &QueryFeatures,
-        votes: Vec<(ImageId, usize)>,
-        verification: Option<Verification>,
-        ann_search: Duration,
-    ) -> MatchResult {
-        MatchResult {
-            best: votes.first().map(|&(id, _)| id),
-            votes,
-            query_keypoints: features.keypoints.len(),
-            verification,
-            timing: ImmTiming {
-                feature_extraction: features.feature_extraction,
-                feature_description: features.feature_description,
-                ann_search,
-                total: features.feature_extraction + features.feature_description + ann_search,
-            },
-        }
+        votes
     }
 }
 
@@ -822,7 +720,28 @@ mod persistence_tests {
         e.u32_slice(&[]);
         e.u32(0);
         let err = ImageDatabase::from_bytes(&e.into_bytes()).expect_err("v1 must not decode");
-        assert!(err.message.contains("sirius_imm_v2"), "{}", err.message);
+        assert!(err.message.contains("sirius_imm_v3"), "{}", err.message);
+    }
+
+    #[test]
+    fn v2_database_bytes_are_rejected_with_a_typed_error() {
+        // A complete, well-formed `sirius_imm_v2` file (empty database): the
+        // old layout ended in a keypoint-position table, so it must be
+        // refused by its tag rather than read as v3.
+        let surf = SurfConfig::default();
+        let mut e = sirius_codec::Encoder::new();
+        e.tag("sirius_imm_v2");
+        e.u32(0);
+        e.f32(0.75);
+        e.u32(surf.octaves as u32);
+        e.f32(surf.threshold);
+        e.u32(surf.init_step as u32);
+        e.bool(surf.upright);
+        e.u32(0);
+        e.u32_slice(&[]);
+        e.u32(0);
+        let err = ImageDatabase::from_bytes(&e.into_bytes()).expect_err("v2 must not decode");
+        assert!(err.message.contains("sirius_imm_v3"), "{}", err.message);
     }
 
     #[test]
@@ -831,49 +750,5 @@ mod persistence_tests {
         let restored = ImageDatabase::from_bytes(&db.to_bytes()).expect("decode");
         assert_eq!(restored.num_images(), 0);
         assert_eq!(restored.num_descriptors(), 0);
-    }
-}
-
-#[cfg(test)]
-mod verified_match_tests {
-    use super::*;
-    use crate::synth;
-
-    #[test]
-    fn verified_matching_finds_consensus_on_true_views() {
-        let scenes: Vec<GrayImage> = (0..5u64)
-            .map(|s| synth::generate_scene(300 + s, 160, 160))
-            .collect();
-        let db = ImageDatabase::build(scenes.iter(), MatchConfig::default());
-        let mut verified_hits = 0;
-        let mut with_consensus = 0;
-        for (i, scene) in scenes.iter().enumerate() {
-            let view = synth::random_view(scene, 40 + i as u64);
-            let r = db.match_image_verified(&view);
-            if r.best == Some(ImageId(i as u32)) {
-                verified_hits += 1;
-            }
-            if let Some(v) = &r.verification {
-                with_consensus += 1;
-                assert!(v.inliers >= 4);
-                // The recovered transform's scale must be plausible for a
-                // random_view (0.85..1.2).
-                assert!(
-                    (0.5..=2.0).contains(&v.transform.scale),
-                    "{}",
-                    v.transform.scale
-                );
-            }
-        }
-        assert!(verified_hits >= 4, "only {verified_hits}/5 matched");
-        assert!(with_consensus >= 3, "only {with_consensus}/5 verified");
-    }
-
-    #[test]
-    fn plain_match_has_no_verification() {
-        let scenes = [synth::generate_scene(9, 128, 128)];
-        let db = ImageDatabase::build(scenes.iter(), MatchConfig::default());
-        let r = db.match_image(&scenes[0]);
-        assert!(r.verification.is_none());
     }
 }

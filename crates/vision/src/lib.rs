@@ -2,16 +2,17 @@
 //!
 //! The image-matching (IMM) substrate of the Sirius reproduction
 //! (Hauswald et al., ASPLOS 2015): a from-scratch SURF pipeline over
-//! integral images, an approximate-nearest-neighbour matcher, and a
-//! procedurally generated image database standing in for the Stanford
-//! Mobile Visual Search data set (see DESIGN.md for the substitution).
+//! integral images, an exact nearest-neighbour matcher with a ratio-test
+//! vote, and a procedurally generated image database standing in for the
+//! Stanford Mobile Visual Search data set (see DESIGN.md for the
+//! substitution).
 //!
 //! * [`image`] — grayscale images, bilinear sampling, tiling (for the
 //!   multicore FE port of paper Section 4.3.1).
 //! * [`integral`] — summed-area tables.
 //! * [`surf`] — the Sirius Suite **FE** (detector) and **FD** (descriptor)
 //!   kernels.
-//! * [`ann`] — k-d tree with bounded best-bin-first search.
+//! * [`ann`] — k-d tree with exact two-nearest-neighbour search.
 //! * [`db`] — the image database + matching service (paper Figure 5).
 //! * [`synth`] — procedural scenes and affine query views.
 //!
@@ -36,7 +37,6 @@ pub mod image;
 pub mod integral;
 pub mod surf;
 pub mod synth;
-pub mod verify;
 
 pub use db::{ImageDatabase, ImageId, MatchConfig, MatchResult, PartialMatch, QueryFeatures};
 pub use image::GrayImage;

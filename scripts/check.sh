@@ -38,6 +38,9 @@ for section, gate in [
 echo "==> cargo test --workspace --release -q (every crate's unit, doc and integration tests)"
 cargo test --workspace --release -q
 
+echo "==> cargo doc --workspace --no-deps (broken intra-doc links are errors)"
+RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --workspace --no-deps --offline
+
 echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml (frozen benchmark surface still compiles)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
