@@ -42,8 +42,8 @@
 //!
 //! **Liveness.** The collector is a dedicated thread that never calls back
 //! into the worker pool, and workers block only on their own reply slot.
-//! The collector exits when every [`BatchHandle`] (held by the ASR workers
-//! via their stage handler) is dropped — it drains the queue, answering every
+//! The collector exits when every [`BatchHandle`] (held by the ASR pool's
+//! step) is dropped — it drains the queue, answering every
 //! outstanding request, before exiting, so no worker is left waiting. A
 //! session that ends (its decode finished, or unwound) tells the collector
 //! on drop, so a batch is never held for a decode that is gone. A
@@ -51,7 +51,7 @@
 //! is bit-identical anyway.
 //!
 //! Expired jobs compose with deadline-aware admission for free: the worker
-//! pool drops them at dequeue, *before* the stage handler runs, so an
+//! pool drops them at dequeue, *before* the stage step runs, so an
 //! abandoned query never occupies a slot in a batch.
 
 use std::sync::{Arc, Condvar, Mutex};
@@ -59,10 +59,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sirius::pipeline::Sirius;
-use sirius_par::queue::{bounded, Receiver, RecvTimeoutError, Sender};
 use sirius_speech::WindowScorer;
 
 use crate::metrics::BatchObs;
+use crate::queue::{bounded, Receiver, RecvTimeoutError, Sender};
 
 /// Governs the ASR batch collector: flush when `max_batch` blocks — or one
 /// from every decode in progress, if that is fewer — are gathered, or the

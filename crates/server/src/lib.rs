@@ -2,8 +2,11 @@
 //!
 //! The staged service runtime for the Sirius pipeline: the monolithic
 //! [`Sirius::process`] walk decomposed into per-service worker pools
-//! connected by bounded MPMC queues, with one admission door
+//! connected by bounded MPMC queues ([`queue`]), with one admission door
 //! ([`SiriusServer::submit`] over a [`Request`]) and graceful shutdown.
+//! Every pool runs one stage *step* on the same per-query job and hands
+//! the job to one shared router, which forwards it to the next stage's
+//! queue or completes its ticket (see [`runtime`]).
 //!
 //! The paper's datacenter analysis (Figures 16/17, Tables 8/9) models each
 //! Sirius service as a queueing server; this crate is that serving system
@@ -13,9 +16,10 @@
 //! `sirius_dcsim::{ClusterComparison, CacheComparison}`) instead of only
 //! computed from a queueing model.
 //!
-//! Outputs are bit-identical to the synchronous pipeline: both paths invoke
-//! the same typed stage methods ([`sirius::stage`]) in the same order per
-//! query; the runtime only changes *where* they run.
+//! Outputs are bit-identical to the synchronous pipeline: each step invokes
+//! the typed stage method ([`sirius::stage`]) the serial walk calls at that
+//! point, on the same inputs, in the same order per query; the runtime only
+//! changes *where* they run.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -40,8 +44,9 @@ pub mod batch;
 pub mod cluster;
 pub mod metrics;
 pub mod net;
-pub mod pool;
+mod pool;
 pub mod qos;
+pub mod queue;
 pub mod runtime;
 pub mod stream;
 pub mod wire;
@@ -50,7 +55,6 @@ pub use batch::{spawn_batch_collector, BatchHandle, BatchPolicy, BatchSession};
 pub use cluster::{ClusterConfig, ClusterTicket, RoutePolicy, SiriusCluster};
 pub use metrics::{BatchObs, ServerMetrics, StageObs, StreamObs, STAGES};
 pub use net::{http_get, NetClient, NetClientError, NetConfig, NetMetrics, NetServer};
-pub use pool::{spawn_stage_pool, Job};
 pub use qos::{
     CacheKey, CachePolicy, CachedAnswer, ImageSignature, ResultCaches, TenantClass, TenantObs,
 };

@@ -1,28 +1,26 @@
 //! Generic worker pool: the one loop in the crate that dequeues a [`Job`].
 //!
-//! [`spawn_stage_pool`] turns a stage handler into a pool of named OS
-//! threads draining one bounded queue. Each queued [`Job`] carries an opaque
-//! per-query context `C` alongside the stage request plus its enqueue
-//! timestamp. The `handle` callback sees the context by reference (the
-//! streaming ASR stage reads the query's admission instant and image from
-//! it) and produces the stage result; the `route` callback then receives
-//! the context by value with that result and decides what happens next
-//! (forward to the next stage's queue, or complete the query's ticket).
-//! Handlers run under `catch_unwind`, so a panicking request is converted
-//! into [`SiriusError::StagePanicked`] and the worker survives to serve the
-//! next job.
+//! [`spawn_stage_pool`] turns a stage step into a pool of named OS threads
+//! draining one bounded queue. Every queue carries the same [`Job`]: the
+//! per-query value `C` plus its enqueue timestamp and completion deadline.
+//! The `step` callback advances the query in place and says what comes
+//! next; the `route` callback then receives the job with that result and
+//! acts on it (forward to another stage's queue, or complete the query's
+//! ticket). Steps run under `catch_unwind`, so a panicking step is
+//! converted into [`SiriusError::StagePanicked`] and the worker survives
+//! to serve the next job.
 //!
-//! A job may additionally carry a **deadline**. A worker checks it at
-//! dequeue, *before* invoking the handler: a job whose deadline has already
-//! passed is dropped — counted in the stage's `expired` counter and handed
-//! to the `on_expired` callback (which completes the query's ticket with
-//! the typed deadline error) — so stage service time is never spent on work
-//! the client has abandoned.
+//! A worker checks the job's deadline at dequeue, *before* invoking the
+//! step: a job whose deadline has already passed is dropped — counted in
+//! the stage's `expired` counter and handed to the `on_expired` callback
+//! (which completes the query's ticket with the typed deadline error) — so
+//! stage service time is never spent on work the client has abandoned.
 //!
 //! Every worker attributes each job's time to the stage's [`StageObs`]
-//! histograms: queue wait (enqueue → dequeue) and service (the `handle`
-//! call). Those records are lock-free atomics. When the optional
-//! [`Recorder`] is enabled, the same two spans are also reported per query.
+//! histograms: queue wait (enqueue → dequeue) and service (the `step` call
+//! alone, never the `route` hand-off after it). Those records are
+//! lock-free atomics. When the optional [`Recorder`] is enabled, the same
+//! two spans are also reported per query.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -31,38 +29,30 @@ use std::time::Instant;
 
 use sirius::error::SiriusError;
 use sirius_obs::{Recorder, SpanKind};
-use sirius_par::queue::Receiver;
 
 use crate::metrics::StageObs;
+use crate::queue::Receiver;
 
-/// One queued unit of work: the per-query context, the stage request, when
-/// it entered the queue (so the worker can attribute queue wait), and the
-/// query's optional completion deadline.
+/// One queued unit of work: the per-query value, when it entered the
+/// queue (so the worker can attribute queue wait), and the query's
+/// optional completion deadline.
 #[derive(Debug)]
-pub struct Job<C, Req> {
-    /// Per-query context threaded through the stage graph.
-    pub ctx: C,
-    /// The typed request for the stage draining this queue.
-    pub req: Req,
+pub(crate) struct Job<C> {
+    /// The query the stage steps advance.
+    pub(crate) ctx: C,
     /// When the job was enqueued.
-    pub enqueued: Instant,
+    pub(crate) enqueued: Instant,
     /// Absolute completion deadline. A worker dequeuing the job at or after
-    /// this instant drops it without invoking the stage handler.
-    pub deadline: Option<Instant>,
+    /// this instant drops it without invoking the stage step.
+    pub(crate) deadline: Option<Instant>,
 }
 
-impl<C, Req> Job<C, Req> {
-    /// A deadline-free job stamped with the current instant.
-    pub fn now(ctx: C, req: Req) -> Self {
-        Self::with_deadline(ctx, req, None)
-    }
-
+impl<C> Job<C> {
     /// A job stamped with the current instant, carrying the query's
-    /// completion deadline across the stage hand-off.
-    pub fn with_deadline(ctx: C, req: Req, deadline: Option<Instant>) -> Self {
+    /// completion deadline across every hand-off.
+    pub(crate) fn new(ctx: C, deadline: Option<Instant>) -> Self {
         Self {
             ctx,
-            req,
             enqueued: Instant::now(),
             deadline,
         }
@@ -70,27 +60,26 @@ impl<C, Req> Job<C, Req> {
 }
 
 /// Spawns `workers` threads (clamped to at least 1), named after
-/// `obs.name`, that drain `rx` through `handle` and hand each result to
-/// `route`, recording queue-wait and service time into `obs` (and into
-/// `recorder` when it is enabled). Jobs whose deadline already passed at
-/// dequeue are dropped unserved and handed to `on_expired` instead. The
-/// threads exit when the queue is closed (every sender dropped) and
+/// `obs.name`, that drain `rx`, advance each job through `step` and hand it
+/// with the step's result to `route`, recording queue-wait and service
+/// time into `obs` (and into `recorder` when it is enabled). Jobs whose
+/// deadline already passed at dequeue are handed to `on_expired` unserved.
+/// The threads exit when the queue is closed (every sender dropped) and
 /// drained, dropping their clones of the three callbacks with them.
-pub fn spawn_stage_pool<C, Req, Resp, H, R, E>(
+pub(crate) fn spawn_stage_pool<C, N, S, R, E>(
     workers: usize,
-    rx: Receiver<Job<C, Req>>,
+    rx: Receiver<Job<C>>,
     obs: Arc<StageObs>,
     recorder: Arc<dyn Recorder>,
-    handle: H,
+    step: S,
     route: R,
     on_expired: E,
 ) -> Vec<JoinHandle<()>>
 where
     C: Send + 'static,
-    Req: Send + 'static,
-    H: Fn(&C, Req) -> Result<Resp, SiriusError> + Send + Sync + Clone + 'static,
-    R: Fn(C, Result<Resp, SiriusError>) + Send + Sync + Clone + 'static,
-    E: Fn(C) + Send + Sync + Clone + 'static,
+    S: Fn(&mut C) -> Result<N, SiriusError> + Send + Sync + Clone + 'static,
+    R: Fn(Job<C>, Result<N, SiriusError>) + Send + Sync + Clone + 'static,
+    E: Fn(Job<C>) + Send + Sync + Clone + 'static,
 {
     let stage = obs.name;
     (0..workers.max(1))
@@ -98,32 +87,26 @@ where
             let rx = rx.clone();
             let obs = Arc::clone(&obs);
             let recorder = Arc::clone(&recorder);
-            let handle = handle.clone();
+            let step = step.clone();
             let route = route.clone();
             let on_expired = on_expired.clone();
             std::thread::Builder::new()
                 .name(format!("sirius-{stage}-{i}"))
                 .spawn(move || {
-                    while let Some(Job {
-                        ctx,
-                        req,
-                        enqueued,
-                        deadline,
-                    }) = rx.recv()
-                    {
-                        let wait = enqueued.elapsed();
+                    while let Some(mut job) = rx.recv() {
+                        let wait = job.enqueued.elapsed();
                         obs.queue_wait.record_duration(wait);
                         if recorder.enabled() {
                             recorder.record(stage, SpanKind::QueueWait, wait);
                         }
-                        if deadline.is_some_and(|d| Instant::now() >= d) {
+                        if job.deadline.is_some_and(|d| Instant::now() >= d) {
                             obs.expired.inc();
-                            on_expired(ctx);
+                            on_expired(job);
                             continue;
                         }
                         obs.in_flight.inc();
                         let begun = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| handle(&ctx, req)));
+                        let result = catch_unwind(AssertUnwindSafe(|| step(&mut job.ctx)));
                         let service = begun.elapsed();
                         obs.in_flight.dec();
                         obs.service.record_duration(service);
@@ -135,7 +118,7 @@ where
                             obs.panics.inc();
                             Err(SiriusError::StagePanicked { stage })
                         });
-                        route(ctx, result);
+                        route(job, result);
                     }
                 })
                 .expect("spawn stage worker")
@@ -148,13 +131,13 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
+    use crate::queue::bounded;
     use sirius_obs::{CollectingRecorder, Registry};
-    use sirius_par::queue::bounded;
 
-    /// A handler that doubles, errors on odd input, and panics on 13. The
-    /// context is the job's id, which the handler must see unchanged.
-    fn double(id: &usize, req: u64) -> Result<u64, SiriusError> {
-        assert!(*id < 5, "the handler sees the job's own context");
+    /// A step that doubles, errors on odd input, and panics on 13. A job is
+    /// its id and its input; the step must see the id unchanged.
+    fn double(&mut (id, req): &mut (usize, u64)) -> Result<u64, SiriusError> {
+        assert!(id < 5, "the handler sees the job's own context");
         assert!(req != 13, "unlucky request");
         if req % 2 == 1 {
             return Err(SiriusError::ShuttingDown);
@@ -175,14 +158,14 @@ mod tests {
             Arc::clone(&obs),
             Arc::<CollectingRecorder>::clone(&recorder),
             double,
-            move |id: usize, result| {
-                out_tx.send((id, result)).unwrap();
+            move |job: Job<(usize, u64)>, result| {
+                out_tx.send((job.ctx.0, result)).unwrap();
             },
-            |_id: usize| panic!("no job carries a deadline"),
+            |_job| panic!("no job carries a deadline"),
         );
         let inputs: Vec<u64> = vec![2, 4, 13, 7, 100];
         for (id, req) in inputs.iter().enumerate() {
-            tx.send(Job::now(id, *req)).unwrap();
+            tx.send(Job::new((id, *req), None)).unwrap();
         }
         drop(tx);
         for w in workers {
@@ -236,20 +219,18 @@ mod tests {
             Arc::clone(&obs),
             Arc::new(sirius_obs::NoopRecorder),
             double,
-            move |id: usize, result| out_tx.send((id, Some(result))).unwrap(),
-            move |id: usize| expired_tx.send((id, None)).unwrap(),
+            move |job: Job<(usize, u64)>, result| out_tx.send((job.ctx.0, Some(result))).unwrap(),
+            move |job: Job<(usize, u64)>| expired_tx.send((job.ctx.0, None)).unwrap(),
         );
         let past = Instant::now();
         // A deadline in the past, one in the far future, one absent.
-        tx.send(Job::with_deadline(0usize, 2u64, Some(past)))
-            .unwrap();
-        tx.send(Job::with_deadline(
-            1usize,
-            4u64,
+        tx.send(Job::new((0usize, 2u64), Some(past))).unwrap();
+        tx.send(Job::new(
+            (1usize, 4u64),
             Instant::now().checked_add(std::time::Duration::from_secs(3600)),
         ))
         .unwrap();
-        tx.send(Job::now(2usize, 6u64)).unwrap();
+        tx.send(Job::new((2usize, 6u64), None)).unwrap();
         drop(tx);
         for w in workers {
             w.join().unwrap();

@@ -1,15 +1,23 @@
 //! The staged Sirius serving runtime.
 //!
-//! [`SiriusServer::start`] wires the four typed pipeline stages (ASR →
-//! classify → IMM → QA) into per-stage worker pools connected by bounded
-//! MPMC queues:
+//! [`SiriusServer::start`] runs the four pipeline stages (ASR → classify →
+//! IMM → QA) as per-stage worker pools connected by bounded MPMC queues.
+//! Every queue carries the same job: one query, as its admission
+//! bookkeeping plus its data (audio, image, recognized text, question,
+//! per-stage timings). Each pool runs its stage's **step** on the query in
+//! place — the same `Sirius::stage_*` method the serial pipeline calls —
+//! and the step answers with a `Next`: go on to stage *i*, or done with
+//! this outcome. One router, shared by every pool, acts on it:
 //!
 //! ```text
-//!  submit ─try_send─▶ [asr queue] ─▶ ASR pool ─send─▶ [classify queue]
-//!        ─▶ classify pool ──Action──▶ ticket completed
-//!                         └─Question─▶ [imm queue] ─▶ IMM pool
-//!        ─send─▶ [qa queue] ─▶ QA pool ─▶ ticket completed
+//!  submit ─try_send─▶ [asr] ─▶ ASR step ──Stage(classify)─▶ [classify]
+//!        ─▶ classify step ──Done(action)──────────────▶ ticket completed
+//!                         └─Stage(imm)─▶ [imm] ─▶ IMM step ─Stage(qa)─▶
+//!        [qa] ─▶ QA step ──Done(answer)───────────────▶ ticket completed
 //! ```
+//!
+//! The ASR step may end the query itself (`Done`) with a result-cache hit
+//! or a confirmed speculation (see [`crate::stream`]).
 //!
 //! **Admission control**: [`SiriusServer::submit`] is the one door. A
 //! [`Request`] is an input plus an optional tenant class and an optional
@@ -30,26 +38,29 @@
 //!
 //! **Back-pressure**: interior hand-offs use blocking `send`, so a slow
 //! downstream stage stalls its upstream pool rather than growing a queue
-//! without bound. The stage graph is a forward-only chain whose final pool
-//! never blocks, so progress is always guaranteed (no cycles, no deadlock).
+//! without bound. Each pool's router holds senders only to the queues
+//! downstream of it, so the stage graph is a forward-only chain whose
+//! final pool never blocks: progress is always guaranteed (no cycles, no
+//! deadlock).
 //!
 //! **Graceful shutdown**: dropping (or [`SiriusServer::shutdown`]ting) the
 //! runtime closes the ASR queue; each pool drains its queue, exits, and by
-//! dropping its sender closes the next queue in the chain. Every accepted
+//! dropping its senders closes the next queue in the chain. Every accepted
 //! query completes before the workers are joined.
 //!
 //! **Observability**: every pool records per-stage queue-wait and
-//! service-time histograms, panic counters and (at snapshot time)
-//! queue-depth gauges into one [`ServerMetrics`] registry — all lock-free
-//! on the hot path. [`SiriusServer::metrics_snapshot`] exports the lot;
+//! service-time histograms (service times the step alone, never the
+//! hand-off after it), panic counters and (at snapshot time) queue-depth
+//! gauges into one [`ServerMetrics`] registry — all lock-free on the hot
+//! path. [`SiriusServer::metrics_snapshot`] exports the lot;
 //! [`SiriusServer::start_with`] additionally attributes every span of
 //! every query to a caller-supplied [`Recorder`].
 //!
-//! **One loop, one completion**: every stage — including whichever ASR
-//! variant the config selects (`stream::AsrStage`) — runs in the
-//! generic [`spawn_stage_pool`] loop, and every query ends in
-//! `Completion::finish`, the only place a response is assembled, a result
-//! cache filled and a ticket completed.
+//! **One loop, one route, one completion**: every stage runs in the
+//! generic `spawn_stage_pool` loop, every step's `Next` goes through
+//! `Router::route`, and every query ends in `Completion::finish`, the only
+//! place a response is assembled, a result cache filled and a ticket
+//! completed.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -57,12 +68,9 @@ use std::time::{Duration, Instant};
 
 use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusInput, SiriusOutcome, SiriusResponse, StageTiming};
-use sirius::stage::{
-    AsrRequest, ClassifyRequest, ClassifyResponse, ImmRequest, ImmResponse, QaRequest, QaResponse,
-};
+use sirius::stage::{ClassifyRequest, ImmRequest, QaRequest};
 use sirius_obs::{Gauge, NoopRecorder, Recorder, Snapshot, SpanKind};
-use sirius_par::queue::{bounded, SendError, Sender, TrySendError};
-use sirius_speech::asr::{AcousticModelKind, AsrTiming};
+use sirius_speech::asr::AcousticModelKind;
 use sirius_vision::image::GrayImage;
 
 use crate::batch::BatchPolicy;
@@ -71,7 +79,8 @@ use crate::pool::{spawn_stage_pool, Job};
 use crate::qos::{
     CacheKey, CachePolicy, CachedAnswer, ResultCaches, TenantClass, TenantObs, TenantTable,
 };
-use crate::stream::{AsrServed, AsrStage, Downstream, StreamPolicy};
+use crate::queue::{bounded, SendError, Sender, TrySendError};
+use crate::stream::{AsrStage, StreamPolicy};
 
 /// Sizing of one stage's pool and queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,19 +192,9 @@ impl ServerConfig {
         self
     }
 
-    /// Total worker threads the runtime will spawn (the streaming
-    /// speculation pool, when enabled, matches the ASR pool's size).
-    pub fn total_workers(&self) -> usize {
-        let spec = if self.stream.is_streaming() && self.stream.speculate {
-            self.asr.workers.max(1)
-        } else {
-            0
-        };
-        self.asr.workers.max(1)
-            + self.classify.workers.max(1)
-            + self.imm.workers.max(1)
-            + self.qa.workers.max(1)
-            + spec
+    /// The four stages' sizing, in [`STAGES`] order.
+    fn stages(&self) -> [StageConfig; 4] {
+        [self.asr, self.classify, self.imm, self.qa]
     }
 }
 
@@ -317,27 +316,99 @@ fn complete(state: &Arc<TicketState>, result: Result<SiriusResponse, SiriusError
     state.done.notify_all();
 }
 
-/// Per-query state carried alongside stage requests as they move through
-/// the queues. Grows monotonically: each stage adds what the final response
-/// assembly needs.
+/// The [`STAGES`] index of each stage: what [`Next::Stage`] names.
+pub(crate) const ASR: usize = 0;
+pub(crate) const CLASSIFY: usize = 1;
+const IMM: usize = 2;
+const QA: usize = 3;
+
+/// What a stage step tells the router to do with its query.
+pub(crate) enum Next {
+    /// Go on to the stage at this [`STAGES`] index.
+    Stage(usize),
+    /// The query is done, with this outcome.
+    Done(SiriusOutcome),
+}
+
+/// A query's data: what the stage steps read and write, and everything its
+/// response is assembled from. Speculation runs the steps past ASR on a
+/// detached copy.
+#[derive(Default)]
+pub(crate) struct Query {
+    /// The utterance; the ASR step consumes it.
+    pub(crate) audio: Vec<f32>,
+    /// The accompanying image; the IMM step consumes it.
+    pub(crate) image: Option<GrayImage>,
+    pub(crate) recognized: String,
+    /// The question QA answers: the recognized text as IMM rewrote it.
+    pub(crate) question: String,
+    pub(crate) matched_venue: Option<String>,
+    /// Per-stage timings. A stage the query never visits leaves its
+    /// default; `total` is set at completion.
+    pub(crate) timing: StageTiming,
+}
+
+impl Query {
+    /// The step of the stage past ASR at `stage`: the `Sirius::stage_*`
+    /// method [`Sirius::try_process_with`] calls there, on the same input.
+    pub(crate) fn step(&mut self, sirius: &Sirius, stage: usize) -> Result<Next, SiriusError> {
+        match stage {
+            CLASSIFY => {
+                let cls = sirius.stage_classify(ClassifyRequest {
+                    recognized: self.recognized.clone(),
+                })?;
+                self.timing.classify = cls.elapsed;
+                Ok(cls.action.map_or(Next::Stage(IMM), |action| {
+                    Next::Done(SiriusOutcome::Action(action))
+                }))
+            }
+            IMM => {
+                let imm = sirius.stage_imm(ImmRequest {
+                    question: self.recognized.clone(),
+                    image: self.image.take(),
+                })?;
+                self.question = imm.question;
+                self.matched_venue = imm.matched_venue;
+                self.timing.imm = imm.timing;
+                Ok(Next::Stage(QA))
+            }
+            QA => {
+                let qa = sirius.stage_qa(QaRequest {
+                    question: std::mem::take(&mut self.question),
+                })?;
+                self.timing.qa = Some(qa.breakdown);
+                Ok(Next::Done(SiriusOutcome::Answer(qa.answer)))
+            }
+            _ => unreachable!("the ASR step belongs to `AsrStage`"),
+        }
+    }
+
+    /// Runs the steps from `stage` on until one is done.
+    pub(crate) fn walk(
+        &mut self,
+        sirius: &Sirius,
+        mut stage: usize,
+    ) -> Result<SiriusOutcome, SiriusError> {
+        loop {
+            match self.step(sirius, stage)? {
+                Next::Stage(next) => stage = next,
+                Next::Done(outcome) => return Ok(outcome),
+            }
+        }
+    }
+}
+
+/// One query in flight: its admission bookkeeping (the job beside it
+/// carries the deadline) and its data.
 pub(crate) struct Ctx {
     ticket: Arc<TicketState>,
     pub(crate) started: Instant,
-    /// Absolute completion deadline (admission instant + the request's
-    /// SLO), `None` for an unrepresentably far (infinite) one.
-    deadline: Option<Instant>,
-    pub(crate) image: Option<GrayImage>,
-    recognized: String,
-    asr_timing: AsrTiming,
-    /// What Classify/IMM/QA (or a cache hit, or a confirmed speculation)
-    /// contributed; a stage the query never visits leaves its default.
-    down: Downstream,
     /// The tenant class's telemetry when the request named one.
-    tenant: Option<Arc<TenantObs>>,
-    /// The result-cache key completion fills: stamped on a miss at the
-    /// ASR-commit consult, and on a confirmed speculation (which bypasses
-    /// the consult and the queues).
-    cache_key: Option<CacheKey>,
+    pub(crate) tenant: Option<Arc<TenantObs>>,
+    /// The result-cache key completion fills: stamped by the ASR step on a
+    /// cache miss and on a confirmed speculation.
+    pub(crate) cache_key: Option<CacheKey>,
+    pub(crate) query: Query,
 }
 
 /// The shared tail of every query: what any worker needs to end one.
@@ -348,29 +419,32 @@ struct Completion {
 }
 
 impl Completion {
-    /// The one place a query ends. Assembles the response from what the
-    /// stages left on `ctx` (no QA/IMM timing for an action, zero classify
-    /// time for a cache hit), fills the result cache when `ctx.cache_key`
-    /// is set, and accounts for the outcome: successful queries record
-    /// their sojourn, failed ones bump the failure counter and record
-    /// theirs into `sojourn_failed_ns`, so `accepted = completed + failed +
-    /// in flight` always balances — fleet-wide and per tenant.
+    /// The one place a query ends. Assembles the response from the query's
+    /// data (no QA/IMM timing for an action, zero classify time for a cache
+    /// hit), fills the result cache when `ctx.cache_key` is set, and
+    /// accounts for the outcome: successful queries record their sojourn,
+    /// failed ones bump the failure counter and record theirs into
+    /// `sojourn_failed_ns`, so `accepted = completed + failed + in flight`
+    /// always balances — fleet-wide and per tenant.
     ///
     /// *Every* terminating query — successful, errored, or expired —
     /// records exactly one terminal `total` span when the recorder is
     /// enabled, so recorder-side ledgers never undercount failures.
     fn finish(&self, ctx: Ctx, result: Result<SiriusOutcome, SiriusError>) {
         let sojourn = ctx.started.elapsed();
+        let Query {
+            recognized,
+            matched_venue,
+            timing,
+            ..
+        } = ctx.query;
         let result = result.map(|outcome| SiriusResponse {
-            recognized: ctx.recognized,
+            recognized,
             outcome,
-            matched_venue: ctx.down.matched_venue,
+            matched_venue,
             timing: StageTiming {
-                asr: ctx.asr_timing,
-                classify: ctx.down.classify,
-                qa: ctx.down.qa_timing,
-                imm: ctx.down.imm_timing,
                 total: sojourn,
+                ..timing
             },
         });
         if let (Some(caches), Some(key), Ok(response)) = (&self.caches, ctx.cache_key, &result) {
@@ -408,13 +482,13 @@ impl Completion {
     /// spent (all of it queue wait — no stage served it) and a zero-backlog
     /// retry hint (the client's own abandoned job is gone; the next attempt
     /// faces admission control afresh).
-    fn expire(&self, ctx: Ctx) {
-        let expected = ctx.started.elapsed();
-        let deadline = ctx
+    fn expire(&self, job: Job<Ctx>) {
+        let expected = job.ctx.started.elapsed();
+        let deadline = job
             .deadline
-            .map_or(Duration::ZERO, |d| d.duration_since(ctx.started));
+            .map_or(Duration::ZERO, |d| d.duration_since(job.ctx.started));
         self.finish(
-            ctx,
+            job.ctx,
             Err(SiriusError::DeadlineUnmeetable {
                 expected,
                 deadline,
@@ -422,13 +496,34 @@ impl Completion {
             }),
         );
     }
+}
 
-    /// Hands a query to the next stage's queue (blocking send =
-    /// back-pressure), or ends it with `ShuttingDown` if that queue is gone.
-    fn forward<Req>(&self, tx: &Sender<Job<Ctx, Req>>, ctx: Ctx, req: Req) {
-        let deadline = ctx.deadline;
-        if let Err(SendError(job)) = tx.send(Job::with_deadline(ctx, req, deadline)) {
-            self.finish(job.ctx, Err(SiriusError::ShuttingDown));
+/// One pool's router. Every pool routes through the same function; each
+/// holds senders only to the queues downstream of its own, so closing the
+/// admission queue cascades through the chain at shutdown.
+#[derive(Clone)]
+struct Router {
+    done: Arc<Completion>,
+    /// Indexed like [`STAGES`]; `None` for this pool's queue and upstream.
+    queues: Vec<Option<Sender<Job<Ctx>>>>,
+}
+
+impl Router {
+    /// Hands the query to the stage its step named (blocking send =
+    /// back-pressure), or ends it: done, failed, or `ShuttingDown` when
+    /// that queue is gone.
+    fn route(&self, job: Job<Ctx>, next: Result<Next, SiriusError>) {
+        match next {
+            Ok(Next::Stage(stage)) => {
+                let tx = self.queues[stage]
+                    .as_ref()
+                    .expect("a step only hands its query downstream");
+                if let Err(SendError(job)) = tx.send(Job::new(job.ctx, job.deadline)) {
+                    self.done.finish(job.ctx, Err(SiriusError::ShuttingDown));
+                }
+            }
+            Ok(Next::Done(outcome)) => self.done.finish(job.ctx, Ok(outcome)),
+            Err(err) => self.done.finish(job.ctx, Err(err)),
         }
     }
 }
@@ -440,11 +535,11 @@ impl Completion {
 struct QueueProbe {
     depth: Gauge,
     capacity: Gauge,
-    read: Box<dyn Fn() -> (usize, usize) + Send + Sync>,
+    tx: Sender<Job<Ctx>>,
 }
 
 impl QueueProbe {
-    fn new<T: Send + 'static>(metrics: &ServerMetrics, stage: &str, tx: &Sender<T>) -> Self {
+    fn new(metrics: &ServerMetrics, stage: &str, tx: &Sender<Job<Ctx>>) -> Self {
         let probe = Self {
             depth: metrics
                 .registry()
@@ -452,24 +547,15 @@ impl QueueProbe {
             capacity: metrics
                 .registry()
                 .gauge(&metrics.scoped(&format!("{stage}.queue_capacity"))),
-            read: {
-                let tx = tx.clone();
-                Box::new(move || (tx.len(), tx.capacity()))
-            },
+            tx: tx.clone(),
         };
         probe.refresh();
         probe
     }
 
     fn refresh(&self) {
-        let (depth, capacity) = (self.read)();
-        self.depth.set(depth as u64);
-        self.capacity.set(capacity as u64);
-    }
-
-    /// The queue's current depth, read live (not the gauge's last value).
-    fn depth_now(&self) -> usize {
-        (self.read)().0
+        self.depth.set(self.tx.len() as u64);
+        self.capacity.set(self.tx.capacity() as u64);
     }
 }
 
@@ -481,7 +567,7 @@ pub struct SiriusServer {
     metrics: Arc<ServerMetrics>,
     tenants: TenantTable,
     caches: Option<Arc<ResultCaches>>,
-    submit_tx: Option<Sender<Job<Ctx, AsrRequest>>>,
+    submit_tx: Option<Sender<Job<Ctx>>>,
     queue_probes: Vec<QueueProbe>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -506,10 +592,11 @@ impl SiriusServer {
         recorder: Arc<dyn Recorder>,
         metrics: Arc<ServerMetrics>,
     ) -> Self {
-        let (asr_tx, asr_rx) = bounded::<Job<Ctx, AsrRequest>>(config.asr.queue_depth);
-        let (cls_tx, cls_rx) = bounded::<Job<Ctx, ClassifyRequest>>(config.classify.queue_depth);
-        let (imm_tx, imm_rx) = bounded::<Job<Ctx, ImmRequest>>(config.imm.queue_depth);
-        let (qa_tx, qa_rx) = bounded::<Job<Ctx, QaRequest>>(config.qa.queue_depth);
+        let stages = config.stages();
+        let (txs, rxs): (Vec<_>, Vec<_>) = stages
+            .iter()
+            .map(|stage| bounded::<Job<Ctx>>(stage.queue_depth))
+            .unzip();
 
         let tenants = TenantTable::build(&config.tenants, &metrics);
         let caches = config
@@ -517,161 +604,47 @@ impl SiriusServer {
             .enabled
             .then(|| Arc::new(ResultCaches::register(config.cache, &metrics)));
 
-        let queue_probes = vec![
-            QueueProbe::new(&metrics, "asr", &asr_tx),
-            QueueProbe::new(&metrics, "classify", &cls_tx),
-            QueueProbe::new(&metrics, "imm", &imm_tx),
-            QueueProbe::new(&metrics, "qa", &qa_tx),
-        ];
+        let queue_probes = STAGES
+            .iter()
+            .zip(&txs)
+            .map(|(stage, tx)| QueueProbe::new(&metrics, stage, tx))
+            .collect();
 
         let done = Arc::new(Completion {
             metrics: Arc::clone(&metrics),
             recorder: Arc::clone(&recorder),
             caches: caches.clone(),
         });
-        let expire = {
+
+        // Whatever variant the config selects, the ASR stage is one value
+        // held only by the ASR pool's step, and its helper threads (batch
+        // collector, speculation pool) are joined with the workers.
+        let (asr, mut workers) = AsrStage::start(&sirius, &config, &metrics, caches.clone());
+        let asr = Arc::new(asr);
+        for (i, rx) in rxs.into_iter().enumerate() {
+            let asr = (i == ASR).then(|| Arc::clone(&asr));
+            let sirius = Arc::clone(&sirius);
+            let router = Router {
+                done: Arc::clone(&done),
+                queues: (0..STAGES.len())
+                    .map(|j| (j > i).then(|| txs[j].clone()))
+                    .collect(),
+            };
             let done = Arc::clone(&done);
-            move |ctx: Ctx| done.expire(ctx)
-        };
-        let mut workers = Vec::with_capacity(config.total_workers());
-
-        // QA pool: the chain's tail; completes tickets and never blocks.
-        workers.extend(spawn_stage_pool(
-            config.qa.workers,
-            qa_rx,
-            Arc::clone(&metrics.qa),
-            Arc::clone(&recorder),
-            {
-                let sirius = Arc::clone(&sirius);
-                move |_: &Ctx, req| sirius.stage_qa(req)
-            },
-            {
-                let done = Arc::clone(&done);
-                move |mut ctx: Ctx, result: Result<QaResponse, SiriusError>| {
-                    let outcome = result.map(|qa| {
-                        ctx.down.qa_timing = Some(qa.breakdown);
-                        SiriusOutcome::Answer(qa.answer)
-                    });
-                    done.finish(ctx, outcome);
-                }
-            },
-            expire.clone(),
-        ));
-
-        // IMM pool: match + rewrite, then forward to QA.
-        workers.extend(spawn_stage_pool(
-            config.imm.workers,
-            imm_rx,
-            Arc::clone(&metrics.imm),
-            Arc::clone(&recorder),
-            {
-                let sirius = Arc::clone(&sirius);
-                move |_: &Ctx, req| sirius.stage_imm(req)
-            },
-            {
-                let done = Arc::clone(&done);
-                move |mut ctx: Ctx, result: Result<ImmResponse, SiriusError>| match result {
-                    Ok(imm) => {
-                        ctx.down.imm_timing = imm.timing;
-                        ctx.down.matched_venue = imm.matched_venue;
-                        let req = QaRequest {
-                            question: imm.question,
-                        };
-                        done.forward(&qa_tx, ctx, req);
-                    }
-                    Err(err) => done.finish(ctx, Err(err)),
-                }
-            },
-            expire.clone(),
-        ));
-
-        // Classify pool: actions complete immediately; questions continue to
-        // IMM (which passes through when there is no image).
-        workers.extend(spawn_stage_pool(
-            config.classify.workers,
-            cls_rx,
-            Arc::clone(&metrics.classify),
-            Arc::clone(&recorder),
-            {
-                let sirius = Arc::clone(&sirius);
-                move |_: &Ctx, req| sirius.stage_classify(req)
-            },
-            {
-                let done = Arc::clone(&done);
-                move |mut ctx: Ctx, result: Result<ClassifyResponse, SiriusError>| match result {
-                    Ok(cls) => {
-                        ctx.down.classify = cls.elapsed;
-                        if let Some(action) = cls.action {
-                            return done.finish(ctx, Ok(SiriusOutcome::Action(action)));
-                        }
-                        let req = ImmRequest {
-                            question: ctx.recognized.clone(),
-                            image: ctx.image.take(),
-                        };
-                        done.forward(&imm_tx, ctx, req);
-                    }
-                    Err(err) => done.finish(ctx, Err(err)),
-                }
-            },
-            expire.clone(),
-        ));
-
-        // ASR pool: the chain's head, fed by `submit`. Whatever variant the
-        // config selects, the stage is one value behind one handler, and its
-        // helper threads (batch collector, speculation pool) are joined
-        // with the workers.
-        let (asr, helpers) = AsrStage::start(&sirius, &config, &metrics);
-        workers.extend(helpers);
-        workers.extend(spawn_stage_pool(
-            config.asr.workers,
-            asr_rx,
-            Arc::clone(&metrics.asr),
-            recorder,
-            {
-                let asr = Arc::new(asr);
-                move |ctx: &Ctx, req| asr.serve(ctx, req)
-            },
-            move |mut ctx: Ctx, result: Result<AsrServed, SiriusError>| {
-                let AsrServed { asr, confirmed } = match result {
-                    Ok(served) => served,
-                    Err(err) => return done.finish(ctx, Err(err)),
-                };
-                ctx.recognized = asr.recognized;
-                ctx.asr_timing = asr.timing;
-                let key = done
-                    .caches
-                    .as_ref()
-                    .map(|_| CacheKey::of(&ctx.recognized, ctx.image.as_ref()));
-                // A confirmed speculation already holds everything past ASR:
-                // complete here, filling the cache so the next identical
-                // query hits at ASR commit.
-                if let Some((down, outcome)) = confirmed {
-                    ctx.down = down;
-                    ctx.cache_key = key;
-                    return done.finish(ctx, Ok(outcome));
-                }
-                // The post-ASR-commit cache consult: a verified hit serves
-                // the cached outcome with this query's own fresh ASR
-                // text/timing and never touches Classify/IMM/QA. A miss
-                // stamps the key on the context so completion fills the
-                // cache.
-                if let (Some(caches), Some(key)) = (&done.caches, key) {
-                    if let Some(cached) = caches.lookup(&key, &ctx.recognized) {
-                        if let Some(tenant) = &ctx.tenant {
-                            tenant.cache_hit.inc();
-                        }
-                        ctx.down.matched_venue = cached.matched_venue;
-                        return done.finish(ctx, Ok(cached.outcome));
-                    }
-                    ctx.cache_key = Some(key);
-                }
-                let req = ClassifyRequest {
-                    recognized: ctx.recognized.clone(),
-                };
-                done.forward(&cls_tx, ctx, req);
-            },
-            expire,
-        ));
+            workers.extend(spawn_stage_pool(
+                stages[i].workers,
+                rx,
+                Arc::clone(metrics.stage(STAGES[i]).expect("known stage")),
+                Arc::clone(&recorder),
+                move |ctx: &mut Ctx| match &asr {
+                    Some(asr) => asr.step(ctx),
+                    None => ctx.query.step(&sirius, i),
+                },
+                move |job, next| router.route(job, next),
+                move |job| done.expire(job),
+            ));
+        }
+        let submit_tx = txs.into_iter().next();
 
         Self {
             sirius,
@@ -679,7 +652,7 @@ impl SiriusServer {
             metrics,
             tenants,
             caches,
-            submit_tx: Some(asr_tx),
+            submit_tx,
             queue_probes,
             workers,
         }
@@ -714,17 +687,6 @@ impl SiriusServer {
         self.submit_tx.as_ref().map_or(0, Sender::len)
     }
 
-    /// Worker threads serving the stage at `STAGES` index `i`.
-    fn stage_workers(&self, i: usize) -> usize {
-        let stage = match i {
-            0 => self.config.asr,
-            1 => self.config.classify,
-            2 => self.config.imm,
-            _ => self.config.qa,
-        };
-        stage.workers.max(1)
-    }
-
     /// The expected end-to-end sojourn of a query admitted *right now*:
     /// Σ over stages of `(queue depth + in-flight) / workers + 1` × the
     /// stage's recent mean service time (EWMA).
@@ -738,14 +700,15 @@ impl SiriusServer {
     /// instead of an offline provisioning row.
     pub fn expected_sojourn(&self) -> Duration {
         let mut total_ns = 0.0f64;
+        let stages = self.config.stages();
         for (i, stage) in STAGES.iter().enumerate() {
             let obs = self.metrics.stage(stage).expect("known stage");
             let mean_ns = obs.service_meter.mean();
             if mean_ns <= 0.0 {
                 continue;
             }
-            let backlog = self.queue_probes[i].depth_now() + obs.in_flight.get() as usize;
-            total_ns += mean_ns * (backlog as f64 / self.stage_workers(i) as f64 + 1.0);
+            let backlog = self.queue_probes[i].tx.len() + obs.in_flight.get() as usize;
+            total_ns += mean_ns * (backlog as f64 / stages[i].workers.max(1) as f64 + 1.0);
         }
         Duration::from_nanos(total_ns as u64)
     }
@@ -828,17 +791,13 @@ impl SiriusServer {
         let ctx = Ctx {
             ticket: Arc::clone(&state),
             started,
-            deadline,
-            image: input.image,
-            recognized: String::new(),
-            asr_timing: AsrTiming::default(),
-            down: Downstream::default(),
             tenant: tenant.clone(),
             cache_key: None,
-        };
-        let req = AsrRequest {
-            audio: input.audio,
-            acoustic: self.config.acoustic,
+            query: Query {
+                audio: input.audio,
+                image: input.image,
+                ..Query::default()
+            },
         };
         // Raised before the job can reach a worker: one that finished it
         // first would decrement a zero gauge (`dec` saturates) and leave
@@ -848,7 +807,6 @@ impl SiriusServer {
         }
         let sent = tx.try_send(Job {
             ctx,
-            req,
             enqueued: started,
             deadline,
         });

@@ -12,21 +12,22 @@
 //!    decode. Measured from the end of audio arrival, ASR latency collapses
 //!    from the full decode to the tail.
 //! 2. **Speculation**: each time the committed prefix grows, the worker
-//!    dispatches the prefix to a private speculation pool that runs the
-//!    downstream stages (classify → IMM → QA, the exact
-//!    [`Sirius::try_process_with`] order) on it. At utterance end the worker
+//!    dispatches a detached copy of the query's data, holding the prefix
+//!    as its recognized text, to a private speculation pool that runs the
+//!    runtime's own classify, IMM and QA steps on it (the exact
+//!    [`Sirius::try_process_with`] order). At utterance end the worker
 //!    **reconciles**: if the latest speculation ran on exactly the final
-//!    hypothesis, its payload is reused and the ticket completes
-//!    immediately (`asr.spec_hit`); otherwise the query is forwarded
-//!    through the ordinary classify queue (`asr.spec_miss`) and nothing
-//!    downstream ever observes a wrong prefix.
+//!    hypothesis, the ASR step adopts its data and ends the query there
+//!    (`asr.spec_hit`); otherwise the query goes on through the ordinary
+//!    classify queue (`asr.spec_miss`) and nothing downstream ever
+//!    observes a wrong prefix.
 //!
 //! Both paths are bit-identical to the serial pipeline: whole-utterance
 //! `recognize` is this same recognizer run once over the whole audio, so
 //! the chunked run's final hypothesis equals it by construction, and the
-//! downstream stages are pure functions of the recognized text and the
-//! image, so a payload computed speculatively on the (confirmed) final text
-//! equals the one the staged path would compute.
+//! steps past ASR are pure functions of the recognized text and the image,
+//! so data a speculation computed on the (confirmed) final text equals
+//! what the queues would compute.
 //!
 //! Degenerate audio — empty, or containing non-finite samples — is served
 //! through the ordinary whole-utterance ASR stage instead of chunk by
@@ -37,10 +38,12 @@
 //!
 //! Streaming is one of the two ways the runtime's single ASR stage value
 //! (`AsrStage`) drives the recognizer — whole utterance or chunk by chunk —
-//! and either way the scorer is one [`Acoustic`] value built per request:
-//! the request's model, with the batch collector as the DNN's remote scorer
-//! when one exists. The generic worker pool runs all of it through the same
-//! dequeue / expire / `catch_unwind` / timing loop.
+//! and either way the scorer is one [`Acoustic`] value built per query:
+//! the configured model, with the batch collector as the DNN's remote
+//! scorer when one exists. `AsrStage::step` is the ASR pool's step: it
+//! recognizes, reconciles a speculation, and consults the result caches,
+//! and the generic worker pool runs it through the same dequeue / expire /
+//! `catch_unwind` / timing loop as every other step.
 //!
 //! [`Sirius::try_process_with`]: sirius::pipeline::Sirius::try_process_with
 
@@ -51,17 +54,15 @@ use std::time::{Duration, Instant};
 
 use sirius::error::SiriusError;
 use sirius::pipeline::{Sirius, SiriusOutcome};
-use sirius::stage::{AsrRequest, AsrResponse, ClassifyRequest, ImmRequest, QaRequest};
-use sirius_nlp::qa::QaBreakdown;
-use sirius_par::queue::{bounded, Receiver, Sender};
+use sirius::stage::{AsrRequest, AsrResponse};
 use sirius_speech::features::SAMPLE_RATE;
 use sirius_speech::{Acoustic, AcousticModelKind, WindowScorer};
-use sirius_vision::db::ImmTiming;
-use sirius_vision::image::GrayImage;
 
 use crate::batch::{spawn_batch_collector, BatchHandle, SiriusWindowScorer};
 use crate::metrics::{ServerMetrics, StreamObs};
-use crate::runtime::{Ctx, ServerConfig};
+use crate::qos::{CacheKey, ResultCaches};
+use crate::queue::{bounded, Receiver, Sender};
+use crate::runtime::{Ctx, Next, Query, ServerConfig, CLASSIFY};
 
 /// Governs streaming ASR service: chunked ingestion pacing and speculative
 /// downstream dispatch.
@@ -124,23 +125,11 @@ impl StreamPolicy {
     }
 }
 
-/// What the stages past ASR contribute to the final response. The queues
-/// accumulate it on the query context stage by stage; a speculation
-/// computes it in one go, field for field as the staged path would for the
-/// same text.
-#[derive(Default)]
-pub(crate) struct Downstream {
-    pub(crate) classify: Duration,
-    pub(crate) imm_timing: Option<ImmTiming>,
-    pub(crate) matched_venue: Option<String>,
-    pub(crate) qa_timing: Option<QaBreakdown>,
-}
-
-/// One finished speculation: the prefix it ran on and what it produced.
+/// One finished speculation: the query copy it walked and how that ended.
 struct SpecResult {
     generation: u64,
-    text: String,
-    payload: Result<(Downstream, SiriusOutcome), SiriusError>,
+    query: Query,
+    outcome: Result<SiriusOutcome, SiriusError>,
 }
 
 struct SpecInner {
@@ -174,49 +163,19 @@ impl SpecCell {
     }
 }
 
-/// One speculative unit of work: run the downstream stages on `text`.
+/// One speculative unit of work: walk the steps past ASR on `query`, a
+/// detached copy of the query's data holding a committed prefix.
 struct SpecJob {
     cell: Arc<SpecCell>,
     generation: u64,
-    text: String,
-    image: Option<GrayImage>,
+    query: Query,
 }
 
-/// Runs classify → IMM → QA on `text` exactly as the staged path would:
-/// the same stage methods in the same order, so the payload is
-/// bit-identical to what the queues would produce for the same text.
-fn run_downstream(
-    sirius: &Sirius,
-    text: String,
-    image: Option<GrayImage>,
-) -> Result<(Downstream, SiriusOutcome), SiriusError> {
-    let classify = sirius.stage_classify(ClassifyRequest {
-        recognized: text.clone(),
-    })?;
-    let mut down = Downstream {
-        classify: classify.elapsed,
-        ..Downstream::default()
-    };
-    if let Some(action) = classify.action {
-        return Ok((down, SiriusOutcome::Action(action)));
-    }
-    let imm = sirius.stage_imm(ImmRequest {
-        question: text,
-        image,
-    })?;
-    down.imm_timing = imm.timing;
-    down.matched_venue = imm.matched_venue;
-    let qa = sirius.stage_qa(QaRequest {
-        question: imm.question,
-    })?;
-    down.qa_timing = Some(qa.breakdown);
-    Ok((down, SiriusOutcome::Answer(qa.answer)))
-}
-
-/// Spawns the speculation pool: `workers` threads draining `rx`, running
-/// each job's downstream stages and depositing the latest-generation
-/// result into the job's cell. Threads exit when every sender is dropped
-/// (the ASR workers own the senders, so the pool outlives every query).
+/// Spawns the speculation pool: `workers` threads draining `rx`, walking
+/// each job's query through the steps past ASR and depositing the
+/// latest-generation result into the job's cell. Threads exit when every
+/// sender is dropped (the ASR stage owns the sender, so the pool outlives
+/// every query).
 fn spawn_spec_pool(
     sirius: Arc<Sirius>,
     workers: usize,
@@ -234,20 +193,13 @@ fn spawn_spec_pool(
                             let inner = job.cell.inner.lock().expect("spec lock");
                             job.generation < inner.generation
                         };
-                        let payload = if stale {
-                            None
-                        } else {
-                            let text = job.text.clone();
-                            let image = job.image.clone();
-                            Some(
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    run_downstream(&sirius, text, image)
-                                }))
-                                .unwrap_or(Err(SiriusError::StagePanicked { stage: "asr" })),
-                            )
-                        };
+                        let mut query = job.query;
+                        let outcome = (!stale).then(|| {
+                            catch_unwind(AssertUnwindSafe(|| query.walk(&sirius, CLASSIFY)))
+                                .unwrap_or(Err(SiriusError::StagePanicked { stage: "asr" }))
+                        });
                         let mut inner = job.cell.inner.lock().expect("spec lock");
-                        if let Some(payload) = payload {
+                        if let Some(outcome) = outcome {
                             let newer = inner
                                 .deposit
                                 .as_ref()
@@ -255,8 +207,8 @@ fn spawn_spec_pool(
                             if newer {
                                 inner.deposit = Some(SpecResult {
                                     generation: job.generation,
-                                    text: job.text,
-                                    payload,
+                                    query,
+                                    outcome,
                                 });
                             }
                         }
@@ -269,34 +221,18 @@ fn spawn_spec_pool(
         .collect()
 }
 
-/// What the ASR stage hands its router: the recognition and — when a
-/// speculation that ran on exactly this text was confirmed — the whole
-/// downstream payload, which completes the query without touching another
-/// queue. `None` routes onward through the classify queue (whole-utterance
-/// ASR, speculation off, or a speculation miss).
-pub(crate) struct AsrServed {
-    pub(crate) asr: AsrResponse,
-    pub(crate) confirmed: Option<(Downstream, SiriusOutcome)>,
-}
-
-impl From<AsrResponse> for AsrServed {
-    fn from(asr: AsrResponse) -> Self {
-        Self {
-            asr,
-            confirmed: None,
-        }
-    }
-}
-
 /// The runtime's one ASR stage, chosen once from [`ServerConfig`]:
 /// whole-utterance recognition, or streaming ingestion with optional
 /// speculation (`streaming`); either scores DNN queries through the batch
 /// collector when there is one (`remote`).
 pub(crate) struct AsrStage {
     sirius: Arc<Sirius>,
+    acoustic: AcousticModelKind,
     /// The collector DNN queries score through, when batching is on.
     remote: Option<BatchHandle>,
     streaming: Option<Streaming>,
+    /// The result caches consulted once the transcript is final.
+    caches: Option<Arc<ResultCaches>>,
 }
 
 struct Streaming {
@@ -309,13 +245,14 @@ struct Streaming {
 impl AsrStage {
     /// Builds the stage `config` calls for and spawns its helper threads —
     /// the batch collector and the speculation pool. Both exit once the
-    /// stage (held only by the ASR workers' handler) is dropped, so the ASR
+    /// stage (held only by the ASR pool's step) is dropped, so the ASR
     /// pool exiting is what lets them drain and stop and their joins can
     /// never deadlock.
     pub(crate) fn start(
         sirius: &Arc<Sirius>,
         config: &ServerConfig,
         metrics: &ServerMetrics,
+        caches: Option<Arc<ResultCaches>>,
     ) -> (Self, Vec<JoinHandle<()>>) {
         let asr_workers = config.asr.workers.max(1);
         let mut helpers = Vec::new();
@@ -345,33 +282,76 @@ impl AsrStage {
         });
         let stage = Self {
             sirius: Arc::clone(sirius),
+            acoustic: config.acoustic,
             remote,
             streaming,
+            caches,
         };
         (stage, helpers)
     }
 
-    /// Serves one ASR job. Expired jobs never get here — the pool drops
-    /// them at dequeue — so an abandoned query never occupies a slot in a
-    /// batch or a speculation.
-    pub(crate) fn serve(&self, ctx: &Ctx, req: AsrRequest) -> Result<AsrServed, SiriusError> {
+    /// The ASR step: recognizes the query's audio, then ends the query
+    /// with a confirmed speculation or a result-cache hit, or sends it on
+    /// to classify. Expired jobs never get here — the pool drops them at
+    /// dequeue — so an abandoned query never occupies a slot in a batch or
+    /// a speculation.
+    pub(crate) fn step(&self, ctx: &mut Ctx) -> Result<Next, SiriusError> {
+        let audio = std::mem::take(&mut ctx.query.audio);
         // The one place "DNN and a collector exists → remote" is decided.
         // The session lives for this decode only: the collector holds a
         // partial batch for every open session, and a GMM decode (no GEMM
         // to batch) would never send it a block.
-        let session = match (req.acoustic, &self.remote) {
+        let session = match (self.acoustic, &self.remote) {
             (AcousticModelKind::Dnn, Some(handle)) => Some(handle.session()),
             _ => None,
         };
         let remote = session.as_ref().map(|s| s as &dyn WindowScorer);
-        let acoustic = Acoustic::new(req.acoustic, remote);
-        match &self.streaming {
-            Some(streaming) => streaming.serve(&self.sirius, acoustic, ctx, req),
-            None => {
-                let out = self.sirius.asr().recognize(&req.audio, acoustic);
-                Ok(AsrServed::from(AsrResponse::from(out)))
+        let acoustic = Acoustic::new(self.acoustic, remote);
+        let (asr, confirmed) = match &self.streaming {
+            // Degenerate audio takes the whole-utterance stage, the same
+            // recognizer run once without the streaming entry's checks, so
+            // the response (including error behaviour) is byte-identical to
+            // the serial pipeline's.
+            Some(_) if audio.is_empty() || audio.iter().any(|s| !s.is_finite()) => {
+                let req = AsrRequest {
+                    audio,
+                    acoustic: self.acoustic,
+                };
+                (self.sirius.stage_asr(req)?, None)
             }
+            Some(streaming) => streaming.serve(&self.sirius, acoustic, ctx, &audio)?,
+            None => (self.sirius.asr().recognize(&audio, acoustic).into(), None),
+        };
+        ctx.query.recognized = asr.recognized;
+        ctx.query.timing.asr = asr.timing;
+        let key = self
+            .caches
+            .as_ref()
+            .map(|_| CacheKey::of(&ctx.query.recognized, ctx.query.image.as_ref()));
+        // A confirmed speculation already ran every step past ASR: adopt
+        // its data and end here, filling the cache so the next identical
+        // query hits at ASR commit.
+        if let Some((spec, outcome)) = confirmed {
+            ctx.query = spec;
+            ctx.query.timing.asr = asr.timing;
+            ctx.cache_key = key;
+            return Ok(Next::Done(outcome));
         }
+        // The post-ASR-commit cache consult: a verified hit serves the
+        // cached outcome with this query's own fresh ASR text/timing and
+        // never touches Classify/IMM/QA. A miss stamps the key so
+        // completion fills the cache.
+        if let (Some(caches), Some(key)) = (&self.caches, key) {
+            if let Some(cached) = caches.lookup(&key, &ctx.query.recognized) {
+                if let Some(tenant) = &ctx.tenant {
+                    tenant.cache_hit.inc();
+                }
+                ctx.query.matched_venue = cached.matched_venue;
+                return Ok(Next::Done(cached.outcome));
+            }
+            ctx.cache_key = Some(key);
+        }
+        Ok(Next::Stage(CLASSIFY))
     }
 }
 
@@ -387,31 +367,25 @@ fn wait_until(due: Option<Instant>) {
 }
 
 impl Streaming {
-    /// Serves one query through the streaming recognizer: paced chunk
-    /// ingestion, partial-commit telemetry, speculative dispatch, and the
-    /// final reconcile. See the module docs for the full story.
+    /// Recognizes one query's (finite, non-empty) audio through the
+    /// streaming recognizer: paced chunk ingestion, partial-commit
+    /// telemetry, speculative dispatch, and the final reconcile, which
+    /// returns the confirmed speculation's query and outcome on a hit. See
+    /// the module docs for the full story.
     fn serve(
         &self,
         sirius: &Sirius,
         acoustic: Acoustic<'_>,
         ctx: &Ctx,
-        req: AsrRequest,
-    ) -> Result<AsrServed, SiriusError> {
-        // Degenerate audio takes the whole-utterance stage, the same
-        // recognizer run once without the streaming entry's checks, so the
-        // response (including error behaviour) is byte-identical to the
-        // serial pipeline's.
-        if req.audio.is_empty() || req.audio.iter().any(|s| !s.is_finite()) {
-            return sirius.stage_asr(req).map(AsrServed::from);
-        }
-
+        audio: &[f32],
+    ) -> Result<(AsrResponse, Option<(Query, SiriusOutcome)>), SiriusError> {
         let mut rec = sirius.asr().streaming(acoustic);
 
         let spec = self.spec_tx.as_ref().map(|tx| (tx, SpecCell::new()));
         let chunk_samples = self.policy.chunk_samples();
         let mut last_committed = 0usize;
         let mut arrived = 0usize;
-        for chunk in req.audio.chunks(chunk_samples) {
+        for chunk in audio.chunks(chunk_samples) {
             arrived += chunk.len();
             if self.policy.pacing > 0.0 {
                 let offset = self.policy.pacing * arrived as f64 / SAMPLE_RATE as f64;
@@ -441,8 +415,11 @@ impl Streaming {
                     let job = SpecJob {
                         cell: Arc::clone(cell),
                         generation,
-                        text: rec.committed_text(),
-                        image: ctx.image.clone(),
+                        query: Query {
+                            recognized: rec.committed_text(),
+                            image: ctx.query.image.clone(),
+                            ..Query::default()
+                        },
                     };
                     if tx.try_send(job).is_ok() {
                         self.obs.spec_dispatched.inc();
@@ -458,7 +435,8 @@ impl Streaming {
             }
         }
 
-        let mut served = AsrServed::from(AsrResponse::from(rec.finish()?));
+        let asr = AsrResponse::from(rec.finish()?);
+        let mut confirmed = None;
 
         // Reconcile: wait for every dispatched speculation (so none still
         // borrows the query), then reuse the deposit iff it ran on exactly
@@ -473,19 +451,19 @@ impl Streaming {
             };
             match deposit {
                 Some(SpecResult {
-                    text,
-                    payload: Ok(payload),
+                    query,
+                    outcome: Ok(outcome),
                     ..
-                }) if text == served.asr.recognized => {
+                }) if query.recognized == asr.recognized => {
                     self.obs.spec_hit.inc();
-                    served.confirmed = Some(payload);
+                    confirmed = Some((query, outcome));
                 }
                 Some(_) => self.obs.spec_miss.inc(),
                 None if last_committed > 0 => self.obs.spec_miss.inc(),
                 None => {}
             }
         }
-        Ok(served)
+        Ok((asr, confirmed))
     }
 }
 

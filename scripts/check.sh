@@ -42,6 +42,11 @@ echo "==> cargo doc --workspace --no-deps (broken intra-doc links are errors)"
 RUSTDOCFLAGS='-D rustdoc::broken_intra_doc_links' cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release --offline --manifest-path benchmark/Cargo.toml (frozen benchmark surface still compiles)"
+# Building the benchmark rewrites its committed lockfile whenever a crate's
+# dependency list changes; put the committed one back however this exits.
+lock_backup=$(mktemp)
+cp benchmark/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> all checks passed"
