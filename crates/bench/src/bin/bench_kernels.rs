@@ -11,6 +11,11 @@
 //! This binary is the repo's one kernel timer; its stdout is the committed
 //! `BENCH_kernels.json`.
 //!
+//! The `build` section times `Sirius::build(SiriusConfig::default())` by
+//! phase (`Sirius::build_timed`): ASR synthesis and features, GMM EM, the
+//! DNN's SGD and its examples per second, the CRF, the search index and the
+//! IMM database. `asr_ms` is all of ASR training; `total_ms` the whole build.
+//!
 //! The `pruning` section is the calibration of the decoder's two limits
 //! ([`DecoderConfig`]): over the 42 query texts at four synthesis seeds it
 //! finds the smallest score beam and the smallest `max_active` that still
@@ -257,6 +262,42 @@ fn bench_dnn_forward(reps: usize) -> (f64, f64, bool) {
         .zip(&out)
         .all(|(a, b)| a.to_bits() == b.to_bits());
     (per_frame_ms, batched_ms, bit_identical)
+}
+
+/// `Sirius::build(SiriusConfig::default())` `reps` times: the median of
+/// each phase as one JSON section, and the last build (for the pruning
+/// calibration).
+fn bench_build(reps: usize) -> (String, Sirius) {
+    let mut phases: [Vec<f64>; 8] = Default::default();
+    let mut last = None;
+    let mut dnn_examples = 0;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let (sirius, b) = Sirius::build_timed(SiriusConfig::default());
+        let total = t.elapsed();
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+        let sample = [
+            ms(total),
+            ms(b.asr_total),
+            ms(b.asr.synthesis_features),
+            ms(b.asr.gmm_em),
+            ms(b.asr.dnn_sgd),
+            ms(b.crf),
+            ms(b.index),
+            ms(b.imm),
+        ];
+        for (p, v) in phases.iter_mut().zip(sample) {
+            p.push(v);
+        }
+        dnn_examples = b.asr.dnn_examples;
+        last = Some(sirius);
+    }
+    let [total, asr, synth, gmm, sgd, crf, index, imm] = phases.map(|mut p| median(&mut p));
+    let json = format!(
+        "  \"build\": {{ \"total_ms\": {total:.1}, \"asr_ms\": {asr:.1}, \"asr_synthesis_features_ms\": {synth:.1}, \"asr_gmm_em_ms\": {gmm:.1}, \"asr_dnn_sgd_ms\": {sgd:.1}, \"crf_ms\": {crf:.1}, \"index_ms\": {index:.1}, \"imm_ms\": {imm:.1}, \"dnn_examples\": {dnn_examples}, \"dnn_examples_per_s\": {:.0} }},",
+        dnn_examples as f64 / (sgd / 1e3)
+    );
+    (json, last.expect("reps >= 1"))
 }
 
 fn bench_gmm_layout(reps: usize) -> (f64, f64, bool) {
@@ -527,8 +568,10 @@ fn main() {
     eprintln!("benchmarking the design ablations...");
     let (ablations, stems_match) = bench_ablations(&asr, &utts, reps);
 
+    eprintln!("timing Sirius::build, {reps} reps...");
+    let (build, sirius) = bench_build(reps);
+
     eprintln!("calibrating the decoder's pruning limits (full vocabulary)...");
-    let sirius = Sirius::build(SiriusConfig::default());
     let full = sirius.asr();
     let audio: Vec<Frames> = PRUNING_SEEDS
         .iter()
@@ -568,6 +611,7 @@ fn main() {
         aos_ms / soa_ms,
         gmm_bits
     );
+    println!("{build}");
     let shipped = DecoderConfig::default();
     println!("  \"pruning\": {{");
     println!(

@@ -163,9 +163,7 @@ impl Encoder {
     /// If the slice holds more than `u32::MAX` elements.
     pub fn f32_slice(&mut self, xs: &[f32]) -> &mut Self {
         self.u32(wire_len(xs.len()));
-        for &x in xs {
-            self.f32(x);
-        }
+        put_words(&mut self.buf, xs, f32::to_le_bytes);
         self
     }
 
@@ -176,9 +174,7 @@ impl Encoder {
     /// If the slice holds more than `u32::MAX` elements.
     pub fn u32_slice(&mut self, xs: &[u32]) -> &mut Self {
         self.u32(wire_len(xs.len()));
-        for &x in xs {
-            self.u32(x);
-        }
+        put_words(&mut self.buf, xs, u32::to_le_bytes);
         self
     }
 
@@ -195,6 +191,24 @@ impl Encoder {
         }
         self
     }
+}
+
+/// Appends `xs` as one run of 4-byte words: the buffer grows once, then
+/// each word is copied into place.
+fn put_words<T: Copy>(buf: &mut Vec<u8>, xs: &[T], to_le: impl Fn(T) -> [u8; 4]) {
+    let start = buf.len();
+    buf.resize(start + 4 * xs.len(), 0);
+    for (dst, &x) in buf[start..].chunks_exact_mut(4).zip(xs) {
+        dst.copy_from_slice(&to_le(x));
+    }
+}
+
+/// Decodes a run of 4-byte words into an exactly sized `Vec`.
+fn words<T>(bytes: &[u8], from_le: impl Fn([u8; 4]) -> T) -> Vec<T> {
+    bytes
+        .chunks_exact(4)
+        .map(|b| from_le(b.try_into().expect("chunks are 4 bytes")))
+        .collect()
 }
 
 /// Sequential binary decoder over a byte slice.
@@ -303,7 +317,7 @@ impl<'a> Decoder<'a> {
         if n.saturating_mul(4) > self.buf.len() - self.pos {
             return Err(self.err(format!("f32 vector length {n} exceeds remaining bytes")));
         }
-        (0..n).map(|_| self.f32()).collect()
+        Ok(words(self.take(4 * n)?, f32::from_le_bytes))
     }
 
     /// Reads a length-prefixed `u32` vector.
@@ -312,7 +326,7 @@ impl<'a> Decoder<'a> {
         if n.saturating_mul(4) > self.buf.len() - self.pos {
             return Err(self.err(format!("u32 vector length {n} exceeds remaining bytes")));
         }
-        (0..n).map(|_| self.u32()).collect()
+        Ok(words(self.take(4 * n)?, u32::from_le_bytes))
     }
 
     /// Reads a length-prefixed list of strings.

@@ -45,7 +45,7 @@ pub use classifier::{DeviceAction, QueryClassifier};
 pub use error::{ClusterError, SiriusError};
 pub use inputset::{prepare_input_set, PreparedQuery};
 pub use pipeline::{
-    ShardDirectory, Sirius, SiriusConfig, SiriusInput, SiriusOutcome, SiriusResponse,
+    BuildTiming, ShardDirectory, Sirius, SiriusConfig, SiriusInput, SiriusOutcome, SiriusResponse,
 };
 pub use profile::Profiler;
 pub use taxonomy::{input_set, QueryKind, QuerySpec};

@@ -15,7 +15,7 @@ use sirius_nlp::pos;
 use sirius_nlp::qa::{QaBreakdown, QaConfig, QaEngine};
 use sirius_search::corpus::{CorpusConfig, FactCorpus, FactKind};
 use sirius_search::SearchEngine;
-use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTiming, AsrTrainConfig};
+use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTiming, AsrTrainConfig, AsrTrainTiming};
 use sirius_vision::db::{ImageDatabase, ImmTiming, MatchConfig};
 use sirius_vision::image::GrayImage;
 use sirius_vision::surf::SurfConfig;
@@ -28,6 +28,22 @@ use crate::stage::{
     QaResponse,
 };
 use crate::taxonomy;
+
+/// Wall time of the phases of one [`Sirius::build_timed`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BuildTiming {
+    /// The ASR training phases.
+    pub asr: AsrTrainTiming,
+    /// All of ASR training: its phases plus the lexicon, language model,
+    /// decoder graph and scorer set-up.
+    pub asr_total: Duration,
+    /// Generating the fact corpus and building its search index.
+    pub index: Duration,
+    /// Training the CRF tagger.
+    pub crf: Duration,
+    /// Generating the venue scenes and building the image database.
+    pub imm: Duration,
+}
 
 /// Configuration for building a Sirius instance.
 #[derive(Debug, Clone)]
@@ -160,21 +176,33 @@ impl Sirius {
     /// input-set vocabulary, the QA engine over a generated fact corpus, and
     /// the image database over procedurally generated venue scenes.
     pub fn build(config: SiriusConfig) -> Self {
+        Self::build_timed(config).0
+    }
+
+    /// [`Sirius::build`], also returning the wall time of its phases.
+    pub fn build_timed(config: SiriusConfig) -> (Self, BuildTiming) {
         // ASR: train on the full taxonomy vocabulary.
         let texts: Vec<&str> = taxonomy::input_set().iter().map(|q| q.text).collect();
-        let asr = AsrSystem::train(&texts, config.seed, config.asr);
+        let phase = Instant::now();
+        let (asr, asr_timing) = AsrSystem::train_timed(&texts, config.seed, config.asr);
+        let asr_total = phase.elapsed();
 
         // QA: fact corpus + search engine + CRF tagger.
+        let phase = Instant::now();
         let corpus = FactCorpus::generate(config.seed ^ 0xfac7, config.corpus);
         let search = SearchEngine::build(corpus.documents().iter().map(|d| d.text.as_str()));
+        let index = phase.elapsed();
+        let phase = Instant::now();
         let crf = Crf::train(
             pos::tag_set(),
             &pos::generate(config.seed ^ 0x905, config.crf_train_sentences),
             TrainConfig::default(),
         );
+        let crf_time = phase.elapsed();
         let qa = QaEngine::new(search, crf, config.qa);
 
         // IMM: one scene per venue in the knowledge base.
+        let phase = Instant::now();
         let venues: Vec<String> = corpus
             .facts()
             .iter()
@@ -186,8 +214,15 @@ impl Sirius {
             .map(|i| vsynth::generate_scene(Self::venue_scene_seed(config.seed, i), w, h))
             .collect();
         let imm = ImageDatabase::build(scenes.iter(), config.imm);
+        let timing = BuildTiming {
+            asr: asr_timing,
+            asr_total,
+            index,
+            crf: crf_time,
+            imm: phase.elapsed(),
+        };
 
-        Self {
+        let sirius = Self {
             asr,
             classifier: QueryClassifier::new(),
             qa,
@@ -195,7 +230,8 @@ impl Sirius {
             venues,
             config,
             shards: None,
-        }
+        };
+        (sirius, timing)
     }
 
     /// Builds `num_shards` cluster replicas from this instance.

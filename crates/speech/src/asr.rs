@@ -15,7 +15,7 @@
 //! layer that batches DNN blocks across queries uses the same two entry
 //! points as everyone else.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -122,6 +122,19 @@ impl Default for AsrTrainConfig {
     }
 }
 
+/// Wall time of the phases of one [`AsrSystem::train_timed`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AsrTrainTiming {
+    /// Synthesizing the training utterances and extracting their features.
+    pub synthesis_features: Duration,
+    /// Fitting the per-state GMMs (k-means initialization and EM).
+    pub gmm_em: Duration,
+    /// The DNN's mini-batch SGD.
+    pub dnn_sgd: Duration,
+    /// Examples the SGD stepped over: training examples times epochs.
+    pub dnn_examples: usize,
+}
+
 /// Per-stage timing of one recognition call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AsrTiming {
@@ -169,6 +182,19 @@ impl AsrSystem {
     ///
     /// Panics if `texts` is empty or yields an empty vocabulary.
     pub fn train(texts: &[&str], seed: u64, config: AsrTrainConfig) -> Self {
+        Self::train_timed(texts, seed, config).0
+    }
+
+    /// [`AsrSystem::train`], also returning the wall time of its phases.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `texts` is empty or yields an empty vocabulary.
+    pub fn train_timed(
+        texts: &[&str],
+        seed: u64,
+        config: AsrTrainConfig,
+    ) -> (Self, AsrTrainTiming) {
         assert!(!texts.is_empty(), "training corpus must be non-empty");
         let lexicon = Lexicon::from_texts(texts.iter().copied());
         assert!(!lexicon.is_empty(), "no pronounceable vocabulary");
@@ -176,6 +202,7 @@ impl AsrSystem {
         let frontend = Frontend::default();
 
         // Synthesize isolated-word training data with known alignments.
+        let phase = Instant::now();
         let mut synth = Synthesizer::new(seed, SynthConfig::default());
         let mut state_frames = vec![Frames::new(FEATURE_DIM); NUM_STATES];
         let mut labeled: Vec<(Vec<f32>, usize)> = Vec::new();
@@ -195,7 +222,10 @@ impl AsrSystem {
             }
         }
 
+        let synthesis_features = phase.elapsed();
+
         // GMM per tied state, with a global fallback for unseen states.
+        let phase = Instant::now();
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x517a_11ce);
         let mut all_frames = Frames::new(FEATURE_DIM);
         for row in state_frames.iter().flat_map(Frames::rows) {
@@ -219,6 +249,7 @@ impl AsrSystem {
             })
             .collect();
         let gmm = GmmScorer::new(gmms);
+        let gmm_em = phase.elapsed();
 
         // DNN on (context window, state) pairs.
         let mut priors = vec![1.0f32; NUM_STATES]; // add-one smoothing
@@ -237,6 +268,7 @@ impl AsrSystem {
         }
         let input_dim = FEATURE_DIM * (2 * config.dnn_context + 1);
         let mut dnn = Dnn::new(&[input_dim, config.dnn_hidden, NUM_STATES], &mut rng);
+        let phase = Instant::now();
         dnn.train(
             &labeled,
             DnnTrainConfig {
@@ -246,17 +278,24 @@ impl AsrSystem {
             },
             &mut rng,
         );
+        let timing = AsrTrainTiming {
+            synthesis_features,
+            gmm_em,
+            dnn_sgd: phase.elapsed(),
+            dnn_examples: labeled.len() * config.dnn_epochs,
+        };
         let dnn = DnnScorer::new(dnn, &priors, config.dnn_context);
 
         let decoder = Decoder::new(&lexicon, DecoderConfig::default());
-        Self {
+        let asr = Self {
             frontend,
             lexicon,
             lm,
             decoder,
             gmm,
             dnn,
-        }
+        };
+        (asr, timing)
     }
 
     /// The pronunciation lexicon.

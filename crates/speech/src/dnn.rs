@@ -6,6 +6,12 @@
 //! implements a small MLP with ReLU hidden layers and a softmax output,
 //! trained by mini-batch SGD with cross-entropy loss; the forward pass is
 //! the Sirius Suite "DNN" kernel (a sequence of matrix multiplications).
+//!
+//! Serving and training share one kernel, [`sirius_kernels::gemm_xwt_bias`]:
+//! [`Dnn::forward_batch_into`] is one GEMM per layer, and an SGD step is
+//! three per layer (forward, weight gradient, back-propagation), each
+//! summing in the order of the per-example loop it replaced, so the
+//! trained weights are the same bits.
 
 use rand::Rng;
 use sirius_codec::{DecodeError, Decoder, Encoder};
@@ -132,8 +138,7 @@ impl Dnn {
 
     /// One forward pass, returning the softmax class posteriors.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let (acts, _) = self.forward_internal(x);
-        acts.last().cloned().expect("at least one layer")
+        self.forward_internal(x).pop().expect("at least one layer")
     }
 
     /// Log-posteriors `ln p(class | x)`, used for hybrid DNN/HMM scoring.
@@ -141,27 +146,22 @@ impl Dnn {
         self.forward(x).iter().map(|p| p.max(1e-12).ln()).collect()
     }
 
-    /// Forward pass retaining all activations (for backprop).
-    /// Returns (post-activation outputs per layer, pre-activation of last).
-    fn forward_internal(&self, x: &[f32]) -> (Vec<Vec<f32>>, Vec<f32>) {
+    /// Forward pass retaining every layer's post-activation output.
+    fn forward_internal(&self, x: &[f32]) -> Vec<Vec<f32>> {
         let mut acts: Vec<Vec<f32>> = Vec::with_capacity(self.layers.len());
-        let mut cur: Vec<f32> = x.to_vec();
-        let mut pre_last = Vec::new();
         for (i, layer) in self.layers.iter().enumerate() {
             let mut out = Vec::new();
-            layer.forward(&cur, &mut out);
+            layer.forward(acts.last().map_or(x, Vec::as_slice), &mut out);
             if i + 1 == self.layers.len() {
-                pre_last = out.clone();
                 softmax_in_place(&mut out);
             } else {
                 for v in &mut out {
                     *v = v.max(0.0); // ReLU
                 }
             }
-            acts.push(out.clone());
-            cur = out;
+            acts.push(out);
         }
-        (acts, pre_last)
+        acts
     }
 
     /// Trains on `(features, label)` pairs with mini-batch SGD.
@@ -176,70 +176,134 @@ impl Dnn {
             return;
         }
         let mut order: Vec<usize> = (0..n).collect();
+        let mut scratch = TrainScratch::default();
         for _ in 0..config.epochs {
             // Fisher–Yates shuffle.
             for i in (1..n).rev() {
                 order.swap(i, rng.gen_range(0..=i));
             }
             for chunk in order.chunks(config.batch_size) {
-                self.sgd_batch(data, chunk, config.learning_rate);
+                self.sgd_batch(data, chunk, config.learning_rate, &mut scratch);
             }
         }
     }
 
-    fn sgd_batch(&mut self, data: &[(Vec<f32>, usize)], idxs: &[usize], lr: f32) {
-        // Accumulate gradients over the batch.
-        let mut grad_w: Vec<Vec<f32>> = self
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.weights.len()])
-            .collect();
-        let mut grad_b: Vec<Vec<f32>> = self
-            .layers
-            .iter()
-            .map(|l| vec![0.0; l.biases.len()])
-            .collect();
+    /// One SGD step over the examples `idxs`, as three GEMMs per layer on
+    /// [`sirius_kernels::gemm_xwt_bias`]: the forward pass, the weight
+    /// gradient `Δᵀ · input` and the back-propagation `Δ · W`. Each
+    /// gradient element sums its per-example terms in ascending example
+    /// order and each back-propagated element in ascending output order,
+    /// the orders of the per-example test oracle `sgd_batch_reference`, so
+    /// the two train the same bits.
+    fn sgd_batch(
+        &mut self,
+        data: &[(Vec<f32>, usize)],
+        idxs: &[usize],
+        lr: f32,
+        scratch: &mut TrainScratch,
+    ) {
+        let rows = idxs.len();
+        let nl = self.layers.len();
+        let TrainScratch {
+            x,
+            acts,
+            delta,
+            next,
+            delta_t,
+            wt,
+            grad_w,
+            grad_b,
+            zeros,
+        } = scratch;
+        acts.resize_with(nl, Vec::new);
+        grad_w.resize_with(nl, Vec::new);
+        grad_b.resize_with(nl, Vec::new);
+        let widest = self.layers.iter().map(|l| l.inputs).max().unwrap_or(0);
+        zeros.resize(widest, 0.0);
+
+        x.clear();
         for &i in idxs {
-            let (x, label) = &data[i];
-            let (acts, _) = self.forward_internal(x);
-            // Delta at output: softmax + cross-entropy → p - y.
-            let mut delta: Vec<f32> = acts.last().expect("layers").clone();
-            delta[*label] -= 1.0;
-            for li in (0..self.layers.len()).rev() {
-                let input: &[f32] = if li == 0 { x } else { &acts[li - 1] };
-                let layer = &self.layers[li];
-                for o in 0..layer.outputs {
-                    let d = delta[o];
-                    if d != 0.0 {
-                        let row = &mut grad_w[li][o * layer.inputs..(o + 1) * layer.inputs];
-                        for (g, v) in row.iter_mut().zip(input) {
-                            *g += d * v;
-                        }
-                        grad_b[li][o] += d;
-                    }
+            x.extend_from_slice(&data[i].0);
+        }
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(li);
+            let input: &[f32] = if li == 0 { x } else { &done[li - 1] };
+            let out = sized(&mut rest[0], rows * layer.outputs);
+            let wt = sized(wt, layer.weights.len());
+            sirius_kernels::transpose_into(&layer.weights, layer.outputs, layer.inputs, wt);
+            sirius_kernels::gemm_xwt_bias(
+                input,
+                rows,
+                layer.inputs,
+                wt,
+                layer.outputs,
+                &layer.biases,
+                out,
+            );
+            if li + 1 == nl {
+                for row in out.chunks_exact_mut(layer.outputs) {
+                    softmax_in_place(row);
                 }
-                if li > 0 {
-                    // Propagate delta through W^T and the ReLU derivative.
-                    let mut next = vec![0.0f32; layer.inputs];
-                    for o in 0..layer.outputs {
-                        let d = delta[o];
-                        if d != 0.0 {
-                            let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
-                            for (nv, w) in next.iter_mut().zip(row) {
-                                *nv += d * w;
-                            }
-                        }
-                    }
-                    for (nv, a) in next.iter_mut().zip(&acts[li - 1]) {
-                        if *a <= 0.0 {
-                            *nv = 0.0;
-                        }
-                    }
-                    delta = next;
+            } else {
+                for v in out.iter_mut() {
+                    *v = v.max(0.0); // ReLU
                 }
             }
         }
-        let scale = lr / idxs.len() as f32;
+
+        // Delta at output: softmax + cross-entropy → p - y.
+        delta.clear();
+        delta.extend_from_slice(&acts[nl - 1]);
+        let classes = self.output_dim();
+        for (r, &i) in idxs.iter().enumerate() {
+            delta[r * classes + data[i].1] -= 1.0;
+        }
+        // The oracle skips zero deltas; these GEMMs add their `±0` products,
+        // which changes nothing: every accumulator starts at `+0.0`, and a
+        // sum that starts at `+0.0` is never `-0.0`.
+        for li in (0..nl).rev() {
+            let layer = &self.layers[li];
+            let input: &[f32] = if li == 0 { x } else { &acts[li - 1] };
+            let dt = sized(delta_t, layer.outputs * rows);
+            sirius_kernels::transpose_into(delta, rows, layer.outputs, dt);
+            let gw = sized(&mut grad_w[li], layer.weights.len());
+            sirius_kernels::gemm_xwt_bias(
+                dt,
+                layer.outputs,
+                rows,
+                input,
+                layer.inputs,
+                &zeros[..layer.inputs],
+                gw,
+            );
+            let gb = sized(&mut grad_b[li], layer.outputs);
+            gb.fill(0.0);
+            for row in delta.chunks_exact(layer.outputs) {
+                for (g, d) in gb.iter_mut().zip(row) {
+                    *g += d;
+                }
+            }
+            if li > 0 {
+                // Propagate delta through W^T and the ReLU derivative.
+                let nx = sized(next, rows * layer.inputs);
+                sirius_kernels::gemm_xwt_bias(
+                    delta,
+                    rows,
+                    layer.outputs,
+                    &layer.weights,
+                    layer.inputs,
+                    &zeros[..layer.inputs],
+                    nx,
+                );
+                for (nv, a) in nx.iter_mut().zip(&acts[li - 1]) {
+                    if *a <= 0.0 {
+                        *nv = 0.0;
+                    }
+                }
+                std::mem::swap(delta, next);
+            }
+        }
+        let scale = lr / rows as f32;
         for (li, layer) in self.layers.iter_mut().enumerate() {
             for (w, g) in layer.weights.iter_mut().zip(&grad_w[li]) {
                 *w -= scale * g;
@@ -293,6 +357,36 @@ pub struct DnnPlan {
 pub struct DnnScratch {
     a: Vec<f32>,
     b: Vec<f32>,
+}
+
+/// Buffers of one SGD step, kept across the batches of [`Dnn::train`] so
+/// that only the first batch allocates.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    /// The batch's inputs, row-major `rows x input_dim`.
+    x: Vec<f32>,
+    /// Per layer, its post-activation outputs, `rows x outputs`.
+    acts: Vec<Vec<f32>>,
+    /// The current layer's error, `rows x outputs`.
+    delta: Vec<f32>,
+    /// The error back-propagated to the layer below, `rows x inputs`.
+    next: Vec<f32>,
+    /// `delta` transposed, `outputs x rows`.
+    delta_t: Vec<f32>,
+    /// The current layer's weights transposed, `inputs x outputs`.
+    wt: Vec<f32>,
+    /// Per layer, the weight gradient, `outputs x inputs`.
+    grad_w: Vec<Vec<f32>>,
+    /// Per layer, the bias gradient.
+    grad_b: Vec<Vec<f32>>,
+    /// The zero bias of the two backward GEMMs.
+    zeros: Vec<f32>,
+}
+
+/// `v` resized to `len`, its old contents left for the caller to overwrite.
+fn sized(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    v.resize(len, 0.0);
+    v
 }
 
 impl Dnn {
@@ -445,6 +539,111 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl Dnn {
+        /// The per-example SGD step: one matvec forward and one
+        /// back-propagation loop per example. The oracle for
+        /// [`Dnn::sgd_batch`]'s bit-identity.
+        fn sgd_batch_reference(&mut self, data: &[(Vec<f32>, usize)], idxs: &[usize], lr: f32) {
+            let mut grad_w: Vec<Vec<f32>> = self
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.weights.len()])
+                .collect();
+            let mut grad_b: Vec<Vec<f32>> = self
+                .layers
+                .iter()
+                .map(|l| vec![0.0; l.biases.len()])
+                .collect();
+            for &i in idxs {
+                let (x, label) = &data[i];
+                let acts = self.forward_internal(x);
+                let mut delta: Vec<f32> = acts.last().expect("layers").clone();
+                delta[*label] -= 1.0;
+                for li in (0..self.layers.len()).rev() {
+                    let input: &[f32] = if li == 0 { x } else { &acts[li - 1] };
+                    let layer = &self.layers[li];
+                    for o in 0..layer.outputs {
+                        let d = delta[o];
+                        if d != 0.0 {
+                            let row = &mut grad_w[li][o * layer.inputs..(o + 1) * layer.inputs];
+                            for (g, v) in row.iter_mut().zip(input) {
+                                *g += d * v;
+                            }
+                            grad_b[li][o] += d;
+                        }
+                    }
+                    if li > 0 {
+                        let mut next = vec![0.0f32; layer.inputs];
+                        for o in 0..layer.outputs {
+                            let d = delta[o];
+                            if d != 0.0 {
+                                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                                for (nv, w) in next.iter_mut().zip(row) {
+                                    *nv += d * w;
+                                }
+                            }
+                        }
+                        for (nv, a) in next.iter_mut().zip(&acts[li - 1]) {
+                            if *a <= 0.0 {
+                                *nv = 0.0;
+                            }
+                        }
+                        delta = next;
+                    }
+                }
+            }
+            let scale = lr / idxs.len() as f32;
+            for (li, layer) in self.layers.iter_mut().enumerate() {
+                for (w, g) in layer.weights.iter_mut().zip(&grad_w[li]) {
+                    *w -= scale * g;
+                }
+                for (b, g) in layer.biases.iter_mut().zip(&grad_b[li]) {
+                    *b -= scale * g;
+                }
+            }
+        }
+    }
+
+    /// The batched GEMM step trains the same bits as the per-example loop:
+    /// 2- and 3-layer nets, batches of 1, 7 and 32 over 75 examples (so the
+    /// last batch of an epoch is ragged), every label present, several
+    /// epochs of reshuffled batches through one reused scratch.
+    #[test]
+    fn batched_sgd_is_bit_identical_to_per_example_reference() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for sizes in [&[13usize, 37, 6][..], &[13, 21, 18, 6]] {
+            let classes = *sizes.last().expect("sizes");
+            let data: Vec<(Vec<f32>, usize)> = (0..75)
+                .map(|i| {
+                    let x = (0..sizes[0]).map(|_| rng.gen_range(-1.5..1.5)).collect();
+                    (x, i % classes)
+                })
+                .collect();
+            for batch in [1usize, 7, 32] {
+                let mut batched = Dnn::new(sizes, &mut rng);
+                let (mut reference, initial) = (batched.clone(), batched.clone());
+                let mut scratch = TrainScratch::default();
+                let mut order: Vec<usize> = (0..data.len()).collect();
+                for _ in 0..3 {
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    for chunk in order.chunks(batch) {
+                        batched.sgd_batch(&data, chunk, 0.1, &mut scratch);
+                        reference.sgd_batch_reference(&data, chunk, 0.1);
+                    }
+                }
+                assert_ne!(batched, initial, "training moved nothing");
+                for (li, (a, b)) in batched.layers.iter().zip(&reference.layers).enumerate() {
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let at = format!("{sizes:?}, batch {batch}, layer {li}");
+                    assert_eq!(bits(&a.weights), bits(&b.weights), "weights: {at}");
+                    assert_eq!(bits(&a.biases), bits(&b.biases), "biases: {at}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn softmax_sums_to_one() {
