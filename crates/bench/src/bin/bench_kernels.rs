@@ -16,6 +16,13 @@
 //! DNN's SGD and its examples per second, the CRF, the search index and the
 //! IMM database. `asr_ms` is all of ASR training; `total_ms` the whole build.
 //!
+//! The `imm` section times the IMM stage's descriptor search on the
+//! default database: `ann_us_per_view` is the median over reps of
+//! `ImageDatabase::match_partial` (the exact two-nearest-neighbour scan of
+//! every query descriptor) per view, over the 42-query set's VIQ images and
+//! seeded `random_view`s of every venue; the query features are extracted
+//! once, outside the timing.
+//!
 //! The `pruning` section is the calibration of the decoder's two limits
 //! ([`DecoderConfig`]): over the 42 query texts at four synthesis seeds it
 //! finds the smallest score beam and the smallest `max_active` that still
@@ -38,6 +45,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use sirius::pipeline::{Sirius, SiriusConfig};
+use sirius::prepare_input_set;
 use sirius_nlp::crf::{Crf, TrainConfig};
 use sirius_nlp::pos;
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig};
@@ -51,6 +59,7 @@ use sirius_suite::kernels::fe::FeKernel;
 use sirius_suite::kernels::stemmer::StemmerKernel;
 use sirius_suite::Kernel;
 use sirius_vision::synth as vsynth;
+use sirius_vision::QueryFeatures;
 
 const CORPUS: [&str; 6] = [
     "set my alarm",
@@ -93,7 +102,9 @@ struct DecodePair {
 
 /// The front-end's three steps over the corpus, timed apart by running the
 /// chain up to each step: power spectrum only, through the cepstra, and
-/// through the delta rows.
+/// through the delta rows. The two chains that share the power spectrum run
+/// back to back in every rep, and `mel_log_dct_ms` is the median of the
+/// per-rep differences, so a slow spell hits both halves of a difference.
 struct FrontendSplit {
     fft_ms: f64,
     mel_log_dct_ms: f64,
@@ -110,32 +121,70 @@ fn bench_frontend(asr: &AsrSystem, utts: &[Vec<f32>], reps: usize) -> FrontendSp
             .flat_map(|spare| (0..=spare).step_by(FRAME_HOP))
     };
     let mut scratch = FrontendScratch::default();
-    let (fft_ms, ()) = timed(reps, || {
-        for samples in utts {
-            for start in starts(samples) {
-                fe.power_spectrum(samples, start, &mut scratch);
-            }
-        }
-    });
-    let (cepstra_ms, cepstra) = timed(reps, || {
-        utts.iter()
-            .map(|samples| {
-                let mut cepstra = Frames::new(NUM_CEPSTRA);
+    let (mut fft, mut mel_log_dct) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    let mut cepstra = Vec::new();
+    for _ in 0..reps {
+        let (fft_ms, ()) = timed(1, || {
+            for samples in utts {
                 for start in starts(samples) {
-                    fe.cepstra_frame(samples, start, &mut scratch, &mut cepstra);
+                    fe.power_spectrum(samples, start, &mut scratch);
                 }
-                cepstra
-            })
-            .collect::<Vec<_>>()
-    });
+            }
+        });
+        let cepstra_ms;
+        (cepstra_ms, cepstra) = timed(1, || {
+            utts.iter()
+                .map(|samples| {
+                    let mut cepstra = Frames::new(NUM_CEPSTRA);
+                    for start in starts(samples) {
+                        fe.cepstra_frame(samples, start, &mut scratch, &mut cepstra);
+                    }
+                    cepstra
+                })
+                .collect::<Vec<_>>()
+        });
+        fft.push(fft_ms);
+        mel_log_dct.push(cepstra_ms - fft_ms);
+    }
     let (deltas_ms, _) = timed(reps, || {
         cepstra.iter().map(Frames::with_deltas).collect::<Vec<_>>()
     });
     FrontendSplit {
-        fft_ms,
-        mel_log_dct_ms: cepstra_ms - fft_ms,
+        fft_ms: median(&mut fft),
+        mel_log_dct_ms: median(&mut mel_log_dct),
         deltas_ms,
     }
+}
+
+/// Seeded `random_view`s the `imm` section matches beside the VIQ images.
+const IMM_VIEWS: u64 = 200;
+
+fn bench_imm(sirius: &Sirius, reps: usize) -> String {
+    let db = sirius.imm();
+    let viq = prepare_input_set(sirius, 9999)
+        .into_iter()
+        .filter_map(|p| p.image);
+    let venues = sirius.venues().len() as u64;
+    let views = (0..IMM_VIEWS).map(|i| {
+        let scene = sirius.venue_scene((i % venues) as usize);
+        vsynth::random_view(&scene, 31_000 + i)
+    });
+    let features: Vec<QueryFeatures> = viq.chain(views).map(|v| db.extract_query(&v)).collect();
+    let descriptors: usize = features.iter().map(QueryFeatures::len).sum();
+    let (ms, _) = timed(reps, || {
+        features
+            .iter()
+            .map(|f| db.match_partial(f))
+            .collect::<Vec<_>>()
+    });
+    let per_view = |x: f64| x / features.len() as f64;
+    format!(
+        "  \"imm\": {{ \"views\": {}, \"database_descriptors\": {}, \"query_descriptors_per_view\": {:.1}, \"ann_us_per_view\": {:.1} }},",
+        features.len(),
+        db.num_descriptors(),
+        per_view(descriptors as f64),
+        per_view(ms * 1e3)
+    )
 }
 
 /// The eager oracle's transcript: the front-end, the whole `frames x
@@ -570,6 +619,8 @@ fn main() {
 
     eprintln!("timing Sirius::build, {reps} reps...");
     let (build, sirius) = bench_build(reps);
+    eprintln!("timing the IMM descriptor search, {reps} reps...");
+    let imm = bench_imm(&sirius, reps);
 
     eprintln!("calibrating the decoder's pruning limits (full vocabulary)...");
     let full = sirius.asr();
@@ -612,6 +663,7 @@ fn main() {
         gmm_bits
     );
     println!("{build}");
+    println!("{imm}");
     let shipped = DecoderConfig::default();
     println!("  \"pruning\": {{");
     println!(

@@ -6,7 +6,7 @@
 //! that contract three ways:
 //!
 //! 1. **Micro** — ns/op for every hot-path primitive (counter inc,
-//!    histogram record, gauge set, disabled span, clock read).
+//!    histogram record, gauge set, clock read).
 //! 2. **Per-query** — ns for the *entire* per-query observability block the
 //!    staged runtime executes with tracing disabled (all four stages' wait
 //!    and service records, admission/completion counters, the sojourn
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use sirius::pipeline::{Sirius, SiriusConfig, SiriusInput};
 use sirius::prepare_input_set;
-use sirius_obs::{Counter, Gauge, Histogram, NoopRecorder, Recorder, Registry, Span, SpanKind};
+use sirius_obs::{Counter, Gauge, Histogram, NoopRecorder, Recorder, Registry, SpanKind};
 use sirius_server::ServerMetrics;
 
 fn ns_per_op<F: FnMut()>(iters: u64, mut op: F) -> f64 {
@@ -118,10 +118,6 @@ fn main() {
     let clock_read = ns_per_op(ITERS, || {
         black_box(Instant::now());
     });
-    let noop: Arc<dyn Recorder> = Arc::new(NoopRecorder);
-    let disabled_span = ns_per_op(ITERS, || {
-        Span::enter(black_box(noop.as_ref()), "asr", SpanKind::Service).exit();
-    });
     let registry = Registry::new();
     let snapshot_cost = {
         let h = registry.histogram("x.lat_ns");
@@ -135,6 +131,7 @@ fn main() {
 
     eprintln!("per-query observability block (tracing disabled)...");
     let metrics = ServerMetrics::new();
+    let noop: Arc<dyn Recorder> = Arc::new(NoopRecorder);
     let per_query_obs_ns = ns_per_op(200_000, || {
         per_query_obs_block(&metrics, noop.as_ref(), Instant::now());
     });
@@ -167,7 +164,7 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"obs\",");
     println!(
-        "  \"micro_ns\": {{ \"counter_inc\": {counter_inc:.1}, \"gauge_set\": {gauge_set:.1}, \"histogram_record\": {histogram_record:.1}, \"clock_read\": {clock_read:.1}, \"disabled_span\": {disabled_span:.1}, \"registry_snapshot\": {snapshot_cost:.0} }},"
+        "  \"micro_ns\": {{ \"counter_inc\": {counter_inc:.1}, \"gauge_set\": {gauge_set:.1}, \"histogram_record\": {histogram_record:.1}, \"clock_read\": {clock_read:.1}, \"registry_snapshot\": {snapshot_cost:.0} }},"
     );
     println!("  \"per_query_obs_ns\": {per_query_obs_ns:.1},");
     println!("  \"serial_mean_query_ns\": {plain_ns:.0},");

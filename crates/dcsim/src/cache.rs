@@ -1,10 +1,10 @@
 //! Cache-hit-adjusted M/M/1 queueing model.
 //!
-//! The serving runtime's keyed result caches (`sirius-cache` wired into
-//! `sirius-server`) deflect a fraction `h` of admitted queries away from the
-//! Classify/IMM/QA backend: a hit is answered straight out of the ASR stage
-//! at a near-constant cost `t_hit`, and only the remaining `(1 − h)·λ`
-//! misses reach the backend queue. The M/M/1 picture of the server
+//! The serving runtime's keyed result caches
+//! (`sirius_server::ResultCaches`) deflect a fraction `h` of admitted
+//! queries away from the Classify/IMM/QA backend: a hit is answered
+//! straight out of the ASR stage at a near-constant cost `t_hit`, and only
+//! the remaining `(1 − h)·λ` misses reach the backend queue. The M/M/1 picture of the server
 //! therefore changes in two coupled ways:
 //!
 //! * **Offered load deflection** — the backend sees arrival rate

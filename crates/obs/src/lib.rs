@@ -40,4 +40,4 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Meter, MeterSnapshot};
 pub use registry::{Registry, Snapshot};
-pub use trace::{CollectingRecorder, NoopRecorder, Recorder, Span, SpanKind};
+pub use trace::{CollectingRecorder, NoopRecorder, Recorder, SpanKind};

@@ -6,13 +6,9 @@
 //! default [`NoopRecorder`] reports itself disabled so instrumented code can
 //! skip even the clock reads — observability that is *off* costs two branch
 //! predictions, not two `Instant::now()` calls.
-//!
-//! [`Span`] is the RAII helper for code that wants a region timed without
-//! hand-measuring: it reads the clock only when the recorder is enabled and
-//! reports on drop.
 
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What a recorded duration represents in a query's life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,70 +103,34 @@ impl Recorder for CollectingRecorder {
     }
 }
 
-/// An RAII timed region: measures from [`Span::enter`] to drop and reports
-/// to the recorder — unless the recorder is disabled, in which case the
-/// clock is never read.
-#[must_use = "a span measures until it is dropped"]
-pub struct Span<'r> {
-    recorder: &'r dyn Recorder,
-    stage: &'static str,
-    kind: SpanKind,
-    started: Option<Instant>,
-}
-
-impl<'r> Span<'r> {
-    /// Starts a span over `recorder`; free when the recorder is disabled.
-    pub fn enter(recorder: &'r dyn Recorder, stage: &'static str, kind: SpanKind) -> Self {
-        let started = recorder.enabled().then(Instant::now);
-        Self {
-            recorder,
-            stage,
-            kind,
-            started,
-        }
-    }
-
-    /// Ends the span now (equivalent to dropping it).
-    pub fn exit(self) {}
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if let Some(started) = self.started {
-            self.recorder
-                .record(self.stage, self.kind, started.elapsed());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn span_records_to_an_enabled_recorder() {
+    fn collecting_recorder_keeps_every_event() {
         let rec = CollectingRecorder::new();
-        {
-            let _span = Span::enter(&rec, "asr", SpanKind::Service);
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        Span::enter(&rec, "asr", SpanKind::QueueWait).exit();
+        assert!(rec.enabled());
+        rec.record("asr", SpanKind::Service, Duration::from_millis(1));
+        rec.record("asr", SpanKind::QueueWait, Duration::from_micros(5));
+        rec.record("asr", SpanKind::Service, Duration::from_millis(2));
         let events = rec.events();
-        assert_eq!(events.len(), 2);
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].0, "asr");
         assert_eq!(events[0].1, SpanKind::Service);
-        assert!(events[0].2 >= Duration::from_millis(1));
-        assert!(rec.total_for("asr", SpanKind::Service) >= Duration::from_millis(1));
+        assert_eq!(events[0].2, Duration::from_millis(1));
+        assert_eq!(
+            rec.total_for("asr", SpanKind::Service),
+            Duration::from_millis(3)
+        );
         assert_eq!(rec.total_for("qa", SpanKind::Service), Duration::ZERO);
     }
 
     #[test]
-    fn noop_recorder_skips_the_clock() {
+    fn noop_recorder_is_disabled() {
         let rec = NoopRecorder;
         assert!(!rec.enabled());
-        let span = Span::enter(&rec, "asr", SpanKind::Service);
-        assert!(span.started.is_none(), "disabled recorder must not time");
-        span.exit();
+        rec.record("asr", SpanKind::Service, Duration::from_millis(1));
     }
 
     #[test]

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod cache;
 pub mod cluster;
 pub mod metrics;
 pub mod net;

@@ -125,34 +125,29 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Encodes the frame — header and body — into a fresh buffer.
+    /// Encodes the frame — header and body — into one fresh buffer: the
+    /// header goes first with a zero body length, which is patched once the
+    /// body is written.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
         let ty = match self {
-            Frame::Submit(submit) => {
-                encode_submit(&mut enc, submit);
-                TYPE_SUBMIT
-            }
-            Frame::Answer(response) => {
-                encode_response(&mut enc, response);
-                TYPE_ANSWER
-            }
-            Frame::Error(fault) => {
-                encode_fault(&mut enc, fault);
-                TYPE_ERROR
-            }
+            Frame::Submit(_) => TYPE_SUBMIT,
+            Frame::Answer(_) => TYPE_ANSWER,
+            Frame::Error(_) => TYPE_ERROR,
         };
-        let body = enc.into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(PROTOCOL_VERSION);
-        out.push(ty);
-        out.extend_from_slice(
-            &u32::try_from(body.len())
-                .expect("frame bodies are bounded far below u32::MAX")
-                .to_le_bytes(),
-        );
-        out.extend_from_slice(&body);
+        let mut enc = Encoder::new();
+        for byte in MAGIC {
+            enc.u8(byte);
+        }
+        enc.u8(PROTOCOL_VERSION).u8(ty).u32(0);
+        match self {
+            Frame::Submit(submit) => encode_submit(&mut enc, submit),
+            Frame::Answer(response) => encode_response(&mut enc, response),
+            Frame::Error(fault) => encode_fault(&mut enc, fault),
+        }
+        let mut out = enc.into_bytes();
+        let body_len = u32::try_from(out.len() - HEADER_LEN)
+            .expect("frame bodies are bounded far below u32::MAX");
+        out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&body_len.to_le_bytes());
         out
     }
 

@@ -12,10 +12,10 @@
 
 use std::time::{Duration, Instant};
 
-use crate::ann::{neighbor_order, KdTree, Neighbor};
+use crate::ann::{self, neighbor_order, Neighbor};
 use crate::image::GrayImage;
 use crate::integral::IntegralImage;
-use crate::surf::{self, Descriptor, SurfConfig};
+use crate::surf::{self, Descriptor, SurfConfig, DESCRIPTOR_DIM};
 
 /// Identifier of a database image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -105,10 +105,13 @@ pub struct MatchResult {
 #[derive(Debug)]
 pub struct ImageDatabase {
     config: MatchConfig,
-    tree: Option<KdTree>,
+    /// The indexed descriptors, row-major, [`DESCRIPTOR_DIM`] floats a row.
+    descriptors: Vec<f32>,
+    /// The global descriptor index of each row (the search payload; a shard
+    /// holds a subset of the rows under their global indices).
+    ids: Vec<u32>,
     num_images: u32,
-    descriptor_count: usize,
-    /// Image id of each indexed descriptor (tree payloads index this).
+    /// Image id of every descriptor, by global index.
     desc_image: Vec<u32>,
 }
 
@@ -119,7 +122,7 @@ pub struct ImageDatabase {
 #[derive(Debug)]
 pub struct ImageDatabaseBuilder {
     config: MatchConfig,
-    points: Vec<(Vec<f32>, u32)>,
+    descriptors: Vec<f32>,
     desc_image: Vec<u32>,
     num_images: u32,
 }
@@ -129,7 +132,7 @@ impl ImageDatabaseBuilder {
     pub fn new(config: MatchConfig) -> Self {
         Self {
             config,
-            points: Vec::new(),
+            descriptors: Vec::new(),
             desc_image: Vec::new(),
             num_images: 0,
         }
@@ -154,26 +157,20 @@ impl ImageDatabaseBuilder {
         assert!(id.0 < self.num_images, "unknown image id {id:?}");
         let (_, descs) = surf::extract(img, &self.config.surf);
         for d in descs {
-            // Payload is the global descriptor index; the image id lives in
+            // The row's global index is its position; the image id lives in
             // a parallel array.
-            self.points.push((d.0, self.desc_image.len() as u32));
+            self.descriptors.extend_from_slice(&d.0);
             self.desc_image.push(id.0);
         }
     }
 
     /// Finalizes the index.
     pub fn build(self) -> ImageDatabase {
-        let descriptor_count = self.points.len();
-        let tree = if self.points.is_empty() {
-            None
-        } else {
-            Some(KdTree::build(self.points))
-        };
         ImageDatabase {
             config: self.config,
-            tree,
+            descriptors: self.descriptors,
+            ids: (0..self.desc_image.len() as u32).collect(),
             num_images: self.num_images,
-            descriptor_count,
             desc_image: self.desc_image,
         }
     }
@@ -193,8 +190,7 @@ impl ImageDatabase {
         builder.build()
     }
 
-    /// Serializes the database (configuration + indexed descriptors); the
-    /// k-d tree is rebuilt on load.
+    /// Serializes the database (configuration + indexed descriptors).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = sirius_codec::Encoder::new();
         e.tag("sirius_imm_v3");
@@ -204,17 +200,10 @@ impl ImageDatabase {
         e.f32(self.config.surf.threshold);
         e.u32(self.config.surf.init_step as u32);
         e.bool(self.config.surf.upright);
-        match &self.tree {
-            None => {
-                e.u32(0);
-            }
-            Some(tree) => {
-                e.u32(tree.len() as u32);
-                for (v, payload) in tree.iter_points() {
-                    e.u32(payload);
-                    e.f32_slice(v);
-                }
-            }
+        e.u32(self.ids.len() as u32);
+        for (row, &id) in self.rows().zip(&self.ids) {
+            e.u32(id);
+            e.f32_slice(row);
         }
         e.u32_slice(&self.desc_image);
         e.into_bytes()
@@ -224,10 +213,11 @@ impl ImageDatabase {
     ///
     /// # Errors
     ///
-    /// Fails on malformed, truncated or inconsistent bytes, and on files
-    /// written in an older format (`sirius_imm_v1` carried a search budget,
-    /// `sirius_imm_v2` a keypoint position per descriptor; this version has
-    /// neither).
+    /// Fails on malformed, truncated or inconsistent bytes — a descriptor
+    /// row that is not [`DESCRIPTOR_DIM`] floats long included — and on
+    /// files written in an older format (`sirius_imm_v1` carried a search
+    /// budget, `sirius_imm_v2` a keypoint position per descriptor; this
+    /// version has neither).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, sirius_codec::DecodeError> {
         let mut d = sirius_codec::Decoder::new(bytes);
         d.tag("sirius_imm_v3")?;
@@ -243,15 +233,25 @@ impl ImageDatabase {
             ratio,
         };
         let n = d.u32()? as usize;
-        let mut points = Vec::with_capacity(n);
-        for _ in 0..n {
-            let payload = d.u32()?;
-            points.push((d.f32_vec()?, payload));
+        let (mut descriptors, mut ids) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            ids.push(d.u32()?);
+            let row = d.f32_vec()?;
+            if row.len() != DESCRIPTOR_DIM {
+                return Err(sirius_codec::DecodeError {
+                    message: format!(
+                        "descriptor {i} has {} floats, not {DESCRIPTOR_DIM}",
+                        row.len()
+                    ),
+                    offset: 0,
+                });
+            }
+            descriptors.extend_from_slice(&row);
         }
         let desc_image = d.u32_vec()?;
         d.finish()?;
         if desc_image.len() != n
-            || points.iter().any(|&(_, p)| p as usize >= n)
+            || ids.iter().any(|&p| p as usize >= n)
             || desc_image.iter().any(|&img| img >= num_images)
         {
             return Err(sirius_codec::DecodeError {
@@ -259,17 +259,11 @@ impl ImageDatabase {
                 offset: 0,
             });
         }
-        let descriptor_count = points.len();
-        let tree = if points.is_empty() {
-            None
-        } else {
-            Some(KdTree::build(points))
-        };
         Ok(Self {
             config,
-            tree,
+            descriptors,
+            ids,
             num_images,
-            descriptor_count,
             desc_image,
         })
     }
@@ -281,14 +275,19 @@ impl ImageDatabase {
 
     /// Number of indexed descriptors.
     pub fn num_descriptors(&self) -> usize {
-        self.descriptor_count
+        self.ids.len()
+    }
+
+    /// The indexed descriptors, one row each, in the order of `ids`.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f32> {
+        self.descriptors.chunks_exact(DESCRIPTOR_DIM)
     }
 
     /// Builds shard `shard` of `num_shards`: the descriptor index is
     /// partitioned by enrolled image (`image_id % num_shards`), so each
     /// database image's descriptors live on exactly one shard, while the
     /// global descriptor→image table (and the image count) is carried
-    /// whole. Tree payloads stay *global*
+    /// whole. Row ids stay *global*
     /// descriptor indices, which keeps the total (distance, payload)
     /// candidate order consistent across shards — the
     /// property [`merge_partials`](Self::merge_partials) needs to
@@ -302,23 +301,19 @@ impl ImageDatabase {
             num_shards > 0 && shard < num_shards,
             "invalid shard {shard}/{num_shards}"
         );
-        let points: Vec<(Vec<f32>, u32)> = self
-            .tree
-            .iter()
-            .flat_map(KdTree::iter_points)
-            .filter(|&(_, p)| self.desc_image[p as usize] % num_shards == shard)
-            .map(|(v, p)| (v.to_vec(), p))
-            .collect();
-        let descriptor_count = points.len();
+        let mut descriptors = Vec::new();
+        let mut ids = Vec::new();
+        for (row, &id) in self.rows().zip(&self.ids) {
+            if self.desc_image[id as usize] % num_shards == shard {
+                descriptors.extend_from_slice(row);
+                ids.push(id);
+            }
+        }
         ImageDatabase {
             config: self.config,
-            tree: if points.is_empty() {
-                None
-            } else {
-                Some(KdTree::build(points))
-            },
+            descriptors,
+            ids,
             num_images: self.num_images,
-            descriptor_count,
             desc_image: self.desc_image.clone(),
         }
     }
@@ -342,23 +337,17 @@ impl ImageDatabase {
     }
 
     /// Runs this shard's half of a scatter-gather match: for every query
-    /// keypoint, the shard's best two descriptors under the exact search
-    /// ([`KdTree::nearest2`]). Exactness is what makes the merge
+    /// keypoint, the shard's best two descriptors under the exact scan
+    /// ([`ann::nearest2`]). Exactness is what makes the merge
     /// shard-count invariant: the union of per-shard best-2 always contains
     /// the global best-2.
     pub fn match_partial(&self, features: &QueryFeatures) -> PartialMatch {
         let t = Instant::now();
-        let candidates = match &self.tree {
-            None => vec![[None, None]; features.descriptors.len()],
-            Some(tree) => features
-                .descriptors
-                .iter()
-                .map(|d| {
-                    let (best, second) = tree.nearest2(&d.0);
-                    [Some(best), second]
-                })
-                .collect(),
-        };
+        let candidates = features
+            .descriptors
+            .iter()
+            .map(|d| ann::nearest2(&self.descriptors, &self.ids, &d.0))
+            .collect();
         PartialMatch {
             candidates,
             ann_search: t.elapsed(),
@@ -742,6 +731,49 @@ mod persistence_tests {
         e.u32(0);
         let err = ImageDatabase::from_bytes(&e.into_bytes()).expect_err("v2 must not decode");
         assert!(err.message.contains("sirius_imm_v3"), "{}", err.message);
+    }
+
+    /// A `sirius_imm_v3` file of one image whose descriptors are `rows`.
+    fn model_with_rows(rows: &[Vec<f32>]) -> Vec<u8> {
+        let surf = SurfConfig::default();
+        let mut e = sirius_codec::Encoder::new();
+        e.tag("sirius_imm_v3");
+        e.u32(1);
+        e.f32(0.75);
+        e.u32(surf.octaves as u32);
+        e.f32(surf.threshold);
+        e.u32(surf.init_step as u32);
+        e.bool(surf.upright);
+        e.u32(rows.len() as u32);
+        for (id, row) in rows.iter().enumerate() {
+            e.u32(id as u32);
+            e.f32_slice(row);
+        }
+        e.u32_slice(&vec![0; rows.len()]);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn ragged_descriptor_row_is_a_typed_error() {
+        let good = model_with_rows(&[vec![0.5; DESCRIPTOR_DIM], vec![0.25; DESCRIPTOR_DIM]]);
+        assert_eq!(
+            ImageDatabase::from_bytes(&good)
+                .expect("decode")
+                .num_descriptors(),
+            2
+        );
+        let ragged = model_with_rows(&[vec![0.5; DESCRIPTOR_DIM], vec![0.25; 3]]);
+        let err = ImageDatabase::from_bytes(&ragged).expect_err("a 3-float row must not load");
+        assert!(err.message.contains("descriptor 1"), "{}", err.message);
+    }
+
+    #[test]
+    fn descriptor_rows_of_the_wrong_width_are_a_typed_error() {
+        // Every row alike but not DESCRIPTOR_DIM wide: it would load and
+        // then fail the first query's search.
+        let bytes = model_with_rows(&[vec![0.5; 3], vec![0.25; 3]]);
+        let err = ImageDatabase::from_bytes(&bytes).expect_err("3-float rows must not load");
+        assert!(err.message.contains("descriptor 0"), "{}", err.message);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The image-matching (IMM) substrate of the Sirius reproduction
 //! (Hauswald et al., ASPLOS 2015): a from-scratch SURF pipeline over
-//! integral images, an exact nearest-neighbour matcher with a ratio-test
-//! vote, and a procedurally generated image database standing in for the
-//! Stanford Mobile Visual Search data set (see DESIGN.md for the
+//! integral images, an exact nearest-neighbour matcher (a flat scan) with
+//! a ratio-test vote, and a procedurally generated image database standing
+//! in for the Stanford Mobile Visual Search data set (see DESIGN.md for the
 //! substitution).
 //!
 //! * [`image`] — grayscale images, bilinear sampling, tiling (for the
@@ -12,7 +12,8 @@
 //! * [`integral`] — summed-area tables.
 //! * [`surf`] — the Sirius Suite **FE** (detector) and **FD** (descriptor)
 //!   kernels.
-//! * [`ann`] — k-d tree with exact two-nearest-neighbour search.
+//! * [`ann`] — exact two-nearest-neighbour search: a flat scan of a
+//!   row-major descriptor matrix.
 //! * [`db`] — the image database + matching service (paper Figure 5).
 //! * [`synth`] — procedural scenes and affine query views.
 //!

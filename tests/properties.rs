@@ -13,7 +13,7 @@ use sirius_nlp::stemmer;
 use sirius_search::tokenize;
 use sirius_speech::features::{fft, hz_to_mel, mel_to_hz};
 use sirius_speech::lexicon::{normalize_text, number_to_words};
-use sirius_vision::ann::{linear_nearest, KdTree};
+use sirius_vision::ann::{nearest2, neighbor_order, Neighbor};
 use sirius_vision::image::GrayImage;
 use sirius_vision::integral::IntegralImage;
 
@@ -210,11 +210,11 @@ fn integral_image_box_sums_match_naive() {
 }
 
 #[test]
-fn kdtree_exact_equals_linear_scan() {
+fn two_nn_scan_equals_sorted_oracle() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     for case in 0..CASES {
         let n = rng.gen_range(1usize..60);
-        let tagged: Vec<(Vec<f32>, u32)> = (0..n)
+        let mut tagged: Vec<(Vec<f32>, u32)> = (0..n)
             .map(|i| {
                 (
                     (0..4).map(|_| rng.gen_range(-10.0f32..10.0)).collect(),
@@ -223,13 +223,27 @@ fn kdtree_exact_equals_linear_scan() {
             })
             .collect();
         let query: Vec<f32> = (0..4).map(|_| rng.gen_range(-10.0f32..10.0)).collect();
-        let tree = KdTree::build(tagged.clone());
-        let got = tree.nearest2(&query).0;
-        let expect = linear_nearest(&tagged, &query).expect("non-empty");
-        assert!(
-            (got.distance_sq - expect.distance_sq).abs() < 1e-4,
-            "case {case}"
-        );
+        // Duplicate points under later payloads, so exact distance ties
+        // must break by payload.
+        for _ in 0..rng.gen_range(0usize..4) {
+            let copy = tagged[rng.gen_range(0..n)].0.clone();
+            tagged.push((copy, tagged.len() as u32));
+        }
+        // The oracle: every neighbour sorted by `neighbor_order`.
+        let mut all: Vec<Neighbor> = tagged
+            .iter()
+            .map(|(v, payload)| Neighbor {
+                distance_sq: v.iter().zip(&query).map(|(x, y)| (x - y) * (x - y)).sum(),
+                payload: *payload,
+            })
+            .collect();
+        all.sort_by(neighbor_order);
+        let rows: Vec<f32> = tagged.iter().flat_map(|(v, _)| v.clone()).collect();
+        let payloads: Vec<u32> = tagged.iter().map(|&(_, p)| p).collect();
+        let bits = |n: Option<Neighbor>| n.map(|n| (n.distance_sq.to_bits(), n.payload));
+        let [best, second] = nearest2(&rows, &payloads, &query);
+        assert_eq!(bits(best), bits(all.first().copied()), "case {case}");
+        assert_eq!(bits(second), bits(all.get(1).copied()), "case {case}");
     }
 }
 
