@@ -77,7 +77,8 @@ use crate::batch::BatchPolicy;
 use crate::metrics::{ServerMetrics, STAGES};
 use crate::pool::{spawn_stage_pool, Job};
 use crate::qos::{
-    CacheKey, CachePolicy, CachedAnswer, ResultCaches, TenantClass, TenantObs, TenantTable,
+    CacheGenerations, CacheKey, CachePolicy, CachedAnswer, ResultCaches, TenantClass, TenantObs,
+    TenantTable,
 };
 use crate::queue::{bounded, SendError, Sender, TrySendError};
 use crate::stream::{AsrStage, StreamPolicy};
@@ -408,6 +409,8 @@ pub(crate) struct Ctx {
     /// The result-cache key completion fills: stamped by the ASR step on a
     /// cache miss and on a confirmed speculation.
     pub(crate) cache_key: Option<CacheKey>,
+    /// The result caches' generations at admission, which the fill stamps.
+    cache_generations: Option<CacheGenerations>,
     pub(crate) query: Query,
 }
 
@@ -447,8 +450,10 @@ impl Completion {
                 ..timing
             },
         });
-        if let (Some(caches), Some(key), Ok(response)) = (&self.caches, ctx.cache_key, &result) {
-            caches.fill(key, CachedAnswer::of(response));
+        if let (Some(caches), Some(key), Some(at), Ok(response)) =
+            (&self.caches, ctx.cache_key, ctx.cache_generations, &result)
+        {
+            caches.fill_at(key, CachedAnswer::of(response), at);
         }
         let tenant = ctx.tenant.as_deref();
         match &result {
@@ -793,6 +798,7 @@ impl SiriusServer {
             started,
             tenant: tenant.clone(),
             cache_key: None,
+            cache_generations: self.caches.as_ref().map(|caches| caches.generations()),
             query: Query {
                 audio: input.audio,
                 image: input.image,
