@@ -13,8 +13,15 @@
 //!
 //! The `build` section times `Sirius::build(SiriusConfig::default())` by
 //! phase (`Sirius::build_timed`): ASR synthesis and features, GMM EM, the
-//! DNN's SGD and its examples per second, the CRF, the search index and the
-//! IMM database. `asr_ms` is all of ASR training; `total_ms` the whole build.
+//! DNN's SGD and its examples per second, the CRF, the search index, the
+//! QA engine's one-time document analysis (`qa_analysis_ms`) and the IMM
+//! database. `asr_ms` is all of ASR training; `total_ms` the whole build.
+//!
+//! The `qa` section times `QaEngine::answer` on the input set's 26 QA
+//! questions, the voice-image ones rewritten by image matching as the
+//! pipeline serves them: `us_per_question` is the median over reps of the
+//! mean over `QA_PASSES` passes. `analysis` sizes the document analysis the
+//! filters read (`heap_kb` is a lower bound: lengths, not capacities).
 //!
 //! The `imm` section times the IMM stage's descriptor search on the
 //! default database: `ann_us_per_view` is the median over reps of
@@ -45,7 +52,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use sirius::pipeline::{Sirius, SiriusConfig};
-use sirius::prepare_input_set;
+use sirius::stage::ImmRequest;
+use sirius::{prepare_input_set, QueryKind};
 use sirius_nlp::crf::{Crf, TrainConfig};
 use sirius_nlp::pos;
 use sirius_speech::asr::{AcousticModelKind, AsrSystem, AsrTrainConfig};
@@ -187,6 +195,47 @@ fn bench_imm(sirius: &Sirius, reps: usize) -> String {
     )
 }
 
+/// Passes over the 26 QA questions per `qa` rep.
+const QA_PASSES: usize = 10;
+
+fn bench_qa(sirius: &Sirius, reps: usize) -> String {
+    let questions: Vec<String> = prepare_input_set(sirius, 9999)
+        .into_iter()
+        .filter(|p| p.spec.kind != QueryKind::VoiceCommand)
+        .map(|p| {
+            let req = ImmRequest {
+                question: p.spec.text.to_owned(),
+                image: p.image,
+            };
+            sirius.stage_imm(req).expect("image matching").question
+        })
+        .collect();
+    let qa = sirius.qa();
+    let pass = || {
+        questions
+            .iter()
+            .map(|q| qa.answer(q).answer)
+            .collect::<Vec<_>>()
+    };
+    pass();
+    let (ms, ()) = timed(reps, || {
+        for _ in 0..QA_PASSES {
+            std::hint::black_box(pass());
+        }
+    });
+    let analysis = qa.corpus_analysis();
+    format!(
+        "  \"qa\": {{ \"questions\": {}, \"us_per_question\": {:.1}, \"analysis\": {{ \"docs\": {}, \"sentences\": {}, \"stems\": {}, \"distinct_stems\": {}, \"heap_kb\": {:.0} }} }},",
+        questions.len(),
+        ms * 1e3 / (QA_PASSES * questions.len()) as f64,
+        analysis.len(),
+        analysis.num_sentences(),
+        analysis.num_stems(),
+        analysis.num_distinct_stems(),
+        analysis.heap_bytes() as f64 / 1024.0
+    )
+}
+
 /// The eager oracle's transcript: the front-end, the whole `frames x
 /// states` score matrix, then the search over it — the path that never
 /// enters the streaming recognizer `recognize` runs.
@@ -317,7 +366,7 @@ fn bench_dnn_forward(reps: usize) -> (f64, f64, bool) {
 /// each phase as one JSON section, and the last build (for the pruning
 /// calibration).
 fn bench_build(reps: usize) -> (String, Sirius) {
-    let mut phases: [Vec<f64>; 8] = Default::default();
+    let mut phases: [Vec<f64>; 9] = Default::default();
     let mut last = None;
     let mut dnn_examples = 0;
     for _ in 0..reps {
@@ -333,6 +382,7 @@ fn bench_build(reps: usize) -> (String, Sirius) {
             ms(b.asr.dnn_sgd),
             ms(b.crf),
             ms(b.index),
+            ms(b.qa_analysis),
             ms(b.imm),
         ];
         for (p, v) in phases.iter_mut().zip(sample) {
@@ -341,9 +391,10 @@ fn bench_build(reps: usize) -> (String, Sirius) {
         dnn_examples = b.asr.dnn_examples;
         last = Some(sirius);
     }
-    let [total, asr, synth, gmm, sgd, crf, index, imm] = phases.map(|mut p| median(&mut p));
+    let [total, asr, synth, gmm, sgd, crf, index, qa_analysis, imm] =
+        phases.map(|mut p| median(&mut p));
     let json = format!(
-        "  \"build\": {{ \"total_ms\": {total:.1}, \"asr_ms\": {asr:.1}, \"asr_synthesis_features_ms\": {synth:.1}, \"asr_gmm_em_ms\": {gmm:.1}, \"asr_dnn_sgd_ms\": {sgd:.1}, \"crf_ms\": {crf:.1}, \"index_ms\": {index:.1}, \"imm_ms\": {imm:.1}, \"dnn_examples\": {dnn_examples}, \"dnn_examples_per_s\": {:.0} }},",
+        "  \"build\": {{ \"total_ms\": {total:.1}, \"asr_ms\": {asr:.1}, \"asr_synthesis_features_ms\": {synth:.1}, \"asr_gmm_em_ms\": {gmm:.1}, \"asr_dnn_sgd_ms\": {sgd:.1}, \"crf_ms\": {crf:.1}, \"index_ms\": {index:.1}, \"qa_analysis_ms\": {qa_analysis:.1}, \"imm_ms\": {imm:.1}, \"dnn_examples\": {dnn_examples}, \"dnn_examples_per_s\": {:.0} }},",
         dnn_examples as f64 / (sgd / 1e3)
     );
     (json, last.expect("reps >= 1"))
@@ -621,6 +672,8 @@ fn main() {
     let (build, sirius) = bench_build(reps);
     eprintln!("timing the IMM descriptor search, {reps} reps...");
     let imm = bench_imm(&sirius, reps);
+    eprintln!("timing QA on the input set's questions, {reps} reps...");
+    let qa = bench_qa(&sirius, reps);
 
     eprintln!("calibrating the decoder's pruning limits (full vocabulary)...");
     let full = sirius.asr();
@@ -664,6 +717,7 @@ fn main() {
     );
     println!("{build}");
     println!("{imm}");
+    println!("{qa}");
     let shipped = DecoderConfig::default();
     println!("  \"pruning\": {{");
     println!(

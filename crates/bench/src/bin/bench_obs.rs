@@ -12,12 +12,12 @@
 //!    and service records, admission/completion counters, the sojourn
 //!    record, and every `enabled()` check), measured as one unit.
 //! 3. **End-to-end** — the per-query block as a fraction of the measured
-//!    mean serial query latency (the gate: < 1%), plus a paired A/B serial
-//!    loop (process vs process + obs block) whose median delta cross-checks
-//!    that the derived fraction is not hiding cache or contention effects.
+//!    mean serial query latency (the gate: < 1%). The block costs about
+//!    0.03% of a query; timing loops with and without it cannot resolve
+//!    that (three such pairs read −9% to +21% on one tree), so the fraction
+//!    is derived, not differenced.
 //!
-//! Usage: `bench_obs [--reps N]` (default 3 A/B pairs). JSON on stdout;
-//! progress on stderr.
+//! Usage: `bench_obs`. JSON on stdout; progress on stderr.
 
 use std::hint::black_box;
 use std::sync::Arc;
@@ -64,16 +64,14 @@ fn per_query_obs_block(m: &ServerMetrics, rec: &dyn Recorder, admitted: Instant)
     }
 }
 
+/// Serial passes over the input set whose median is the mean query latency.
+const SERIAL_PASSES: usize = 3;
+
 /// Mean ns/query of one serial pass over the input set.
-fn serial_pass(sirius: &Sirius, inputs: &[SiriusInput], obs: Option<&ServerMetrics>) -> f64 {
-    let rec = NoopRecorder;
+fn serial_pass(sirius: &Sirius, inputs: &[SiriusInput]) -> f64 {
     let t = Instant::now();
     for input in inputs {
-        let admitted = Instant::now();
         black_box(sirius.process(input));
-        if let Some(m) = obs {
-            per_query_obs_block(m, &rec, admitted);
-        }
     }
     t.elapsed().as_nanos() as f64 / inputs.len() as f64
 }
@@ -84,24 +82,11 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let mut reps = 3usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--reps" => {
-                reps = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--reps needs a positive integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: bench_obs [--reps N]");
-                std::process::exit(2);
-            }
-        }
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("unknown argument: {arg}");
+        eprintln!("usage: bench_obs");
+        std::process::exit(2);
     }
-    assert!(reps >= 1, "--reps must be at least 1");
 
     eprintln!("micro benchmarks (hot-path primitives)...");
     const ITERS: u64 = 1_000_000;
@@ -141,22 +126,17 @@ fn main() {
     let prepared = prepare_input_set(&sirius, 4242);
     let inputs: Vec<SiriusInput> = prepared.iter().map(|p| p.input()).collect();
     // Warm pass, not measured.
-    serial_pass(&sirius, &inputs, None);
+    serial_pass(&sirius, &inputs);
 
     eprintln!(
-        "paired A/B serial loops ({reps} pairs over {} queries)...",
+        "serial passes ({SERIAL_PASSES} over {} queries)...",
         inputs.len()
     );
-    let ab_metrics = ServerMetrics::new();
-    let mut plain = Vec::with_capacity(reps);
-    let mut with_obs = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        plain.push(serial_pass(&sirius, &inputs, None));
-        with_obs.push(serial_pass(&sirius, &inputs, Some(&ab_metrics)));
-    }
-    let plain_ns = median(plain);
-    let with_obs_ns = median(with_obs);
-    let ab_overhead_pct = (with_obs_ns - plain_ns) / plain_ns * 100.0;
+    let plain_ns = median(
+        (0..SERIAL_PASSES)
+            .map(|_| serial_pass(&sirius, &inputs))
+            .collect(),
+    );
 
     let overhead_pct = per_query_obs_ns / plain_ns * 100.0;
     let pass = overhead_pct < 1.0;
@@ -169,7 +149,6 @@ fn main() {
     println!("  \"per_query_obs_ns\": {per_query_obs_ns:.1},");
     println!("  \"serial_mean_query_ns\": {plain_ns:.0},");
     println!("  \"overhead_pct\": {overhead_pct:.4},");
-    println!("  \"ab_overhead_pct\": {ab_overhead_pct:.4},");
     println!("  \"gate\": \"overhead_pct < 1.0\",");
     println!("  \"pass\": {pass}");
     println!("}}");

@@ -41,6 +41,9 @@ pub struct BuildTiming {
     pub index: Duration,
     /// Training the CRF tagger.
     pub crf: Duration,
+    /// Building the QA engine, which analyses every document of the corpus
+    /// once (`QaEngine::new`: split, stem, shape-count and CRF-tag).
+    pub qa_analysis: Duration,
     /// Generating the venue scenes and building the image database.
     pub imm: Duration,
 }
@@ -199,7 +202,9 @@ impl Sirius {
             TrainConfig::default(),
         );
         let crf_time = phase.elapsed();
+        let phase = Instant::now();
         let qa = QaEngine::new(search, crf, config.qa);
+        let qa_analysis = phase.elapsed();
 
         // IMM: one scene per venue in the knowledge base.
         let phase = Instant::now();
@@ -219,6 +224,7 @@ impl Sirius {
             asr_total,
             index,
             crf: crf_time,
+            qa_analysis,
             imm: phase.elapsed(),
         };
 

@@ -6,13 +6,18 @@
 //! sentence keyword coverage, retrieval rank, and the rarity (IDF) of its
 //! tokens, then aggregated across all retrieved documents; the best-scoring
 //! candidate string is the answer.
+//!
+//! Sentence coverage is read from the [`AnalysedCorpus`](super::filters::AnalysedCorpus)
+//! (question stem ids against the sentence's stem ids); span extraction,
+//! the question-overlap check and the IDF lookup run per query, only on
+//! sentences with coverage.
 
 use std::collections::HashMap;
 
 use crate::stemmer;
 use sirius_search::{tokenize, InvertedIndex};
 
-use super::filters::{split_sentences, AnswerTypeFilter};
+use super::filters::{coverage, AnalysedDoc, AnswerTypeFilter, StemId};
 use super::question::{AnswerType, QuestionAnalysis};
 
 /// A scored candidate answer.
@@ -95,32 +100,30 @@ pub fn extract_spans(sentence: &str, at: AnswerType, shapes: &AnswerTypeFilter) 
 
 /// Scores candidates across a ranked list of documents.
 ///
-/// `ranked_docs` is ordered best-first (retrieval order); earlier documents
-/// receive a higher rank weight, mirroring OpenEphyra's use of search rank.
+/// `ranked_docs` pairs each document's text with its analysis, ordered
+/// best-first (retrieval order); earlier documents receive a higher rank
+/// weight, mirroring OpenEphyra's use of search rank. `question_stems` are
+/// the question's stems resolved against the same analysis
+/// ([`AnalysedCorpus::stem_ids`](super::filters::AnalysedCorpus::stem_ids)).
 pub fn score_candidates(
-    ranked_docs: &[&str],
+    ranked_docs: &[(&str, &AnalysedDoc)],
     question: &QuestionAnalysis,
+    question_stems: &[Option<StemId>],
+    shapes: &AnswerTypeFilter,
     index: &InvertedIndex,
 ) -> Vec<Candidate> {
-    let shapes = AnswerTypeFilter::default();
     let mut scores: HashMap<String, (f64, usize)> = HashMap::new();
-    let question_stems: Vec<&str> = question.stems.iter().map(String::as_str).collect();
 
-    for (rank, doc) in ranked_docs.iter().enumerate() {
+    for (rank, (text, doc)) in ranked_docs.iter().enumerate() {
         let rank_weight = 1.0 / (1.0 + rank as f64 * 0.25);
-        for sentence in split_sentences(doc) {
-            let tokens = tokenize::tokenize(sentence);
-            let mut coverage = 0usize;
-            for qs in &question_stems {
-                if tokens.iter().any(|t| stemmer::stem(t) == *qs) {
-                    coverage += 1;
-                }
-            }
+        for sentence in &doc.sentences {
+            let coverage = coverage(doc.sentence_stems(sentence), question_stems);
             if coverage == 0 {
                 continue;
             }
             let coverage_frac = coverage as f64 / question_stems.len().max(1) as f64;
-            for span in extract_spans(sentence, question.answer_type, &shapes) {
+            let sentence = &text[sentence.span.clone()];
+            for span in extract_spans(sentence, question.answer_type, shapes) {
                 if overlaps_question(&span, question) {
                     continue;
                 }
@@ -145,14 +148,14 @@ pub fn score_candidates(
 }
 
 /// A candidate that repeats the question's own keywords is not an answer.
-fn overlaps_question(span: &str, question: &QuestionAnalysis) -> bool {
+pub(super) fn overlaps_question(span: &str, question: &QuestionAnalysis) -> bool {
     tokenize::tokenize(span)
         .iter()
         .any(|t| question.stems.iter().any(|s| *s == stemmer::stem(t)))
 }
 
 /// Mean BM25 IDF of the span's tokens — rarer names are better answers.
-fn mean_idf(span: &str, index: &InvertedIndex) -> f64 {
+pub(super) fn mean_idf(span: &str, index: &InvertedIndex) -> f64 {
     let tokens = tokenize::tokenize(span);
     if tokens.is_empty() {
         return 0.0;
@@ -163,6 +166,8 @@ fn mean_idf(span: &str, index: &InvertedIndex) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qa::filters::analysed;
+    use sirius_search::DocId;
 
     fn shapes() -> AnswerTypeFilter {
         AnswerTypeFilter::default()
@@ -230,8 +235,17 @@ mod tests {
             answer_type: AnswerType::Location,
             regex_ops: 0,
         };
-        let refs: Vec<&str> = docs.to_vec();
-        let cands = score_candidates(&refs, &question, &index);
+        let corpus = analysed(&docs);
+        let refs: Vec<(&str, &AnalysedDoc)> = (0..docs.len())
+            .map(|i| (docs[i], corpus.doc(DocId(i as u32))))
+            .collect();
+        let cands = score_candidates(
+            &refs,
+            &question,
+            &corpus.stem_ids(&question.stems),
+            &shapes(),
+            &index,
+        );
         assert_eq!(cands[0].text, "Rome");
         assert!(cands[0].support >= 2);
         // "Paris" may appear (its sentence contains "capital") but must rank

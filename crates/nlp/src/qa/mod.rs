@@ -4,36 +4,50 @@
 //! web-search query generation → document retrieval → document filters →
 //! candidate extraction and scoring → best answer.
 //!
+//! The document side of the stemmer, regex and CRF work — the bulk of the
+//! paper's QA cycles (Figure 9: 85%) — depends only on the documents, which
+//! never change, so [`QaEngine::new`] does it once: it splits, stems,
+//! shape-counts and CRF-tags every document into an [`AnalysedCorpus`],
+//! and a query's filters and extraction read that analysis. Per query there remain the question's own
+//! analysis, retrieval, the filter lookups and span extraction on the
+//! sentences that cover the question.
+//!
 //! Every stage is instrumented with wall-clock timing and work counters so
-//! the end-to-end pipeline can reproduce the paper's cycle breakdowns
-//! (Figure 8b: stemmer/regex/CRF shares; Figure 8c: latency vs filter hits;
-//! Figure 9: QA component cycle breakdown).
+//! the end-to-end pipeline can reproduce the paper's breakdowns (Figure 8b:
+//! stemmer/regex/CRF shares; Figure 8c: latency vs filter hits; Figure 9:
+//! QA component breakdown), measured over the per-query work that is left.
 
 pub mod extract;
 pub mod filters;
+#[cfg(test)]
+mod oracle;
 pub mod question;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sirius_search::{DocId, SearchEngine, SearchHit};
 
 use crate::crf::Crf;
-use filters::{standard_filters, DocumentFilter};
+use filters::{AnalysedCorpus, AnalysedDoc};
 pub use question::{AnswerType, QuestionAnalysis, QuestionAnalyzer};
 
 /// Per-stage timing and work counters for one QA invocation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QaBreakdown {
-    /// Time in question analysis + document-filter stemming.
+    /// Time stemming the question's keywords.
     pub stemmer: Duration,
-    /// Time in regex pattern evaluation (question + answer-type filter).
+    /// Time in the question's input filter: special-character strip,
+    /// tokenization, the question-word and answer-type patterns and keyword
+    /// selection.
     pub regex: Duration,
-    /// Time in CRF tagging.
+    /// Time in the question's one CRF tagging call.
     pub crf: Duration,
     /// Time in retrieval (the web-search substrate).
     pub search: Duration,
-    /// Time in document filters + candidate scoring (excluding the stemmer
-    /// and regex time already attributed above).
+    /// Time in the document filters (keyword, answer-type and proximity
+    /// lookups and the document-CRF sum over the analysed corpus) and in
+    /// candidate extraction and scoring.
     pub filtering: Duration,
     /// Total wall-clock for the query.
     pub total: Duration,
@@ -93,17 +107,22 @@ impl Default for QaConfig {
 pub struct QaEngine {
     search: SearchEngine,
     analyzer: QuestionAnalyzer,
-    filters: Vec<Box<dyn DocumentFilter + Send + Sync>>,
+    corpus: Arc<AnalysedCorpus>,
     config: QaConfig,
 }
 
 impl QaEngine {
-    /// Creates a QA engine over a search engine and a trained CRF tagger.
+    /// Creates a QA engine over a search engine and a trained CRF tagger,
+    /// analysing every document of the search engine once.
     pub fn new(search: SearchEngine, crf: Crf, config: QaConfig) -> Self {
+        let corpus = AnalysedCorpus::build(
+            (0..search.len() as u32).map(|id| search.document(DocId(id))),
+            &crf,
+        );
         Self {
             search,
             analyzer: QuestionAnalyzer::new(crf),
-            filters: standard_filters(),
+            corpus: Arc::new(corpus),
             config,
         }
     }
@@ -113,13 +132,19 @@ impl QaEngine {
         &self.search
     }
 
+    /// The document analysis the filters read.
+    pub fn corpus_analysis(&self) -> &AnalysedCorpus {
+        &self.corpus
+    }
+
     /// Builds shard `shard` of `num_shards` of this engine: the retrieval
     /// index is sharded ([`SearchEngine::shard`] — postings partitioned,
     /// document store and global statistics carried whole) while the CRF
-    /// tagger, filters and configuration are replicated. A shard can
-    /// therefore run the full answer pipeline; only its *retrieval* is
-    /// partial, and [`answer_with_retrieval`](Self::answer_with_retrieval)
-    /// with a `sirius_search::merge_hits` scatter-gather over all shards is
+    /// tagger and configuration are replicated and the document analysis is
+    /// shared, not redone. A shard can therefore run the full answer
+    /// pipeline; only its *retrieval* is partial, and
+    /// [`answer_with_retrieval`](Self::answer_with_retrieval) with a
+    /// `sirius_search::merge_hits` scatter-gather over all shards is
     /// bit-identical to the unsharded [`answer`](Self::answer).
     ///
     /// # Panics
@@ -129,13 +154,13 @@ impl QaEngine {
         QaEngine {
             search: self.search.shard(shard, num_shards),
             analyzer: QuestionAnalyzer::new(self.analyzer.crf().clone()),
-            filters: standard_filters(),
+            corpus: Arc::clone(&self.corpus),
             config: self.config,
         }
     }
 
     /// Serializes the engine: the search corpus and the trained CRF tagger
-    /// (filters and patterns are rebuilt on load).
+    /// (the document analysis, filters and patterns are rebuilt on load).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = sirius_codec::Encoder::new();
         e.tag("sirius_qa_v1");
@@ -173,10 +198,10 @@ impl QaEngine {
     /// [`SearchEngine::search`] plugged in; a sharded cluster instead plugs
     /// in a scatter-gather (`sirius_search::merge_hits` over per-shard
     /// searches), which returns bit-identical hits — so every downstream
-    /// stage (filters, CRF tagging, extraction) is bit-identical too.
-    /// Everything except the retrieval call runs on this engine, which must
-    /// therefore hold the full document store and global collection
-    /// statistics (a shard built by [`SearchEngine::shard`] does).
+    /// stage (filters, extraction) is bit-identical too. Everything except
+    /// the retrieval call runs on this engine, which must therefore hold the
+    /// full document store, its analysis and the global collection
+    /// statistics (a shard built by [`QaEngine::shard`] does).
     pub fn answer_with_retrieval<F>(&self, question_text: &str, retrieve: F) -> QaResult
     where
         F: FnOnce(&str, usize) -> Vec<SearchHit>,
@@ -184,15 +209,11 @@ impl QaEngine {
         let t_total = Instant::now();
         let mut breakdown = QaBreakdown::default();
 
-        // Stage 1: question analysis (regex + stemmer + CRF).
-        // The analyzer times its one CRF tagging call; the remainder is
-        // attributed to regex/stemming.
-        let t = Instant::now();
-        let (analysis, crf_time) = self.analyzer.analyze_timed(question_text);
-        let analyze_time = t.elapsed();
-        breakdown.crf = crf_time;
-        breakdown.regex = analyze_time.saturating_sub(breakdown.crf) / 2;
-        breakdown.stemmer = analyze_time.saturating_sub(breakdown.crf) - breakdown.regex;
+        // Stage 1: question analysis (regex + stemmer + CRF), each timed.
+        let (analysis, timing) = self.analyzer.analyze_timed(question_text);
+        breakdown.regex = timing.regex;
+        breakdown.stemmer = timing.stemmer;
+        breakdown.crf = timing.crf;
         breakdown.regex_ops = analysis.regex_ops;
 
         // Stage 2: retrieval.
@@ -202,69 +223,41 @@ impl QaEngine {
         breakdown.search = t.elapsed();
         breakdown.docs_considered = hits.len();
 
-        // Stage 3: document filters.
-        let docs: Vec<&str> = hits.iter().map(|h| self.search.document(h.doc)).collect();
+        // Stage 3: document filters, read from the analysed corpus. A
+        // document's score adds the filters in a fixed order: keyword,
+        // answer type, proximity, then the CRF's answer-bearing tags.
+        let t = Instant::now();
+        let stems = self.corpus.stem_ids(&analysis.stems);
+        let docs: Vec<&AnalysedDoc> = hits.iter().map(|h| self.corpus.doc(h.doc)).collect();
         let mut doc_scores = vec![0.0f64; docs.len()];
-        for filter in &self.filters {
-            let t = Instant::now();
-            for (doc, score) in docs.iter().zip(&mut doc_scores) {
-                let out = filter.apply(doc, &analysis);
+        for (doc, score) in docs.iter().zip(&mut doc_scores) {
+            for out in [
+                filters::keyword(doc, &stems),
+                filters::answer_type(doc, analysis.answer_type),
+                filters::proximity(doc, &stems),
+                filters::answer_bearing(doc, &analysis.keywords),
+            ] {
                 *score += out.score;
                 breakdown.filter_hits += out.hits;
             }
-            let elapsed = t.elapsed();
-            // Attribute filter time to its dominant kernel, as the paper's
-            // VTune profiling attributes QA cycles to stemmer/regex/CRF.
-            match filter.name() {
-                "keyword" | "proximity" => breakdown.stemmer += elapsed,
-                "answer-type" => breakdown.regex += elapsed,
-                _ => breakdown.filtering += elapsed,
-            }
         }
-
-        // Stage 3b: CRF part-of-speech tagging over the retrieved documents.
-        // OpenEphyra tags retrieved text for answer-type matching; this is
-        // where the bulk of the paper's QA CRF cycles come from (Figure 9).
-        let t = Instant::now();
-        let noun_id = self.analyzer.crf().label_id("NOUN");
-        let num_id = self.analyzer.crf().label_id("NUM");
-        for (doc, score) in docs.iter().zip(&mut doc_scores) {
-            let mut answer_bearing = 0usize;
-            for sentence in filters::split_sentences(doc) {
-                // Only tag passages that mention a query keyword, as
-                // OpenEphyra's passage filters gate its taggers.
-                let lower = sentence.to_lowercase();
-                if !analysis.keywords.iter().any(|k| lower.contains(k)) {
-                    continue;
-                }
-                let tokens: Vec<String> = sentence
-                    .split_whitespace()
-                    .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()).to_owned())
-                    .filter(|w| !w.is_empty())
-                    .collect();
-                if tokens.is_empty() {
-                    continue;
-                }
-                let tags = self.analyzer.crf().decode(&tokens);
-                answer_bearing += tags
-                    .iter()
-                    .filter(|&&tag| Some(tag) == noun_id || Some(tag) == num_id)
-                    .count();
-            }
-            // Documents rich in nouns/numbers are likelier to bear answers.
-            *score += 0.05 * answer_bearing as f64;
-            breakdown.filter_hits += answer_bearing;
-        }
-        breakdown.crf += t.elapsed();
 
         // Stage 4: candidate extraction over filter-ranked documents.
-        let t = Instant::now();
         let mut order: Vec<usize> = (0..docs.len()).collect();
         order.sort_by(|&a, &b| doc_scores[b].total_cmp(&doc_scores[a]));
-        let ranked: Vec<&str> = order.iter().map(|&i| docs[i]).collect();
+        let ranked: Vec<(&str, &AnalysedDoc)> = order
+            .iter()
+            .map(|&i| (self.search.document(hits[i].doc), docs[i]))
+            .collect();
         let supporting: Vec<DocId> = order.iter().take(3).map(|&i| hits[i].doc).collect();
-        let candidates = extract::score_candidates(&ranked, &analysis, self.search.index());
-        breakdown.filtering += t.elapsed();
+        let candidates = extract::score_candidates(
+            &ranked,
+            &analysis,
+            &stems,
+            self.corpus.shapes(),
+            self.search.index(),
+        );
+        breakdown.filtering = t.elapsed();
 
         breakdown.total = t_total.elapsed();
         QaResult {

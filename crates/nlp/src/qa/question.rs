@@ -43,6 +43,18 @@ pub struct QuestionAnalysis {
     pub regex_ops: usize,
 }
 
+/// Wall time of one question analysis, by kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct AnalysisTiming {
+    /// The input filter: special-character strip, tokenization, the
+    /// question-word and answer-type patterns and keyword selection.
+    pub regex: Duration,
+    /// Stemming the keywords.
+    pub stemmer: Duration,
+    /// The one CRF tagging call.
+    pub crf: Duration,
+}
+
 /// Analyzer bundling the trained CRF and compiled question patterns.
 #[derive(Debug)]
 pub struct QuestionAnalyzer {
@@ -76,9 +88,10 @@ impl QuestionAnalyzer {
         self.analyze_timed(question).0
     }
 
-    /// [`analyze`](Self::analyze), also returning the time spent in its one
-    /// CRF tagging call (the QA breakdown's question-side CRF share).
-    pub(crate) fn analyze_timed(&self, question: &str) -> (QuestionAnalysis, Duration) {
+    /// [`analyze`](Self::analyze), also returning the time spent in its
+    /// regex, stemmer and CRF steps (the QA breakdown's question side).
+    pub(crate) fn analyze_timed(&self, question: &str) -> (QuestionAnalysis, AnalysisTiming) {
+        let t = Instant::now();
         let mut regex_ops = 0usize;
 
         // Input filter: strip special characters (paper Figure 6).
@@ -129,12 +142,20 @@ impl QuestionAnalyzer {
             .filter(|t| !tokenize::is_stop_word(t) && !is_auxiliary(t))
             .cloned()
             .collect();
+        let regex = t.elapsed();
+
+        let t = Instant::now();
         let stems: Vec<String> = keywords.iter().map(|k| stemmer::stem(k)).collect();
+        let stemmer = t.elapsed();
 
         // CRF tagging of the full token sequence.
         let t = Instant::now();
         let pos_tags = self.crf.tag(&tokens);
-        let crf_time = t.elapsed();
+        let timing = AnalysisTiming {
+            regex,
+            stemmer,
+            crf: t.elapsed(),
+        };
 
         let analysis = QuestionAnalysis {
             text: question.to_owned(),
@@ -145,7 +166,7 @@ impl QuestionAnalyzer {
             answer_type,
             regex_ops,
         };
-        (analysis, crf_time)
+        (analysis, timing)
     }
 }
 

@@ -225,9 +225,18 @@ pub fn read_frame(r: &mut impl Read) -> FrameRead {
             "frame body of {len} bytes exceeds the {MAX_FRAME_BODY}-byte limit"
         ));
     }
-    let mut body = vec![0u8; len as usize];
-    if let Err(e) = r.read_exact(&mut body) {
-        return FrameRead::Io(e);
+    // Read straight into spare capacity: no zero-fill of a body about to be
+    // overwritten.
+    let mut body = Vec::with_capacity(len as usize);
+    match r.by_ref().take(u64::from(len)).read_to_end(&mut body) {
+        Ok(got) if got < len as usize => {
+            return FrameRead::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("connection closed {got} of {len} bytes into a frame body"),
+            ))
+        }
+        Ok(_) => {}
+        Err(e) => return FrameRead::Io(e),
     }
     let mut dec = Decoder::new(&body);
     let decoded = match ty {

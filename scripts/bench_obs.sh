@@ -4,14 +4,11 @@
 # the mean serial query latency — must stay below 1%). Recipe in
 # EXPERIMENTS.md. Exits non-zero if the gate fails.
 #
-# Usage: scripts/bench_obs.sh [REPS]
-#   REPS  A/B serial loop pairs (default 3)
+# Usage: scripts/bench_obs.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-REPS="${1:-3}"
-
 cargo build --release -p sirius-bench --bin bench_obs
 . scripts/bench_out.sh
-bench_run ./target/release/bench_obs --reps "$REPS"
+bench_run ./target/release/bench_obs
 bench_publish BENCH_obs.json
